@@ -40,6 +40,8 @@ with open(spec.output) as f:
         print(
             f"n={row['n']:>3}  t={row['t']:>3}  d={row['d']:>3}  "
             f"chunks={row['chunk_count']:>4}  "
-            f"client share+encrypt {float(row['client_share_encrypt_ns_mean']) / 1e6:7.2f} ms  "
-            f"server reconstruct {float(row['server_reconstruct_ns_mean']) / 1e3:7.0f} us"
+            f"client share {float(row['client_share_ns_mean']) / 1e6:6.2f} ms  "
+            f"encrypt {float(row['client_encrypt_ns_mean']) / 1e6:6.2f} ms  "
+            f"server precompute {float(row['server_precompute_ns_mean']) / 1e3:6.0f} us  "
+            f"reconstruct {float(row['server_reconstruct_ns_mean']) / 1e3:5.0f} us"
         )

@@ -42,7 +42,7 @@ def ae_enc(key: bytes, plaintext: bytes, rng=None) -> AeCiphertext:
         raise InvalidArgument("plaintext too large")
     nonce = rng.randbytes(NONCE_LEN) if rng is not None else os.urandom(NONCE_LEN)
     body = AESGCM(key).encrypt(nonce, plaintext, None)
-    return AeCiphertext(nonce=nonce, body=body)
+    return AeCiphertext(nonce, body)
 
 
 def ae_dec(key: bytes, ct: AeCiphertext) -> bytes:

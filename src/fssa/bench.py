@@ -34,12 +34,18 @@ CSV_COLUMNS = [
     "iterations",
     "client_keygen_ns_mean",
     "client_keygen_ns_std",
-    "client_share_encrypt_ns_mean",
-    "client_share_encrypt_ns_std",
+    "client_agree_ns_mean",
+    "client_agree_ns_std",
+    "client_share_ns_mean",
+    "client_share_ns_std",
+    "client_encrypt_ns_mean",
+    "client_encrypt_ns_std",
     "client_sum_ns_mean",
     "client_sum_ns_std",
     "server_route_ns_mean",
     "server_route_ns_std",
+    "server_precompute_ns_mean",
+    "server_precompute_ns_std",
     "server_reconstruct_ns_mean",
     "server_reconstruct_ns_std",
     "bytes_per_client_mean",
@@ -48,6 +54,9 @@ CSV_COLUMNS = [
     "baseline_server_ns",
     "baseline_bytes_per_client",
 ]
+
+# The measured columns, each written as a _mean and a _std pair.
+_TIMED_COLUMNS = [c[: -len("_mean")] for c in CSV_COLUMNS if c.endswith("_mean")]
 
 DESK_CLIENTS = [50, 100, 200]
 DESK_VECTOR_SIZE = 10_000
@@ -140,7 +149,7 @@ def run_point(spec: SweepSpec, index: int, n, m, rho, gamma) -> dict:
     row.update(t=params.t, d=params.d, q=params.fp.q, chunk_count=params.chunk_count)
     row["feasible"] = "yes"
 
-    keygen, share_enc, sumt, route, recon, bytes_pc = [], [], [], [], [], []
+    samples = {col: [] for col in _TIMED_COLUMNS}
     # One discarded warmup iteration absorbs one-time costs (allocator growth,
     # BLAS initialization) so the measured iterations reflect steady state.
     for it in range(-1, spec.iterations):
@@ -161,31 +170,22 @@ def run_point(spec: SweepSpec, index: int, n, m, rho, gamma) -> dict:
         report = run_simulation(cfg)
         if it < 0:
             continue
+        # Each client phase is averaged over the clients that ran it: keygen
+        # over the whole cohort, the Round-1 and Round-2 phases over the
+        # clients that reached them.
+        phases = report.client_phase_ns.values()
+        for phase in ("keygen", "agree", "share", "encrypt", "sum"):
+            samples[f"client_{phase}_ns"].append(
+                statistics.fmean(ph[phase] for ph in phases if phase in ph)
+            )
+        for phase in ("route", "precompute", "reconstruct"):
+            samples[f"server_{phase}_ns"].append(report.server_phase_ns.get(phase, 0))
         survivors = [u for u, ph in report.client_phase_ns.items() if "sum" in ph]
-        # Key establishment: Round-0 keypair generation plus Round-1 pairwise
-        # key agreement.
-        keygen.append(statistics.fmean(
-            ph["keygen"] + ph.get("agree", 0)
-            for ph in report.client_phase_ns.values()
-            if "keygen" in ph
-        ))
-        share_enc.append(statistics.fmean(
-            report.client_phase_ns[u]["share"] + report.client_phase_ns[u]["encrypt"]
-            for u in survivors
-        ))
-        sumt.append(statistics.fmean(report.client_phase_ns[u]["sum"] for u in survivors))
-        route.append(report.server_phase_ns.get("route", 0))
-        recon.append(report.server_phase_ns.get("reconstruct", 0))
-        bytes_pc.append(statistics.fmean(report.bytes_sent[u] for u in survivors))
+        samples["bytes_per_client"].append(
+            statistics.fmean(report.bytes_sent[u] for u in survivors)
+        )
 
-    for col, vals in [
-        ("client_keygen_ns", keygen),
-        ("client_share_encrypt_ns", share_enc),
-        ("client_sum_ns", sumt),
-        ("server_route_ns", route),
-        ("server_reconstruct_ns", recon),
-        ("bytes_per_client", bytes_pc),
-    ]:
+    for col, vals in samples.items():
         mean, std = _mean_std(vals)
         row[f"{col}_mean"] = mean
         row[f"{col}_std"] = std

@@ -1,8 +1,12 @@
-"""Prime-field arithmetic, polynomial evaluation, and reconstruction matrices.
+"""Prime-field arithmetic, polynomial evaluation, the exact mod-q matrix product,
+and reconstruction matrices.
 
-Field elements are plain Python ints, always kept fully reduced in [0, q).
-Batch helpers use numpy int64 arrays when the modulus is small enough that
-intermediate products cannot overflow, and fall back to Python ints otherwise.
+Scalar helpers work on plain Python ints kept fully reduced in [0, q); they
+are the reference the batch code is tested against. Batch data are numpy
+int64 arrays of reduced elements. Sharing evaluates polynomials by Horner's
+rule (`poly_eval_batch`); every matrix product over the field goes through
+`mod_matmul`, which is exact for every inner length t and modulus q that
+`kernel_path` accepts and raises InvalidArgument for any other.
 """
 
 from __future__ import annotations
@@ -48,13 +52,6 @@ class FieldParams:
             raise InvalidArgument("element encoding out of range")
         return v
 
-    def numpy_safe_dot_len(self) -> int:
-        """Max dot-product length whose int64 accumulation cannot overflow."""
-        per_term = (self.q - 1) ** 2
-        if per_term == 0:
-            return 2**62
-        return (2**63 - 1) // per_term
-
 
 def fe_inv(a: int, fp: FieldParams) -> int:
     """Multiplicative inverse of a modulo q."""
@@ -98,6 +95,95 @@ def poly_eval_batch(coeff_matrix: np.ndarray, xs: np.ndarray, fp: FieldParams) -
     return out
 
 
+def _split_bit(t: int, q: int) -> int | None:
+    """Bit k at which to split the right operand, or None if no split is exact.
+
+    Every float dot product must stay below 2^52, so qb + k + lt <= 52 (low
+    half) and 2*qb - k + lt <= 52 (high half), with qb and lt the bit lengths
+    of q-1 and t. The balanced left operand only tightens these.
+    """
+    qb = (q - 1).bit_length()
+    lt = max(t, 1).bit_length()
+    k_min = max(1, 2 * qb + lt - 52)
+    k_max = 52 - qb - lt
+    if k_min > k_max:
+        return None
+    return min(max(qb // 2, k_min), k_max)
+
+
+def kernel_path(t: int, q: int) -> str:
+    """How `mod_matmul` computes a product of inner length t mod q exactly.
+
+    "float": one float64 matmul on balanced residues, exact while
+    t*q^2 <= 2^55 - 4q. "split": the right operand split into high and low
+    bits, each half's product exact in float64 (3*bits(q-1) + 2*bits(t) <=
+    104). "int64": an integer matmul, exact while t*(q-1)^2 < 2^63. A (t, q)
+    past all three raises InvalidArgument, as does any q with
+    (q-1)^2 >= 2^63, whose elementwise products would overflow int64.
+    """
+    if (q - 1) ** 2 >= 2**63:
+        raise InvalidArgument(
+            f"modulus {q} too large: (q-1)^2 must stay below 2^63 so that "
+            "elementwise products fit int64"
+        )
+    if t * q * q <= 2**55 - 4 * q:
+        return "float"
+    if _split_bit(t, q) is not None:
+        return "split"
+    if t * (q - 1) ** 2 < 2**63:
+        return "int64"
+    raise InvalidArgument(
+        f"no exact mod-q matmul for inner length t={t} at q={q}: the kernel "
+        "needs t*q^2 <= 2^55, 3*bits(q-1) + 2*bits(t) <= 104, or t*(q-1)^2 < 2^63"
+    )
+
+
+def _balanced_f64(a: np.ndarray, q: int) -> np.ndarray:
+    """Float copy with residues mapped to (-q/2, q/2]."""
+    af = a.astype(np.float64)
+    af -= (af > q / 2) * float(q)
+    return af
+
+
+def mod_matmul(a: np.ndarray, b: np.ndarray, q: int, a_f64=None) -> np.ndarray:
+    """(a @ b) % q, exactly, for int64 matrices of elements reduced into [0, q).
+
+    The evaluation is the one `kernel_path` picks for the inner length and
+    q; a (t, q) outside its range raises InvalidArgument. `a_f64`
+    optionally supplies a precomputed `_balanced_f64(a, q)`.
+    """
+    t = a.shape[1]
+    path = kernel_path(t, q)
+    if path == "int64":
+        return (a @ b) % q
+    af = a_f64 if a_f64 is not None else _balanced_f64(a, q)
+    if path == "split":
+        k = _split_bit(t, q)
+        halves = np.concatenate([b & ((1 << k) - 1), b >> k], axis=1)
+        parts = (af @ halves.astype(np.float64)).astype(np.int64)
+        cols = b.shape[1]
+        return ((parts[:, cols:] % q) * (1 << k) + parts[:, :cols]) % q
+    # Balanced residues keep |dot| <= t*(q/2)^2 <= 2^53 - q, exact in float64.
+    qf = float(q)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    # Tile over columns so the per-block working set stays cache-resident
+    # no matter how wide b is.
+    block = max(1, 4096 // max(t, 1))
+    for lo in range(0, b.shape[1], block):
+        bf = b[:, lo : lo + block].astype(np.float64)
+        bf -= (bf > q / 2) * qf
+        c = af @ bf
+        # Reduce mod q in float: the computed floor(c/q) is off by at most 1
+        # (|c/q| * 2^-51 < 1 under the guard), and every intermediate is an
+        # integer of magnitude <= |c| + q <= 2^53, hence exact; the two
+        # fixups catch the off-by-one cases.
+        c -= np.floor(c * (1.0 / qf)) * qf
+        c[c < 0] += qf
+        c[c >= qf] -= qf
+        out[:, lo : lo + block] = c
+    return out
+
+
 @dataclass(frozen=True)
 class ReconMatrix:
     """d x t matrix mapping t polynomial evaluations to the first d coefficients."""
@@ -118,11 +204,8 @@ class ReconMatrix:
         if len(shares) != self.t:
             raise InvalidArgument(f"expected {self.t} shares, got {len(shares)}")
         q = self.fp.q
-        if self.t <= self.fp.numpy_safe_dot_len():
-            m = self.rows_np if self.rows_np is not None else np.array(self.rows, dtype=np.int64)
-            v = np.asarray(shares, dtype=np.int64)
-            return [int(x) for x in (m @ v) % q]
-        return [sum(r * s for r, s in zip(row, shares)) % q for row in self.rows]
+        col = (np.asarray(shares, dtype=np.int64) % q).reshape(-1, 1)
+        return mod_matmul(self.rows_np, col, q, self.rows_f64)[:, 0].tolist()
 
 
 def build_recon_matrix(points, d: int, fp: FieldParams) -> ReconMatrix:
@@ -143,6 +226,7 @@ def build_recon_matrix(points, d: int, fp: FieldParams) -> ReconMatrix:
         raise InvalidArgument("evaluation points must be nonzero")
     if len(set(pts)) != t:
         raise InvalidArgument("evaluation points must be distinct")
+    kernel_path(t, q)  # a matrix the kernel cannot apply is refused here
 
     # Master polynomial P(x) = prod (x - p_k), ascending coefficients.
     master = [1]
@@ -167,15 +251,10 @@ def build_recon_matrix(points, d: int, fp: FieldParams) -> ReconMatrix:
         cols.append([(c * scale) % q for c in quot[:d]])
 
     rows = tuple(tuple(cols[k][j] for k in range(t)) for j in range(d))
-    rows_np = np.array(rows, dtype=np.int64) if q.bit_length() <= 62 else None
-    if rows_np is not None:
-        # Balanced residues in (-q/2, q/2], the form float matmuls consume.
-        rows_f64 = rows_np.astype(np.float64)
-        rows_f64 -= (rows_f64 > q / 2) * float(q)
-    else:
-        rows_f64 = None
+    rows_np = np.array(rows, dtype=np.int64)
     return ReconMatrix(
-        rows=rows, points=tuple(pts), d=d, fp=fp, rows_np=rows_np, rows_f64=rows_f64
+        rows=rows, points=tuple(pts), d=d, fp=fp, rows_np=rows_np,
+        rows_f64=_balanced_f64(rows_np, q),
     )
 
 

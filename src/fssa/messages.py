@@ -138,7 +138,7 @@ def serialize(msg, fp: FieldParams) -> bytes:
         w.u32(msg.u)
         w.u32(len(msg.sums))
         if msg.sums:
-            w.parts.append(encode_elems(msg.sums, fp))
+            w.parts.append(encode_elems(msg.sums if msg.sums_np is None else msg.sums_np, fp))
     else:
         raise InvalidArgument(f"unknown message type {type(msg).__name__}")
     return w.getvalue()
@@ -194,11 +194,11 @@ def decode_elems_array(data: bytes, count: int, fp: FieldParams):
     bw = fp.byte_width
     if len(data) != count * bw:
         raise InvalidArgument("element block has wrong length")
-    if fp.q <= 2**63 and count > 0:
+    if fp.q <= 2**63:
         padded = np.zeros((count, 8), dtype=np.uint8)
         padded[:, :bw] = np.frombuffer(data, dtype=np.uint8).reshape(count, bw)
         vals = padded.reshape(-1).view("<u8")
-        if int(vals.max()) >= fp.q:
+        if count and int(vals.max()) >= fp.q:
             raise InvalidArgument("element encoding out of range")
         return vals.astype(np.int64)
     return [fp.decode_elem(data[i * bw : (i + 1) * bw]) for i in range(count)]
@@ -209,10 +209,28 @@ def decode_elems(data: bytes, count: int, fp: FieldParams) -> list[int]:
     return out.tolist() if isinstance(out, np.ndarray) else out
 
 
+def encode_share_plaintexts(u: int, recipients, shares, fp: FieldParams) -> list[bytes]:
+    """The share plaintexts from u to many recipients, encoded in one pass.
+
+    Column i of the (chunk count, len(recipients)) matrix `shares` holds the
+    chunk shares for recipients[i]; the result holds one plaintext per
+    recipient, in order.
+    """
+    shares = np.asarray(shares)
+    count, k = shares.shape
+    size = 12 + count * fp.byte_width
+    buf = np.empty((k, size), dtype=np.uint8)
+    header = buf[:, :12].view("<u4")
+    header[:, 0] = u
+    header[:, 1] = recipients
+    header[:, 2] = count
+    buf[:, 12:] = np.frombuffer(encode_elems(shares.T, fp), dtype=np.uint8).reshape(k, size - 12)
+    flat = buf.tobytes()
+    return [flat[i : i + size] for i in range(0, k * size, size)]
+
+
 def encode_share_plaintext(u: int, v: int, shares, fp: FieldParams) -> bytes:
-    return b"".join(
-        [_U32.pack(u), _U32.pack(v), _U32.pack(len(shares)), encode_elems(shares, fp)]
-    )
+    return encode_share_plaintexts(u, [v], np.reshape(shares, (-1, 1)), fp)[0]
 
 
 def decode_share_plaintext(data: bytes, fp: FieldParams):
@@ -220,6 +238,6 @@ def decode_share_plaintext(data: bytes, fp: FieldParams):
     u = r.u32()
     v = r.u32()
     count = r.u32()
-    shares = decode_elems(r.take(count * fp.byte_width), count, fp)
+    shares = decode_elems_array(r.take(count * fp.byte_width), count, fp)
     r.done()
     return u, v, shares

@@ -27,7 +27,14 @@ from .errors import (
     Rejected,
     RoundAborted,
 )
-from .field import FieldParams, build_recon_matrix, find_field_modulus, poly_eval_batch
+from .field import (
+    FieldParams,
+    build_recon_matrix,
+    find_field_modulus,
+    kernel_path,
+    mod_matmul,
+    poly_eval_batch,
+)
 from .keyagree import GroupParams, ka_agree, ka_gen, ka_setup
 from .messages import (
     ClientHello,
@@ -37,6 +44,7 @@ from .messages import (
     SumShares,
     decode_share_plaintext,
     encode_share_plaintext,
+    encode_share_plaintexts,
 )
 from .ramp import RampParams, rss_share_batch
 
@@ -64,6 +72,8 @@ class Params:
             raise InvalidArgument("modulus too small: sums could wrap")
         if self.chunk_count != math.ceil(self.m / self.d):
             raise InvalidArgument("chunk_count inconsistent with m and d")
+        # Reconstruction is an inner-length-t product mod q.
+        kernel_path(self.t, self.fp.q)
 
     def ramp(self) -> RampParams:
         return RampParams(
@@ -119,73 +129,24 @@ def plan_parameters(
     )
 
 
-def chunk_vector(x, d: int, B: int) -> list[list[int]]:
-    """Split an input vector into ceil(m/d) chunks, zero-padding the last one."""
+def chunk_vector(x, d: int, B: int) -> np.ndarray:
+    """Split an input vector into a (ceil(m/d), d) int64 array, zero-padding the last chunk."""
     if d < 1:
         raise InvalidArgument("chunk length must be positive")
-    if len(x) < 1:
+    try:
+        a = np.asarray(x, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError) as e:
+        raise InvalidArgument(f"input entries must be integers that fit int64: {e}") from e
+    if a.ndim != 1:
+        raise InvalidArgument("input must be a one-dimensional vector")
+    if a.size < 1:
         raise InvalidArgument("empty input vector")
-    for e in x:
-        if not 0 <= e < B:
-            raise InvalidArgument(f"entry {e} outside [0, {B})")
-    padded = list(x) + [0] * (-len(x) % d)
-    return [padded[i : i + d] for i in range(0, len(padded), d)]
-
-
-def _mod_matmul(a: np.ndarray, b: np.ndarray, q: int, a_f64=None) -> np.ndarray:
-    """(a @ b) % q for int64 matrices of reduced elements.
-
-    When the magnitudes allow it, split b into high and low halves so both
-    partial products fit exactly in float64 and run through one BLAS matmul;
-    otherwise fall back to the integer matmul. Callers guarantee the int64
-    bound t * (q-1)^2 < 2^63. `a_f64` optionally supplies a precomputed
-    float copy of `a`.
-    """
-    t = a.shape[1]
-    if t * q * q <= 2**55 - 4 * q:
-        # Balanced residues keep |dot| <= t*(q/2)^2 <= 2^53 - q, exact in
-        # float64.
-        af = a_f64 if a_f64 is not None else _balanced_f64(a, q)
-        qf = float(q)
-        out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-        # Tile over columns so the per-block working set stays cache-resident
-        # no matter how wide b is.
-        block = max(1, 4096 // max(t, 1))
-        for lo in range(0, b.shape[1], block):
-            bf = b[:, lo : lo + block].astype(np.float64)
-            bf -= (bf > q / 2) * qf
-            c = af @ bf
-            # Reduce mod q in float: the computed floor(c/q) is off by at
-            # most 1 (|c/q| * 2^-51 < 1 under the guard), and every
-            # intermediate is an integer of magnitude <= |c| + q <= 2^53,
-            # hence exact; the two fixups catch the off-by-one cases.
-            c -= np.floor(c * (1.0 / qf)) * qf
-            c[c < 0] += qf
-            c[c >= qf] -= qf
-            out[:, lo : lo + block] = c
-        return out
-    qb = (q - 1).bit_length()
-    lt = max(t, 1).bit_length()
-    # Exactness bounds for the split at bit k: every float dot product must
-    # stay below 2^52, so qb + k + lt <= 52 (low half) and
-    # 2*qb - k + lt <= 52 (high half). The balanced `a` only tightens these.
-    k_min = max(1, 2 * qb + lt - 52)
-    k_max = 52 - qb - lt
-    if k_min <= k_max:
-        af = a_f64 if a_f64 is not None else _balanced_f64(a, q)
-        k = min(max(qb // 2, k_min), k_max)
-        halves = np.concatenate([b & ((1 << k) - 1), b >> k], axis=1)
-        parts = (af @ halves.astype(np.float64)).astype(np.int64)
-        cols = b.shape[1]
-        return ((parts[:, cols:] % q) * (1 << k) + parts[:, :cols]) % q
-    return (a @ b) % q
-
-
-def _balanced_f64(a: np.ndarray, q: int) -> np.ndarray:
-    """Float copy with residues mapped to (-q/2, q/2]."""
-    af = a.astype(np.float64)
-    af -= (af > q / 2) * float(q)
-    return af
+    if a.min() < 0 or a.max() >= B:
+        bad = a[(a < 0) | (a >= B)][0]
+        raise InvalidArgument(f"entry {bad} outside [0, {B})")
+    chunks = np.zeros((-(-a.size // d), d), dtype=np.int64)
+    chunks.reshape(-1)[: a.size] = a
+    return chunks
 
 
 class Round(enum.Enum):
@@ -213,8 +174,8 @@ class Client:
         self.keypair = None
         self.roster = {}          # u -> public key bytes, from the broadcast
         self.pair_keys = {}       # v -> 32-byte symmetric key
-        self.own_shares = None    # this client's own shares, one per chunk
-        self.received_shares = {} # sender v -> list of chunk shares
+        self.own_shares = None    # this client's own shares, one per chunk (int64 array)
+        self.received_shares = {} # sender v -> int64 array of chunk shares
         self.phase_ns = {}
 
     def _abort(self, why: str):
@@ -263,49 +224,46 @@ class Client:
 
         t0 = time.perf_counter_ns()
         chunks = chunk_vector(x, p.d, p.B)
-        rp = p.ramp()
         if coeffs is not None:
             if len(coeffs) != p.chunk_count or any(len(c) != p.t - p.d for c in coeffs):
                 raise InvalidArgument("need t-d explicit coefficients for every chunk")
-            coeff_matrix = np.array(
-                [list(c) + list(h) for c, h in zip(chunks, coeffs)], dtype=np.int64
-            ) % p.fp.q
-            share_matrix = poly_eval_batch(
-                coeff_matrix, np.array(points, dtype=np.int64) % p.fp.q, p.fp
-            )
+            high = np.array(coeffs, dtype=np.int64).reshape(p.chunk_count, p.t - p.d) % p.fp.q
+            xs = np.array(points, dtype=np.int64) % p.fp.q
+            share_matrix = poly_eval_batch(np.concatenate([chunks, high], axis=1), xs, p.fp)
         else:
             if np_rng is None:
                 seed = rng.getrandbits(64) if rng is not None else None
                 np_rng = np.random.default_rng(seed)
-            share_matrix = rss_share_batch(rp, np.array(chunks), points, np_rng)
+            share_matrix = rss_share_batch(p.ramp(), chunks, points, np_rng)
         self.phase_ns["share"] = time.perf_counter_ns() - t0
 
-        col = {v: i for i, v in enumerate(points)}
-        self.own_shares = [int(s) for s in share_matrix[:, col[self.u]]]
+        self.own_shares = share_matrix[:, points.index(self.u)].copy()
+        others = [v for v in points if v != self.u]
 
         t0 = time.perf_counter_ns()
-        for v in points:
-            if v != self.u:
-                self.pair_keys[v] = ka_agree(self.keypair, roster[v], p.gp)
+        for v in others:
+            self.pair_keys[v] = ka_agree(self.keypair, roster[v], p.gp)
         self.phase_ns["agree"] = time.perf_counter_ns() - t0
 
         t0 = time.perf_counter_ns()
         cts = []
-        for v in points:
-            if v == self.u:
-                continue
-            key = self.pair_keys[v]
-            v_shares = share_matrix[:, col[v]]
-            if per_chunk:
+        if per_chunk:
+            for v, v_shares in zip(points, share_matrix.T):
+                if v == self.u:
+                    continue
                 blob = bytearray()
                 for s in v_shares:
                     pt = encode_share_plaintext(self.u, v, [int(s)], p.fp)
-                    inner = ae_enc(key, pt, rng).to_bytes()
+                    inner = ae_enc(self.pair_keys[v], pt, rng).to_bytes()
                     blob += len(inner).to_bytes(4, "little") + inner
                 cts.append((v, bytes(blob)))
-            else:
-                pt = encode_share_plaintext(self.u, v, v_shares, p.fp)
-                cts.append((v, ae_enc(key, pt, rng).to_bytes()))
+        else:
+            # Encoding the whole roster in one pass (own column included, then
+            # skipped) is cheaper than first gathering the peers' columns.
+            plaintexts = encode_share_plaintexts(self.u, points, share_matrix, p.fp)
+            for v, pt in zip(points, plaintexts):
+                if v != self.u:
+                    cts.append((v, ae_enc(self.pair_keys[v], pt, rng).to_bytes()))
         self.phase_ns["encrypt"] = time.perf_counter_ns() - t0
 
         self.round = Round.SHARED
@@ -322,14 +280,14 @@ class Client:
             self._abort(f"|U2| = {len(u2)} below threshold {p.t}")
 
         t0 = time.perf_counter_ns()
-        sums = np.array(self.own_shares, dtype=np.int64)
+        sums = self.own_shares
         for v, ct_bytes in delivery.ciphertexts:
             if v == self.u or v not in self.roster:
                 self._abort(f"delivery names unexpected sender {v}")
             key = self.pair_keys.get(v) or ka_agree(self.keypair, self.roster[v], p.gp)
             try:
                 if per_chunk:
-                    shares = []
+                    parts = []
                     pos = 0
                     for _ in range(p.chunk_count):
                         ln = int.from_bytes(ct_bytes[pos : pos + 4], "little")
@@ -339,7 +297,8 @@ class Client:
                         su, sv, chunk = decode_share_plaintext(pt, p.fp)
                         if su != v or sv != self.u:
                             self._abort(f"identity header mismatch from {v}")
-                        shares.extend(chunk)
+                        parts.append(chunk)
+                    shares = np.concatenate(parts)
                 else:
                     pt = ae_dec(key, AeCiphertext.from_bytes(ct_bytes))
                     su, sv, shares = decode_share_plaintext(pt, p.fp)
@@ -352,11 +311,14 @@ class Client:
             if len(shares) != p.chunk_count:
                 self._abort(f"wrong share count from {v}")
             self.received_shares[v] = shares
-            sums = (sums + np.array(shares, dtype=np.int64)) % p.fp.q
+            sums = sums + shares
+        # At most n <= q-1 addends below q each, and kernel_path keeps
+        # (q-1)^2 < 2^63, so one reduction at the end is exact.
+        sums = sums % p.fp.q
         self.phase_ns["sum"] = time.perf_counter_ns() - t0
 
         self.round = Round.DONE
-        return SumShares(u=self.u, sums=tuple(int(s) for s in sums))
+        return SumShares(u=self.u, sums=tuple(sums.tolist()), sums_np=sums)
 
 
 class Server:
@@ -454,21 +416,12 @@ class Server:
         # applying the precomputed matrix to the summed shares. Unpacking the
         # received share vectors into matrix form and converting the result
         # back to Python ints are message marshaling, not reconstruction.
-        if p.t * (p.fp.q - 1) ** 2 < 2**63:
-            # One matmul over all chunks: rows (d x t) @ sums (t x chunks).
-            by_u = {s.u: (s.sums_np if s.sums_np is not None else
-                          np.array(s.sums, dtype=np.int64)) for s in sums}
-            sum_matrix = np.stack([by_u[u] for u in pts])
-            t0 = time.perf_counter_ns()
-            coeff = _mod_matmul(matrix.rows_np, sum_matrix, p.fp.q, matrix.rows_f64)
-            self.phase_ns["reconstruct"] = time.perf_counter_ns() - t0
-            out = coeff.T.reshape(-1).tolist()
-        else:
-            by_u = {s.u: s.sums for s in sums}
-            out = []
-            t0 = time.perf_counter_ns()
-            for i in range(p.chunk_count):
-                out.extend(matrix.apply([by_u[u][i] for u in pts]))
-            self.phase_ns["reconstruct"] = time.perf_counter_ns() - t0
+        by_u = {s.u: (s.sums_np if s.sums_np is not None else
+                      np.array(s.sums, dtype=np.int64)) for s in sums}
+        sum_matrix = np.stack([by_u[u] for u in pts])
+        t0 = time.perf_counter_ns()
+        # One product over all chunks: rows (d x t) @ sums (t x chunks).
+        coeff = mod_matmul(matrix.rows_np, sum_matrix, p.fp.q, matrix.rows_f64)
+        self.phase_ns["reconstruct"] = time.perf_counter_ns() - t0
         self.round = 3
-        return out[: p.m]
+        return coeff.T.reshape(-1)[: p.m].tolist()

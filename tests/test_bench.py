@@ -49,8 +49,10 @@ class TestRunPoint:
         assert row["feasible"] == "yes"
         assert (row["n"], row["m"], row["t"], row["d"]) == (5, 4, 4, 3)
         assert row["chunk_count"] == 2
-        assert row["client_keygen_ns_mean"] > 0
-        assert row["server_reconstruct_ns_mean"] > 0
+        for phase in ("keygen", "agree", "share", "encrypt", "sum"):
+            assert row[f"client_{phase}_ns_mean"] > 0, phase
+        for phase in ("route", "precompute", "reconstruct"):
+            assert row[f"server_{phase}_ns_mean"] > 0, phase
         assert row["bytes_per_client_mean"] > 0
         assert set(row) == set(CSV_COLUMNS)
 
@@ -60,6 +62,7 @@ class TestRunPoint:
         assert row["feasible"] == "no"
         assert row["t"] == ""
         assert row["client_keygen_ns_mean"] == ""
+        assert row["server_precompute_ns_mean"] == ""
 
     def test_non_timing_columns_reproducible(self):
         spec = tiny_spec(iterations=1, seed_base=3)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from fssa.field import (
     build_recon_matrix,
     fe_inv,
     find_field_modulus,
+    kernel_path,
+    mod_matmul,
     poly_eval,
 )
 
@@ -146,6 +149,87 @@ class TestReconMatrix:
                 m = build_recon_matrix(points, d, fp)
                 assert m.apply(shares) == interpolate_coeffs(points, shares, q)[:d]
                 assert m.apply(shares) == coeffs[:d]
+
+
+def object_matmul_mod(a, b, q):
+    """Oracle: (a @ b) % q in Python integers, in blocks of the inner length."""
+    acc = np.zeros((a.shape[0], b.shape[1]), dtype=object)
+    for lo in range(0, a.shape[1], 1 << 16):
+        acc += a[:, lo : lo + (1 << 16)].astype(object) @ b[lo : lo + (1 << 16)].astype(object)
+    return (acc % q).astype(np.int64)
+
+
+def kernel_operands(rows, t, cols, q, seed):
+    """Random reduced entries, with rows of a and columns of b drawn within
+    1024 of the extremes the exactness bounds are about: the largest
+    balanced residue of each sign and the largest residue."""
+    gen = np.random.default_rng(seed)
+    a = gen.integers(0, q, size=(rows, t), dtype=np.int64)
+    b = gen.integers(0, q, size=(t, cols), dtype=np.int64)
+    h = (q - 1) // 2
+    for i, (edge, step) in enumerate(((h, -1), (h + 1, 1), (q - 1, -1))):
+        a[i] = edge + step * gen.integers(0, 1024, size=t)
+        b[:, i] = edge + step * gen.integers(0, 1024, size=t)
+    return a, b
+
+
+class TestModMatmul:
+    @pytest.mark.parametrize("path, t, q", [
+        ("float", 3355, 3276773),      # largest t with t*q^2 <= 2^55 - 4q
+        ("split", 16383, 32767513),    # largest t with 3*bits(q-1) + 2*bits(t) <= 104
+        ("int64", 2097172, 2097143),   # largest t with t*(q-1)^2 < 2^63
+    ])
+    def test_each_path_exact_at_its_largest_shape(self, path, t, q):
+        assert kernel_path(t, q) == path
+        try:
+            beyond = kernel_path(t + 1, q)
+        except InvalidArgument:
+            beyond = None
+        assert beyond != path
+        a, b = kernel_operands(3, t, 3, q, seed=t)
+        assert np.array_equal(mod_matmul(a, b, q), object_matmul_mod(a, b, q))
+
+    @pytest.mark.parametrize("q", [6553511, 16469927])
+    def test_float_reduction_where_the_quotient_is_off_by_one(self, q):
+        # Dot products c = +-(k*q + delta) near 2^53 for which the float
+        # floor(c * (1/q)) misses floor(c/q) by one, in both directions
+        # across these two moduli; the kernel's two fixups must correct them.
+        t = (2**55 - 4 * q) // (q * q)
+        h = (q - 1) // 2
+        base = (t - 2) * h * h
+        ks = base // q + np.arange(-(1 << 14), 1 << 14)
+        targets = []
+        for delta in (-1, 0, 1):
+            for sign in (1, -1):
+                c = sign * (ks * q + delta)
+                off = np.floor(c * (1.0 / q)) != np.floor_divide(c, q)
+                targets += (ks[off][:3] * q + delta).tolist()
+        assert targets
+        # Row 0 of a times column j of b is targets[j]; row 1 gives -targets[j].
+        a = np.array([[h] * (t - 1) + [1], [q - h] * (t - 1) + [q - 1]], dtype=np.int64)
+        b = np.full((t, len(targets)), h, dtype=np.int64)
+        for j, c in enumerate(targets):
+            y = round((c - base) / h)
+            b[-2, j] = y % q
+            b[-1, j] = (c - base - h * y) % q
+        assert kernel_path(t, q) == "float"
+        assert np.array_equal(mod_matmul(a, b, q), object_matmul_mod(a, b, q))
+
+    @pytest.mark.parametrize("t, q", [(35, 3276773), (140, 13107007), (350, 32767513)])
+    def test_benchmark_shapes(self, t, q):
+        # (t, q) of the wide, cohort and n=500 paper-scale plans.
+        a, b = kernel_operands(20, t, 30, q, seed=q)
+        assert np.array_equal(mod_matmul(a, b, q), object_matmul_mod(a, b, q))
+
+    def test_refuses_past_its_range(self):
+        q = 32767513
+        a = np.zeros((1, 16384), dtype=np.int64)
+        with pytest.raises(InvalidArgument, match="no exact mod-q matmul"):
+            mod_matmul(a, a.T, q)
+        with pytest.raises(InvalidArgument, match="no exact mod-q matmul"):
+            kernel_path(2097173, 2097143)
+        with pytest.raises(InvalidArgument, match="2\\^63"):
+            kernel_path(1, 3037000501)  # (q-1)^2 just past 2^63
 
 
 class TestFindFieldModulus:

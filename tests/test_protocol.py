@@ -74,6 +74,13 @@ class TestPlanParameters:
         with pytest.raises(InvalidArgument):
             plan_parameters(100, 10, B=2**16, q=101)
 
+    def test_kernel_range_limit(self):
+        # At B = 2^16 and rho = 0 (t = n), n = 2047 is the largest cohort
+        # whose inner-length-t products mod q the exact kernel accepts.
+        assert plan_parameters(2047, 10, B=2**16, security_level="test").t == 2047
+        with pytest.raises(InvalidArgument, match="no exact mod-q matmul"):
+            plan_parameters(2048, 10, B=2**16, security_level="test")
+
     def test_params_invariants(self):
         p = plan_parameters(5, 4, security_level="test")
         with pytest.raises(InvalidArgument):
@@ -83,13 +90,13 @@ class TestPlanParameters:
 
 class TestChunkVector:
     def test_exact_multiple(self):
-        assert chunk_vector([1, 2, 3, 4], 2, 10) == [[1, 2], [3, 4]]
+        assert chunk_vector([1, 2, 3, 4], 2, 10).tolist() == [[1, 2], [3, 4]]
 
     def test_zero_padding(self):
-        assert chunk_vector([1, 2, 3], 2, 10) == [[1, 2], [3, 0]]
+        assert chunk_vector([1, 2, 3], 2, 10).tolist() == [[1, 2], [3, 0]]
 
     def test_single_chunk(self):
-        assert chunk_vector([5], 3, 10) == [[5, 0, 0]]
+        assert chunk_vector([5], 3, 10).tolist() == [[5, 0, 0]]
 
     def test_out_of_range_entry(self):
         with pytest.raises(InvalidArgument):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fssa.errors import InsufficientShares, InvalidArgument
-from fssa.field import FieldParams, poly_eval
+from fssa.field import FieldParams, find_field_modulus, poly_eval
 from fssa.ramp import (
     RampParams,
     ShareBundle,
@@ -88,6 +88,23 @@ class TestShare:
         for i, secret in enumerate(secrets):
             shares = {p: int(mat[i, j]) for j, p in enumerate(rp.default_points())}
             assert rss_recon(rp, shares) == list(secret)
+
+    def test_batch_matches_poly_eval_at_desk_shape(self):
+        # The n=100, rho=gamma=0.3, B=2^16 plan: t=70, d=40.
+        fp = find_field_modulus(100, 2**16)
+        rp = RampParams(t=70, d=40, n=100, fp=fp)
+        secrets = np.random.default_rng(5).integers(0, 2**16, size=(250, rp.d))
+        points = rp.default_points()
+        mat = rss_share_batch(rp, secrets, points, np.random.default_rng(6))
+        # Replay the generator to recover the random high coefficients.
+        high = np.random.default_rng(6).integers(
+            0, fp.q, size=(250, rp.t - rp.d), dtype=np.int64
+        )
+        pick = random.Random(7)
+        for _ in range(300):
+            i, j = pick.randrange(250), pick.randrange(len(points))
+            poly = secrets[i].tolist() + high[i].tolist()
+            assert int(mat[i, j]) == poly_eval(poly, points[j], fp)
 
 
 class TestRecon:

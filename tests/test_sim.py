@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -92,6 +93,28 @@ class TestDeterminism:
         a = run_simulation(cfg(seed=5))
         b = run_simulation(cfg(seed=6))
         assert a.transcript != b.transcript
+
+    def test_pinned_transcript_digest(self):
+        # SHA-256 over every message of one seeded production-group run with
+        # two dropouts at each DropPoint; any change to the wire bytes,
+        # the shares or the order of random draws changes it.
+        schedule = {
+            3: DropPoint.AFTER_ROUND0, 8: DropPoint.AFTER_ROUND0,
+            5: DropPoint.AFTER_ROUND1_SEND, 12: DropPoint.AFTER_ROUND1_SEND,
+            17: DropPoint.AFTER_ROUND1_RECEIVE, 20: DropPoint.AFTER_ROUND1_RECEIVE,
+        }
+        report = run_simulation(SimConfig(
+            n=20, m=500, rho=0.3, gamma=0.3, seed=11, dropout_schedule=schedule,
+        ))
+        assert report.status == "ok"
+        assert report.roster_sizes == {"u1": 20, "u2": 18, "u3": 14}
+        h = hashlib.sha256()
+        for stage, sender, recipient, payload in report.transcript:
+            h.update(f"{stage}:{sender}:{recipient}:{len(payload)}:".encode())
+            h.update(payload)
+        assert h.hexdigest() == (
+            "acc67a5c34188585574bf37db0ffefdf2c6f456d18125759cd36e9e29a50b5e7"
+        )
 
 
 class TestScheduleValidation:
