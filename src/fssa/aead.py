@@ -1,8 +1,9 @@
 """Authenticated encryption envelope: AES-256-GCM with a random 96-bit nonce.
 
 The nonce is prefixed to the authenticated body so the wire form is
-self-contained. Each pairwise key encrypts a single message per protocol
-run, so random nonces are collision-safe.
+self-contained. Key agreement is symmetric, so each pairwise key seals two
+messages per protocol run, one in each direction; with so few messages per
+key, random nonces are collision-safe.
 """
 
 from __future__ import annotations

@@ -1,12 +1,15 @@
 """Prime-field arithmetic, polynomial evaluation, the exact mod-q matrix product,
 and reconstruction matrices.
 
-Scalar helpers work on plain Python ints kept fully reduced in [0, q); they
-are the reference the batch code is tested against. Batch data are numpy
-int64 arrays of reduced elements. Sharing evaluates polynomials by Horner's
-rule (`poly_eval_batch`); every matrix product over the field goes through
-`mod_matmul`, which is exact for every inner length t and modulus q that
-`kernel_path` accepts and raises InvalidArgument for any other.
+One modulus range is supported: a prime q with (q-1)^2 < 2^63, so that
+every element fits 4 bytes and every elementwise product fits int64.
+`FieldParams` refuses any other q. Scalar helpers work on plain Python ints
+kept fully reduced in [0, q); they are the reference the batch code is
+tested against. Batch data are numpy int64 arrays of reduced elements.
+Sharing evaluates polynomials by Horner's rule (`poly_eval_batch`); every
+matrix product over the field goes through `mod_matmul`, which is exact for
+every inner length t and modulus q that `kernel_path` accepts and raises
+InvalidArgument for any other.
 """
 
 from __future__ import annotations
@@ -18,12 +21,18 @@ import sympy
 
 from .errors import InvalidArgument
 
-_MAX_MODULUS_BITS = 64
+
+def _check_modulus_range(q: int):
+    if (q - 1) ** 2 >= 2**63:
+        raise InvalidArgument(
+            f"modulus {q} too large: (q-1)^2 must stay below 2^63 so that "
+            "elementwise products fit int64"
+        )
 
 
 @dataclass(frozen=True)
 class FieldParams:
-    """A prime modulus q and the byte width used to encode one element."""
+    """A prime modulus q with (q-1)^2 < 2^63, and the byte width of one element."""
 
     q: int
     byte_width: int = field(init=False)
@@ -31,26 +40,10 @@ class FieldParams:
     def __post_init__(self):
         if self.q < 2:
             raise InvalidArgument(f"modulus must be >= 2, got {self.q}")
-        if self.q.bit_length() > _MAX_MODULUS_BITS:
-            raise InvalidArgument(f"modulus exceeds {_MAX_MODULUS_BITS} bits")
+        _check_modulus_range(self.q)
         if not sympy.isprime(self.q):
             raise InvalidArgument(f"modulus {self.q} is not prime")
         object.__setattr__(self, "byte_width", (self.q.bit_length() + 7) // 8)
-
-    def reduce(self, a: int) -> int:
-        return a % self.q
-
-    def encode_elem(self, a: int) -> bytes:
-        """Fixed-width little-endian encoding of one element."""
-        return int(a).to_bytes(self.byte_width, "little")
-
-    def decode_elem(self, data: bytes) -> int:
-        if len(data) != self.byte_width:
-            raise InvalidArgument("element encoding has wrong length")
-        v = int.from_bytes(data, "little")
-        if v >= self.q:
-            raise InvalidArgument("element encoding out of range")
-        return v
 
 
 def fe_inv(a: int, fp: FieldParams) -> int:
@@ -81,18 +74,13 @@ def poly_eval_batch(coeff_matrix: np.ndarray, xs: np.ndarray, fp: FieldParams) -
     if coeff_matrix.ndim != 2 or coeff_matrix.shape[1] == 0:
         raise InvalidArgument("coefficient matrix must be 2-D and nonempty")
     q = fp.q
-    if (q - 1) ** 2 + (q - 1) < 2**63:
-        c = np.asarray(coeff_matrix, dtype=np.int64)
-        x = np.asarray(xs, dtype=np.int64)
-        acc = np.zeros((c.shape[0], x.shape[0]), dtype=np.int64)
-        for k in range(c.shape[1] - 1, -1, -1):
-            acc = (acc * x + c[:, k : k + 1]) % q
-        return acc
-    out = np.empty((coeff_matrix.shape[0], len(xs)), dtype=object)
-    for i, row in enumerate(coeff_matrix):
-        for j, x in enumerate(xs):
-            out[i, j] = poly_eval(list(row), int(x), fp)
-    return out
+    c = np.asarray(coeff_matrix, dtype=np.int64)
+    x = np.asarray(xs, dtype=np.int64)
+    acc = np.zeros((c.shape[0], x.shape[0]), dtype=np.int64)
+    # (q-1)^2 + (q-1) < 2^63 for every q FieldParams admits, so no step overflows.
+    for k in range(c.shape[1] - 1, -1, -1):
+        acc = (acc * x + c[:, k : k + 1]) % q
+    return acc
 
 
 def _split_bit(t: int, q: int) -> int | None:
@@ -121,11 +109,7 @@ def kernel_path(t: int, q: int) -> str:
     past all three raises InvalidArgument, as does any q with
     (q-1)^2 >= 2^63, whose elementwise products would overflow int64.
     """
-    if (q - 1) ** 2 >= 2**63:
-        raise InvalidArgument(
-            f"modulus {q} too large: (q-1)^2 must stay below 2^63 so that "
-            "elementwise products fit int64"
-        )
+    _check_modulus_range(q)
     if t * q * q <= 2**55 - 4 * q:
         return "float"
     if _split_bit(t, q) is not None:
@@ -188,12 +172,15 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, q: int, a_f64=None) -> np.ndarray:
 class ReconMatrix:
     """d x t matrix mapping t polynomial evaluations to the first d coefficients."""
 
-    rows: tuple            # d rows of t entries each
+    # (d, t) int64 array; determined by the other fields, so left out of
+    # equality and hashing.
+    rows: np.ndarray = field(compare=False, repr=False)
     points: tuple          # the t evaluation points the matrix was built for
     d: int
     fp: FieldParams
-    rows_np: object = field(default=None, compare=False, repr=False)
-    rows_f64: object = field(default=None, compare=False, repr=False)
+    # `_balanced_f64(rows, q)`, built with the matrix so that applying it
+    # does not redo the conversion on every call.
+    rows_f64: np.ndarray = field(default=None, compare=False, repr=False)
 
     @property
     def t(self) -> int:
@@ -205,7 +192,7 @@ class ReconMatrix:
             raise InvalidArgument(f"expected {self.t} shares, got {len(shares)}")
         q = self.fp.q
         col = (np.asarray(shares, dtype=np.int64) % q).reshape(-1, 1)
-        return mod_matmul(self.rows_np, col, q, self.rows_f64)[:, 0].tolist()
+        return mod_matmul(self.rows, col, q, self.rows_f64)[:, 0].tolist()
 
 
 def build_recon_matrix(points, d: int, fp: FieldParams) -> ReconMatrix:
@@ -250,22 +237,17 @@ def build_recon_matrix(points, d: int, fp: FieldParams) -> ReconMatrix:
         scale = fe_inv(denom, fp)
         cols.append([(c * scale) % q for c in quot[:d]])
 
-    rows = tuple(tuple(cols[k][j] for k in range(t)) for j in range(d))
-    rows_np = np.array(rows, dtype=np.int64)
+    rows = np.ascontiguousarray(np.array(cols, dtype=np.int64).T)
     return ReconMatrix(
-        rows=rows, points=tuple(pts), d=d, fp=fp, rows_np=rows_np,
-        rows_f64=_balanced_f64(rows_np, q),
+        rows=rows, points=tuple(pts), d=d, fp=fp, rows_f64=_balanced_f64(rows, q)
     )
 
 
 def find_field_modulus(n: int, B: int) -> FieldParams:
-    """Smallest prime q with q >= n(B-1)+1, so n inputs below B never wrap."""
+    """Smallest prime q with q >= n(B-1)+1, so n inputs below B never wrap.
+
+    A q outside the supported range is refused by FieldParams.
+    """
     if n < 1 or B < 2:
         raise InvalidArgument("need n >= 1 and B >= 2")
-    R = n * (B - 1) + 1
-    if R.bit_length() > _MAX_MODULUS_BITS:
-        raise InvalidArgument("required modulus exceeds the 64-bit budget")
-    q = int(sympy.nextprime(R - 1))
-    if q.bit_length() > _MAX_MODULUS_BITS:
-        raise InvalidArgument("required modulus exceeds the 64-bit budget")
-    return FieldParams(q)
+    return FieldParams(int(sympy.nextprime(n * (B - 1))))

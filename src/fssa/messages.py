@@ -3,7 +3,8 @@
 Layout: 1 tag byte, then fixed-layout fields. Client indices are 4-byte
 little-endian; list lengths are 4-byte little-endian counts; public keys and
 ciphertexts carry a 4-byte little-endian length prefix; field elements use
-the field's fixed byte width, little-endian.
+the field's fixed byte width, little-endian. Every modulus FieldParams admits
+is below 2^32, so an element takes at most 4 bytes and decodes into int64.
 """
 
 from __future__ import annotations
@@ -168,11 +169,8 @@ def deserialize(data: bytes, fp: FieldParams):
     elif tag == TAG_SUM_SHARES:
         u = r.u32()
         count = r.u32()
-        arr = decode_elems_array(r.take(count * fp.byte_width), count, fp)
-        if isinstance(arr, np.ndarray):
-            msg = SumShares(u=u, sums=tuple(arr.tolist()), sums_np=arr)
-        else:
-            msg = SumShares(u=u, sums=tuple(arr))
+        arr = decode_elems(r.take(count * fp.byte_width), count, fp)
+        msg = SumShares(u=u, sums=tuple(arr.tolist()), sums_np=arr)
     else:
         raise InvalidArgument(f"unknown message tag {tag}")
     r.done()
@@ -183,30 +181,21 @@ def deserialize(data: bytes, fp: FieldParams):
 
 def encode_elems(values, fp: FieldParams) -> bytes:
     """Pack many field elements as fixed-width little-endian, vectorized."""
-    if fp.q <= 2**63:
-        a = np.ascontiguousarray(values, dtype="<u8")
-        return a.view(np.uint8).reshape(-1, 8)[:, : fp.byte_width].tobytes()
-    return b"".join(fp.encode_elem(int(s)) for s in values)
+    a = np.ascontiguousarray(values, dtype="<u8")
+    return a.view(np.uint8).reshape(-1, 8)[:, : fp.byte_width].tobytes()
 
 
-def decode_elems_array(data: bytes, count: int, fp: FieldParams):
-    """Like decode_elems, but returns an int64 numpy array when possible."""
+def decode_elems(data: bytes, count: int, fp: FieldParams) -> np.ndarray:
+    """Unpack `count` fixed-width elements into an int64 array; each must be below q."""
     bw = fp.byte_width
     if len(data) != count * bw:
         raise InvalidArgument("element block has wrong length")
-    if fp.q <= 2**63:
-        padded = np.zeros((count, 8), dtype=np.uint8)
-        padded[:, :bw] = np.frombuffer(data, dtype=np.uint8).reshape(count, bw)
-        vals = padded.reshape(-1).view("<u8")
-        if count and int(vals.max()) >= fp.q:
-            raise InvalidArgument("element encoding out of range")
-        return vals.astype(np.int64)
-    return [fp.decode_elem(data[i * bw : (i + 1) * bw]) for i in range(count)]
-
-
-def decode_elems(data: bytes, count: int, fp: FieldParams) -> list[int]:
-    out = decode_elems_array(data, count, fp)
-    return out.tolist() if isinstance(out, np.ndarray) else out
+    padded = np.zeros((count, 8), dtype=np.uint8)
+    padded[:, :bw] = np.frombuffer(data, dtype=np.uint8).reshape(count, bw)
+    vals = padded.reshape(-1).view("<u8")
+    if count and int(vals.max()) >= fp.q:
+        raise InvalidArgument("element encoding out of range")
+    return vals.astype(np.int64)
 
 
 def encode_share_plaintexts(u: int, recipients, shares, fp: FieldParams) -> list[bytes]:
@@ -238,6 +227,6 @@ def decode_share_plaintext(data: bytes, fp: FieldParams):
     u = r.u32()
     v = r.u32()
     count = r.u32()
-    shares = decode_elems_array(r.take(count * fp.byte_width), count, fp)
+    shares = decode_elems(r.take(count * fp.byte_width), count, fp)
     r.done()
     return u, v, shares

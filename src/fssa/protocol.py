@@ -27,14 +27,7 @@ from .errors import (
     Rejected,
     RoundAborted,
 )
-from .field import (
-    FieldParams,
-    build_recon_matrix,
-    find_field_modulus,
-    kernel_path,
-    mod_matmul,
-    poly_eval_batch,
-)
+from .field import FieldParams, build_recon_matrix, find_field_modulus, kernel_path, mod_matmul
 from .keyagree import GroupParams, ka_agree, ka_gen, ka_setup
 from .messages import (
     ClientHello,
@@ -43,7 +36,7 @@ from .messages import (
     ShareUpload,
     SumShares,
     decode_share_plaintext,
-    encode_share_plaintext,
+    encode_share_plaintext,  # noqa: F401  (looked up here by perfbench/tracing.py)
     encode_share_plaintexts,
 )
 from .ramp import RampParams, rss_share_batch
@@ -191,21 +184,11 @@ class Client:
         self.round = Round.ADVERTISED
         return ClientHello(u=self.u, public_key=self.keypair.public)
 
-    def round1(
-        self,
-        broadcast: KeyBroadcast,
-        x,
-        rng=None,
-        np_rng=None,
-        coeffs=None,
-        per_chunk: bool = False,
-    ) -> ShareUpload:
+    def round1(self, broadcast: KeyBroadcast, x, rng=None, np_rng=None, coeffs=None) -> ShareUpload:
         """Share the input vector to the Round-0 roster.
 
         `coeffs` (one list of t-d values per chunk) pins the random
-        coefficients for deterministic tests. `per_chunk` switches to one
-        inner ciphertext per chunk instead of one batched ciphertext per
-        recipient.
+        coefficients for deterministic tests.
         """
         if self.round is not Round.ADVERTISED:
             raise ProtocolOrderViolation(f"round1 called in state {self.round}")
@@ -224,17 +207,10 @@ class Client:
 
         t0 = time.perf_counter_ns()
         chunks = chunk_vector(x, p.d, p.B)
-        if coeffs is not None:
-            if len(coeffs) != p.chunk_count or any(len(c) != p.t - p.d for c in coeffs):
-                raise InvalidArgument("need t-d explicit coefficients for every chunk")
-            high = np.array(coeffs, dtype=np.int64).reshape(p.chunk_count, p.t - p.d) % p.fp.q
-            xs = np.array(points, dtype=np.int64) % p.fp.q
-            share_matrix = poly_eval_batch(np.concatenate([chunks, high], axis=1), xs, p.fp)
-        else:
-            if np_rng is None:
-                seed = rng.getrandbits(64) if rng is not None else None
-                np_rng = np.random.default_rng(seed)
-            share_matrix = rss_share_batch(p.ramp(), chunks, points, np_rng)
+        if coeffs is None and np_rng is None:
+            seed = rng.getrandbits(64) if rng is not None else None
+            np_rng = np.random.default_rng(seed)
+        share_matrix = rss_share_batch(p.ramp(), chunks, points, np_rng, coeffs=coeffs)
         self.phase_ns["share"] = time.perf_counter_ns() - t0
 
         self.own_shares = share_matrix[:, points.index(self.u)].copy()
@@ -242,34 +218,26 @@ class Client:
 
         t0 = time.perf_counter_ns()
         for v in others:
-            self.pair_keys[v] = ka_agree(self.keypair, roster[v], p.gp)
+            try:
+                self.pair_keys[v] = ka_agree(self.keypair, roster[v], p.gp)
+            except InvalidArgument as e:
+                self._abort(f"malformed public key for peer {v}: {e}")
         self.phase_ns["agree"] = time.perf_counter_ns() - t0
 
         t0 = time.perf_counter_ns()
         cts = []
-        if per_chunk:
-            for v, v_shares in zip(points, share_matrix.T):
-                if v == self.u:
-                    continue
-                blob = bytearray()
-                for s in v_shares:
-                    pt = encode_share_plaintext(self.u, v, [int(s)], p.fp)
-                    inner = ae_enc(self.pair_keys[v], pt, rng).to_bytes()
-                    blob += len(inner).to_bytes(4, "little") + inner
-                cts.append((v, bytes(blob)))
-        else:
-            # Encoding the whole roster in one pass (own column included, then
-            # skipped) is cheaper than first gathering the peers' columns.
-            plaintexts = encode_share_plaintexts(self.u, points, share_matrix, p.fp)
-            for v, pt in zip(points, plaintexts):
-                if v != self.u:
-                    cts.append((v, ae_enc(self.pair_keys[v], pt, rng).to_bytes()))
+        # Encoding the whole roster in one pass (own column included, then
+        # skipped) is cheaper than first gathering the peers' columns.
+        plaintexts = encode_share_plaintexts(self.u, points, share_matrix, p.fp)
+        for v, pt in zip(points, plaintexts):
+            if v != self.u:
+                cts.append((v, ae_enc(self.pair_keys[v], pt, rng).to_bytes()))
         self.phase_ns["encrypt"] = time.perf_counter_ns() - t0
 
         self.round = Round.SHARED
         return ShareUpload(u=self.u, ciphertexts=tuple(cts))
 
-    def round2(self, delivery: ShareDelivery, per_chunk: bool = False) -> SumShares:
+    def round2(self, delivery: ShareDelivery) -> SumShares:
         """Decrypt peers' shares, verify the identity headers, and sum per chunk."""
         if self.round is not Round.SHARED:
             raise ProtocolOrderViolation(f"round2 called in state {self.round}")
@@ -284,26 +252,11 @@ class Client:
         for v, ct_bytes in delivery.ciphertexts:
             if v == self.u or v not in self.roster:
                 self._abort(f"delivery names unexpected sender {v}")
-            key = self.pair_keys.get(v) or ka_agree(self.keypair, self.roster[v], p.gp)
             try:
-                if per_chunk:
-                    parts = []
-                    pos = 0
-                    for _ in range(p.chunk_count):
-                        ln = int.from_bytes(ct_bytes[pos : pos + 4], "little")
-                        pos += 4
-                        pt = ae_dec(key, AeCiphertext.from_bytes(ct_bytes[pos : pos + ln]))
-                        pos += ln
-                        su, sv, chunk = decode_share_plaintext(pt, p.fp)
-                        if su != v or sv != self.u:
-                            self._abort(f"identity header mismatch from {v}")
-                        parts.append(chunk)
-                    shares = np.concatenate(parts)
-                else:
-                    pt = ae_dec(key, AeCiphertext.from_bytes(ct_bytes))
-                    su, sv, shares = decode_share_plaintext(pt, p.fp)
-                    if su != v or sv != self.u:
-                        self._abort(f"identity header mismatch from {v}")
+                pt = ae_dec(self.pair_keys[v], AeCiphertext.from_bytes(ct_bytes))
+                su, sv, shares = decode_share_plaintext(pt, p.fp)
+                if su != v or sv != self.u:
+                    self._abort(f"identity header mismatch from {v}")
             except Rejected:
                 self._abort(f"ciphertext from {v} failed authentication")
             except InvalidArgument as e:
@@ -421,7 +374,7 @@ class Server:
         sum_matrix = np.stack([by_u[u] for u in pts])
         t0 = time.perf_counter_ns()
         # One product over all chunks: rows (d x t) @ sums (t x chunks).
-        coeff = mod_matmul(matrix.rows_np, sum_matrix, p.fp.q, matrix.rows_f64)
+        coeff = mod_matmul(matrix.rows, sum_matrix, p.fp.q, matrix.rows_f64)
         self.phase_ns["reconstruct"] = time.perf_counter_ns() - t0
         self.round = 3
         return coeff.T.reshape(-1)[: p.m].tolist()

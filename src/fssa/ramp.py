@@ -87,22 +87,30 @@ def rss_share(rp: RampParams, secret, rng=None, coeffs=None, points=None) -> Sha
     return ShareBundle(rp=rp, shares=shares)
 
 
-def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, rng) -> np.ndarray:
+def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, rng, coeffs=None) -> np.ndarray:
     """Share many length-d secrets at once; returns shape (num_secrets, num_points).
 
-    Row i of `secrets` is one secret; the random high coefficients are drawn
-    from the numpy generator `rng`.
+    Row i of `secrets` is one secret. The random high coefficients are drawn
+    from the numpy generator `rng`, unless `coeffs`, a (num_secrets, t-d)
+    array, fixes them for deterministic tests (then `rng` is not used).
     """
     secrets = np.asarray(secrets)
     if secrets.ndim != 2 or secrets.shape[1] != rp.d:
         raise InvalidArgument("secrets must be a (count, d) array")
-    n_random = rp.t - rp.d
-    if n_random > 0:
-        high = rng.integers(0, rp.fp.q, size=(secrets.shape[0], n_random), dtype=np.int64)
-        coeff_matrix = np.concatenate([secrets.astype(np.int64), high], axis=1)
+    q = rp.fp.q
+    shape = (secrets.shape[0], rp.t - rp.d)
+    if coeffs is not None:
+        try:
+            high = np.asarray(coeffs, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError) as e:
+            raise InvalidArgument(f"explicit coefficients must be an int64 array: {e}") from e
+        if high.shape != shape:
+            raise InvalidArgument(f"need a {shape} array of explicit coefficients")
+        high = high % q
     else:
-        coeff_matrix = secrets.astype(np.int64)
-    xs = np.array([p % rp.fp.q for p in points], dtype=np.int64)
+        high = rng.integers(0, q, size=shape, dtype=np.int64)
+    coeff_matrix = np.concatenate([secrets.astype(np.int64), high], axis=1)
+    xs = np.array([p % q for p in points], dtype=np.int64)
     return poly_eval_batch(coeff_matrix, xs, rp.fp)
 
 

@@ -13,7 +13,7 @@ import enum
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -43,7 +43,6 @@ class SimConfig:
     inputs: list | None = None  # fixed input vectors keyed by order 1..n; None = random
     security_level: str = "production"
     degenerate_privacy_ok: bool = False
-    per_chunk_ciphertexts: bool = False
     parallel: bool = False
 
     def plan(self) -> Params:
@@ -88,8 +87,8 @@ class SimReport:
     chunk_count: int
     roster_sizes: dict             # {"u1": ..., "u2": ..., "u3": ...}
     expected_sum_over_u2: list | None
-    client_phase_ns: dict          # u -> {"keygen": ..., "share": ..., "encrypt": ..., "sum": ...}
-    server_phase_ns: dict          # {"route": ..., "reconstruct": ...}
+    client_phase_ns: dict          # u -> {"keygen", "share", "agree", "encrypt", "sum"} in ns
+    server_phase_ns: dict          # {"route", "precompute", "reconstruct"} in ns
     bytes_sent: dict               # u -> total bytes this client put on the wire
     server_bytes_sent: int
     transcript: list               # (stage, sender, recipient, payload bytes)
@@ -242,7 +241,6 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             inputs[u - 1],
             rng=_sub_rng(cfg.seed, u),
             np_rng=np_rngs[u],
-            per_chunk=cfg.per_chunk_ciphertexts,
         )
 
     order = sorted(live)
@@ -271,20 +269,18 @@ def run_simulation(cfg: SimConfig) -> SimReport:
 
     # Round 2: deliveries go out, survivors respond with summed shares.
     sums = []
+    delivery_wires = {}
     for u in sorted(live):
         if u not in deliveries:
             continue
-        wire = messages.serialize(deliveries[u], fp)
-        log("delivery", "server", u, wire)
+        delivery_wires[u] = messages.serialize(deliveries[u], fp)
+        log("delivery", "server", u, delivery_wires[u])
     live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND1_RECEIVE, live)
     for u in sorted(live):
-        if u not in deliveries:
+        if u not in delivery_wires:
             continue
         try:
-            msg = clients[u].round2(
-                messages.deserialize(messages.serialize(deliveries[u], fp), fp),
-                per_chunk=cfg.per_chunk_ciphertexts,
-            )
+            msg = clients[u].round2(messages.deserialize(delivery_wires[u], fp))
         except ClientAborted:
             continue
         wire = messages.serialize(msg, fp)
@@ -322,9 +318,12 @@ def _sub_rng(seed: int, u: int) -> random.Random:
 
 
 def load_sim_config(path) -> SimConfig:
-    """Read a SimConfig from a YAML key-value file."""
+    """Read a SimConfig from a YAML key-value file; a key that is not a field is refused."""
     with open(path) as f:
         doc = yaml.safe_load(f) or {}
+    unknown = sorted(set(map(str, doc)) - {f.name for f in fields(SimConfig)})
+    if unknown:
+        raise InvalidArgument(f"unknown key(s) in {path}: {', '.join(unknown)}")
     schedule = {
         int(u): DropPoint(p) for u, p in (doc.get("dropout_schedule") or {}).items()
     }
@@ -340,6 +339,5 @@ def load_sim_config(path) -> SimConfig:
         inputs=doc.get("inputs"),
         security_level=doc.get("security_level", "production"),
         degenerate_privacy_ok=bool(doc.get("degenerate_privacy_ok", False)),
-        per_chunk_ciphertexts=bool(doc.get("per_chunk_ciphertexts", False)),
         parallel=bool(doc.get("parallel", False)),
     )

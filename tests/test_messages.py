@@ -138,16 +138,16 @@ class TestValidation:
 class TestElementBlocks:
     def test_roundtrip_various_widths(self):
         rng = random.Random(1)
-        for q in (11, 257, 65537, 33554467, (1 << 61) - 1):
+        for q in (11, 257, 65537, 33554467, 3037000493):
             fp = FieldParams(q)
             vals = [rng.randrange(q) for _ in range(100)] + [0, q - 1]
             blob = encode_elems(vals, fp)
             assert len(blob) == len(vals) * fp.byte_width
-            assert decode_elems(blob, len(vals), fp) == vals
+            assert decode_elems(blob, len(vals), fp).tolist() == vals
 
     def test_empty(self):
         assert encode_elems([], F11) == b""
-        assert decode_elems(b"", 0, F11) == []
+        assert decode_elems(b"", 0, F11).tolist() == []
 
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidArgument):

@@ -176,6 +176,17 @@ class TestClientAborts:
         with pytest.raises(ClientAborted):
             clients[1].round1(KeyBroadcast(keys=tuple(keys)), [1, 2], rng=rng)
 
+    def test_malformed_peer_key_aborts(self):
+        p = plan_parameters(4, 2, B=16, rho=0.25)  # P-256
+        rng = random.Random(1)
+        clients = {u: Client(u, p) for u in range(1, 5)}
+        broadcast = Server(p).round0([c.round0(rng) for c in clients.values()])
+        # A compressed point whose x coordinate exceeds the field prime.
+        keys = [(u, pk if u != 3 else b"\x02" + b"\xff" * 32) for u, pk in broadcast.keys]
+        with pytest.raises(ClientAborted, match="peer 3"):
+            clients[1].round1(KeyBroadcast(keys=tuple(keys)), [1, 2], rng=rng)
+        assert clients[1].round is Round.ABORTED
+
     def test_tampered_ciphertext_aborts(self):
         p, rng, clients, server, broadcast = self._setup()
         uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
@@ -304,19 +315,3 @@ class TestServerChecks:
         with pytest.raises(ProtocolOrderViolation):
             server.round2([])
 
-
-class TestPerChunkMode:
-    def test_same_aggregate(self):
-        p = plan_parameters(4, 5, B=16, rho=0.25, security_level="test")
-        inputs = [[u, 2, 0, 15, u] for u in range(1, 5)]
-        rng = random.Random(3)
-        clients = {u: Client(u, p) for u in range(1, 5)}
-        server = Server(p)
-        broadcast = server.round0([c.round0(rng) for c in clients.values()])
-        uploads = [
-            c.round1(broadcast, inputs[c.u - 1], rng=rng, per_chunk=True)
-            for c in clients.values()
-        ]
-        deliveries = server.round1(uploads)
-        sums = [clients[u].round2(dv, per_chunk=True) for u, dv in deliveries.items()]
-        assert server.round2(sums) == [sum(col) for col in zip(*inputs)]

@@ -70,12 +70,6 @@ class TestBasicRuns:
         assert report.aggregate == [15]
         assert report.roster_sizes["u3"] == 4
 
-    def test_per_chunk_mode_same_aggregate(self):
-        inputs = [[u, 2 * u % 16, 1, 0] for u in range(1, 6)]
-        a = run_simulation(cfg(inputs=inputs))
-        b = run_simulation(cfg(inputs=inputs, per_chunk_ciphertexts=True))
-        assert a.aggregate == b.aggregate
-
 
 class TestDeterminism:
     def test_identical_transcripts(self):
@@ -241,3 +235,9 @@ class TestConfigFile:
         config = load_sim_config(path)
         assert (config.n, config.m, config.seed) == (3, 1, 0)
         assert run_simulation(config).status == "ok"
+
+    def test_unknown_key_refused(self, tmp_path):
+        path = tmp_path / "sim.yaml"
+        path.write_text("n: 3\nm: 1\ndropout_schedul:\n  2: after_round0\n")
+        with pytest.raises(InvalidArgument, match="dropout_schedul"):
+            load_sim_config(path)
