@@ -42,7 +42,8 @@ class GroupParams:
 class KeyPair:
     secret: int
     public: bytes  # canonical encoding, as sent on the wire
-    handle: object = field(default=None, compare=False, repr=False)  # cached curve key
+    # The P-256 private key object, which `ka_agree` uses; None in the test group.
+    handle: object = field(default=None, compare=False, repr=False)
 
 
 def ka_setup(security_level: str) -> GroupParams:
@@ -89,24 +90,16 @@ def ka_gen(gp: GroupParams, rng=None) -> KeyPair:
     return KeyPair(secret=x, public=encode_public(gp, pub))
 
 
-def ka_agree(secret, peer_public: bytes, gp: GroupParams) -> bytes:
+def ka_agree(keypair: KeyPair, peer_public: bytes, gp: GroupParams) -> bytes:
     """32-byte shared key: SHA-256 of the shared group element's encoding.
 
-    `secret` is a scalar or a KeyPair. For P-256 the hashed encoding is the
-    standard ECDH output (the shared point's x coordinate, 32 bytes
-    big-endian); for the test group it is the fixed-width big-endian shared
-    element.
+    For P-256 the hashed encoding is the standard ECDH output (the shared
+    point's x coordinate, 32 bytes big-endian), computed with the curve key
+    `ka_gen` keeps in `keypair.handle`; for the test group it is the
+    fixed-width big-endian shared element.
     """
+    peer = decode_public(gp, peer_public)
     if gp.kind == "p256":
-        peer = decode_public(gp, peer_public)
-        if isinstance(secret, KeyPair) and secret.handle is not None:
-            sk = secret.handle
-        else:
-            scalar = secret.secret if isinstance(secret, KeyPair) else secret
-            sk = ec.derive_private_key(scalar, _P256)
-        shared = sk.exchange(ec.ECDH(), peer)
-        return hashlib.sha256(shared).digest()
-    scalar = secret.secret if isinstance(secret, KeyPair) else secret
-    peer_val = decode_public(gp, peer_public)
-    shared = pow(peer_val, scalar, gp.modulus)
+        return hashlib.sha256(keypair.handle.exchange(ec.ECDH(), peer)).digest()
+    shared = pow(peer, keypair.secret, gp.modulus)
     return hashlib.sha256(shared.to_bytes(gp.elem_bytes, "big")).digest()

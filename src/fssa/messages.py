@@ -10,7 +10,7 @@ is below 2^32, so an element takes at most 4 bytes and decodes into int64.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +48,18 @@ class ShareDelivery:
     ciphertexts: tuple  # ((v, ct_bytes), ...) routed to one recipient
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SumShares:
     u: int
-    sums: tuple  # one summed share per chunk
-    # Decoded numpy view of `sums`, carried along to spare consumers a
-    # per-element reconversion; identical content, excluded from equality.
-    sums_np: object = field(default=None, compare=False, repr=False)
+    sums: np.ndarray  # one summed share per chunk, int64; any int sequence is converted
+
+    def __post_init__(self):
+        object.__setattr__(self, "sums", np.asarray(self.sums, dtype=np.int64))
+
+    def __eq__(self, other):
+        if not isinstance(other, SumShares):
+            return NotImplemented
+        return self.u == other.u and np.array_equal(self.sums, other.sums)
 
 
 class _Writer:
@@ -138,8 +143,7 @@ def serialize(msg, fp: FieldParams) -> bytes:
         w.u8(TAG_SUM_SHARES)
         w.u32(msg.u)
         w.u32(len(msg.sums))
-        if msg.sums:
-            w.parts.append(encode_elems(msg.sums if msg.sums_np is None else msg.sums_np, fp))
+        w.parts.append(encode_elems(msg.sums, fp))
     else:
         raise InvalidArgument(f"unknown message type {type(msg).__name__}")
     return w.getvalue()
@@ -169,8 +173,7 @@ def deserialize(data: bytes, fp: FieldParams):
     elif tag == TAG_SUM_SHARES:
         u = r.u32()
         count = r.u32()
-        arr = decode_elems(r.take(count * fp.byte_width), count, fp)
-        msg = SumShares(u=u, sums=tuple(arr.tolist()), sums_np=arr)
+        msg = SumShares(u=u, sums=decode_elems(r.take(count * fp.byte_width), count, fp))
     else:
         raise InvalidArgument(f"unknown message tag {tag}")
     r.done()

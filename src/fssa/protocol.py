@@ -53,20 +53,21 @@ class Params:
     d: int
     B: int
     m: int
-    chunk_count: int
     fp: FieldParams
     gp: GroupParams
-    security_level: str = "production"
 
     def __post_init__(self):
         if not 0 < self.d <= self.t <= self.n:
             raise InvalidArgument("need 0 < d <= t <= n")
         if self.n * (self.B - 1) + 1 > self.fp.q:
             raise InvalidArgument("modulus too small: sums could wrap")
-        if self.chunk_count != math.ceil(self.m / self.d):
-            raise InvalidArgument("chunk_count inconsistent with m and d")
         # Reconstruction is an inner-length-t product mod q.
         kernel_path(self.t, self.fp.q)
+
+    @property
+    def chunk_count(self) -> int:
+        """How many length-d chunks a length-m input splits into."""
+        return math.ceil(self.m / self.d)
 
     def ramp(self) -> RampParams:
         return RampParams(
@@ -103,23 +104,8 @@ def plan_parameters(
         d = min(d, t)
     if d <= 0:
         raise InvalidArgument("rates too aggressive: secret length would be zero")
-    if q is None:
-        fp = find_field_modulus(n, B)
-    else:
-        fp = FieldParams(q)
-        if fp.q < n * (B - 1) + 1:
-            raise InvalidArgument("supplied modulus violates the no-wraparound bound")
-    return Params(
-        n=n,
-        t=t,
-        d=d,
-        B=B,
-        m=m,
-        chunk_count=math.ceil(m / d),
-        fp=fp,
-        gp=ka_setup(security_level),
-        security_level=security_level,
-    )
+    fp = find_field_modulus(n, B) if q is None else FieldParams(q)
+    return Params(n=n, t=t, d=d, B=B, m=m, fp=fp, gp=ka_setup(security_level))
 
 
 def chunk_vector(x, d: int, B: int) -> np.ndarray:
@@ -167,8 +153,7 @@ class Client:
         self.keypair = None
         self.roster = {}          # u -> public key bytes, from the broadcast
         self.pair_keys = {}       # v -> 32-byte symmetric key
-        self.own_shares = None    # this client's own shares, one per chunk (int64 array)
-        self.received_shares = {} # sender v -> int64 array of chunk shares
+        self.own_shares = None    # this client's own share of each chunk (int64 array)
         self.phase_ns = {}
 
     def _abort(self, why: str):
@@ -184,11 +169,12 @@ class Client:
         self.round = Round.ADVERTISED
         return ClientHello(u=self.u, public_key=self.keypair.public)
 
-    def round1(self, broadcast: KeyBroadcast, x, rng=None, np_rng=None, coeffs=None) -> ShareUpload:
+    def round1(self, broadcast: KeyBroadcast, x, rng=None, np_rng=None) -> ShareUpload:
         """Share the input vector to the Round-0 roster.
 
-        `coeffs` (one list of t-d values per chunk) pins the random
-        coefficients for deterministic tests.
+        The random sharing coefficients come from the numpy generator
+        `np_rng`; without one, a generator is seeded from `rng` (or from the
+        system when `rng` is None). `rng` also supplies the AEAD nonces.
         """
         if self.round is not Round.ADVERTISED:
             raise ProtocolOrderViolation(f"round1 called in state {self.round}")
@@ -207,10 +193,10 @@ class Client:
 
         t0 = time.perf_counter_ns()
         chunks = chunk_vector(x, p.d, p.B)
-        if coeffs is None and np_rng is None:
+        if np_rng is None:
             seed = rng.getrandbits(64) if rng is not None else None
             np_rng = np.random.default_rng(seed)
-        share_matrix = rss_share_batch(p.ramp(), chunks, points, np_rng, coeffs=coeffs)
+        share_matrix = rss_share_batch(p.ramp(), chunks, points, np_rng)
         self.phase_ns["share"] = time.perf_counter_ns() - t0
 
         self.own_shares = share_matrix[:, points.index(self.u)].copy()
@@ -238,7 +224,10 @@ class Client:
         return ShareUpload(u=self.u, ciphertexts=tuple(cts))
 
     def round2(self, delivery: ShareDelivery) -> SumShares:
-        """Decrypt peers' shares, verify the identity headers, and sum per chunk."""
+        """Decrypt peers' shares, verify the identity headers, and sum per chunk.
+
+        Each decrypted share vector is added into a running sum and not kept.
+        """
         if self.round is not Round.SHARED:
             raise ProtocolOrderViolation(f"round2 called in state {self.round}")
         p = self.params
@@ -263,7 +252,6 @@ class Client:
                 self._abort(f"malformed share payload from {v}: {e}")
             if len(shares) != p.chunk_count:
                 self._abort(f"wrong share count from {v}")
-            self.received_shares[v] = shares
             sums = sums + shares
         # At most n <= q-1 addends below q each, and kernel_path keeps
         # (q-1)^2 < 2^63, so one reduction at the end is exact.
@@ -271,7 +259,7 @@ class Client:
         self.phase_ns["sum"] = time.perf_counter_ns() - t0
 
         self.round = Round.DONE
-        return SumShares(u=self.u, sums=tuple(sums.tolist()), sums_np=sums)
+        return SumShares(u=self.u, sums=sums)
 
 
 class Server:
@@ -285,7 +273,6 @@ class Server:
         self.u3: tuple = ()
         self.public_keys = {}
         self.uploads = {}
-        self._matrix_cache = {}
         self.phase_ns = {}
 
     def round0(self, hellos) -> KeyBroadcast:
@@ -359,18 +346,14 @@ class Server:
 
         pts = self.u3[: p.t]
         t0 = time.perf_counter_ns()
-        matrix = self._matrix_cache.get(pts)
-        if matrix is None:
-            matrix = build_recon_matrix([x % p.fp.q for x in pts], p.d, p.fp)
-            self._matrix_cache[pts] = matrix
+        matrix = build_recon_matrix(pts, p.d, p.fp)
         self.phase_ns["precompute"] = time.perf_counter_ns() - t0
 
         # The reconstruct phase times only the reconstruction computation:
         # applying the precomputed matrix to the summed shares. Unpacking the
         # received share vectors into matrix form and converting the result
         # back to Python ints are message marshaling, not reconstruction.
-        by_u = {s.u: (s.sums_np if s.sums_np is not None else
-                      np.array(s.sums, dtype=np.int64)) for s in sums}
+        by_u = {s.u: s.sums for s in sums}
         sum_matrix = np.stack([by_u[u] for u in pts])
         t0 = time.perf_counter_ns()
         # One product over all chunks: rows (d x t) @ sums (t x chunks).

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientShares, InvalidArgument
-from .field import FieldParams, ReconMatrix, build_recon_matrix, poly_eval, poly_eval_batch
+from .field import FieldParams, build_recon_matrix, poly_eval, poly_eval_batch
 
 _ENUMERATION_CAP = 10**6
 
@@ -87,48 +87,34 @@ def rss_share(rp: RampParams, secret, rng=None, coeffs=None, points=None) -> Sha
     return ShareBundle(rp=rp, shares=shares)
 
 
-def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, rng, coeffs=None) -> np.ndarray:
+def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, rng) -> np.ndarray:
     """Share many length-d secrets at once; returns shape (num_secrets, num_points).
 
-    Row i of `secrets` is one secret. The random high coefficients are drawn
-    from the numpy generator `rng`, unless `coeffs`, a (num_secrets, t-d)
-    array, fixes them for deterministic tests (then `rng` is not used).
+    Row i of `secrets` is one secret. The random high coefficients, a
+    (num_secrets, t-d) block uniform in [0, q), are drawn from the numpy
+    generator `rng` in one `rng.integers` call.
     """
     secrets = np.asarray(secrets)
     if secrets.ndim != 2 or secrets.shape[1] != rp.d:
         raise InvalidArgument("secrets must be a (count, d) array")
     q = rp.fp.q
-    shape = (secrets.shape[0], rp.t - rp.d)
-    if coeffs is not None:
-        try:
-            high = np.asarray(coeffs, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError) as e:
-            raise InvalidArgument(f"explicit coefficients must be an int64 array: {e}") from e
-        if high.shape != shape:
-            raise InvalidArgument(f"need a {shape} array of explicit coefficients")
-        high = high % q
-    else:
-        high = rng.integers(0, q, size=shape, dtype=np.int64)
+    high = rng.integers(0, q, size=(secrets.shape[0], rp.t - rp.d), dtype=np.int64)
     coeff_matrix = np.concatenate([secrets.astype(np.int64), high], axis=1)
     xs = np.array([p % q for p in points], dtype=np.int64)
     return poly_eval_batch(coeff_matrix, xs, rp.fp)
 
 
-def rss_recon(rp: RampParams, shares: dict, matrix: ReconMatrix | None = None) -> list[int]:
+def rss_recon(rp: RampParams, shares: dict) -> list[int]:
     """Recover the length-d secret from at least t (point, share) pairs.
 
     When more than t shares are available the t smallest points are used.
-    A prebuilt matrix for exactly those points may be passed to skip the
-    Lagrange precomputation.
     """
     if len(set(shares)) != len(shares):
         raise InvalidArgument("duplicate share points")
     if len(shares) < rp.t:
         raise InsufficientShares(f"need {rp.t} shares, got {len(shares)}")
-    pts = tuple(sorted(shares)[: rp.t])
-    if matrix is None or matrix.points != pts or matrix.d != rp.d:
-        matrix = build_recon_matrix(pts, rp.d, rp.fp)
-    return matrix.apply([shares[p] for p in pts])
+    pts = sorted(shares)[: rp.t]
+    return build_recon_matrix(pts, rp.d, rp.fp).apply([shares[p] for p in pts])
 
 
 def share_sum(bundles, u: int) -> int:

@@ -318,24 +318,41 @@ def _sub_rng(seed: int, u: int) -> random.Random:
 
 
 def load_sim_config(path) -> SimConfig:
-    """Read a SimConfig from a YAML key-value file; a key that is not a field is refused."""
+    """Read a SimConfig from a YAML key-value file.
+
+    A key that is not a field, a missing `n` or `m`, or a value that does not
+    convert to its field's type raises InvalidArgument naming the key.
+    """
     with open(path) as f:
         doc = yaml.safe_load(f) or {}
     unknown = sorted(set(map(str, doc)) - {f.name for f in fields(SimConfig)})
     if unknown:
         raise InvalidArgument(f"unknown key(s) in {path}: {', '.join(unknown)}")
-    schedule = {
-        int(u): DropPoint(p) for u, p in (doc.get("dropout_schedule") or {}).items()
-    }
+    missing = [k for k in ("n", "m") if k not in doc]
+    if missing:
+        raise InvalidArgument(f"missing key(s) in {path}: {', '.join(missing)}")
+
+    def value(key, convert, default=None):
+        if key not in doc:
+            return default
+        try:
+            return convert(doc[key])
+        except (AttributeError, TypeError, ValueError) as e:
+            raise InvalidArgument(f"bad value for {key} in {path}: {doc[key]!r} ({e})") from e
+
     return SimConfig(
-        n=int(doc["n"]),
-        m=int(doc["m"]),
-        rho=float(doc.get("rho", 0.0)),
-        gamma=float(doc.get("gamma", 0.0)),
-        B=int(doc.get("B", 2**16)),
-        seed=int(doc.get("seed", 0)),
-        dropout_schedule=schedule,
-        corrupted=frozenset(int(u) for u in doc.get("corrupted", [])),
+        n=value("n", int),
+        m=value("m", int),
+        rho=value("rho", float, 0.0),
+        gamma=value("gamma", float, 0.0),
+        B=value("B", int, 2**16),
+        seed=value("seed", int, 0),
+        dropout_schedule=value(
+            "dropout_schedule",
+            lambda s: {int(u): DropPoint(p) for u, p in (s or {}).items()},
+            {},
+        ),
+        corrupted=value("corrupted", lambda c: frozenset(int(u) for u in c), frozenset()),
         inputs=doc.get("inputs"),
         security_level=doc.get("security_level", "production"),
         degenerate_privacy_ok=bool(doc.get("degenerate_privacy_ok", False)),

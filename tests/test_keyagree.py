@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fssa.errors import InvalidArgument
-from fssa.keyagree import decode_public, encode_public, ka_agree, ka_gen, ka_setup
+from fssa.keyagree import KeyPair, decode_public, encode_public, ka_agree, ka_gen, ka_setup
 
 
 def test_setup_production_is_p256():
@@ -54,15 +54,15 @@ def test_agree_hand_trace():
     # x_u = 6, x_v = 15: shared element 5^90 = 5^(90 mod 22) = 5^2 = 2 mod 23.
     pk_u = encode_public(gp, pow(5, 6, 23))
     pk_v = encode_public(gp, pow(5, 15, 23))
-    k_uv = ka_agree(6, pk_v, gp)
-    k_vu = ka_agree(15, pk_u, gp)
+    k_uv = ka_agree(KeyPair(6, pk_u), pk_v, gp)
+    k_vu = ka_agree(KeyPair(15, pk_v), pk_u, gp)
     assert k_uv == k_vu == hashlib.sha256((2).to_bytes(1, "big")).digest()
 
 
 def test_agree_same_scalar():
     gp = ka_setup("test")
     pk = encode_public(gp, pow(5, 9, 23))
-    assert ka_agree(9, pk, gp) == ka_agree(9, pk, gp)
+    assert ka_agree(KeyPair(9, pk), pk, gp) == ka_agree(KeyPair(9, pk), pk, gp)
 
 
 def test_symmetry_exhaustive_test_group():
@@ -70,7 +70,7 @@ def test_symmetry_exhaustive_test_group():
     for xu, xv in itertools.product(range(1, 22), repeat=2):
         pku = encode_public(gp, pow(5, xu, 23))
         pkv = encode_public(gp, pow(5, xv, 23))
-        assert ka_agree(xu, pkv, gp) == ka_agree(xv, pku, gp)
+        assert ka_agree(KeyPair(xu, pku), pkv, gp) == ka_agree(KeyPair(xv, pkv), pku, gp)
 
 
 def test_symmetry_production_random_pairs():

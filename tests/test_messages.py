@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fssa.errors import InvalidArgument
@@ -91,6 +92,20 @@ class TestRoundtrip:
             for _ in range(1000):
                 msg = _random_message(rng, fp)
                 assert deserialize(serialize(msg, fp), fp) == msg
+
+    def test_sum_shares_from_int64_arrays(self):
+        rng = np.random.default_rng(4)
+        for fp in (F11, F257, FieldParams(33554467)):
+            for count in (0, 1, 7, 300):
+                sums = rng.integers(0, fp.q, size=count, dtype=np.int64)
+                msg = SumShares(u=5, sums=sums)
+                assert deserialize(serialize(msg, fp), fp) == msg
+                assert msg == SumShares(u=5, sums=tuple(sums.tolist()))
+                assert msg != SumShares(u=6, sums=sums)
+                if count:
+                    changed = sums.copy()
+                    changed[-1] = (changed[-1] + 1) % fp.q
+                    assert msg != SumShares(u=5, sums=changed)
 
     def test_share_plaintext_random(self):
         rng = random.Random(9)

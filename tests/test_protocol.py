@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fssa.errors import (
@@ -15,24 +16,40 @@ from fssa.messages import KeyBroadcast, ShareDelivery
 from fssa.protocol import Client, Params, Round, Server, chunk_vector, plan_parameters
 
 
+class PinnedCoeffs:
+    """Stands in for a numpy Generator whose one draw is a fixed coefficient block."""
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def integers(self, lo, hi, size, dtype):
+        high = np.asarray(self.coeffs, dtype=dtype)
+        assert high.shape == size and ((lo <= high) & (high < hi)).all()
+        return high
+
+
 def run_full(params, inputs, seed=0, drop_after_round1=(), coeffs=None):
-    """Drive the state machines directly; returns (aggregate, clients, server)."""
+    """Drive the state machines directly; returns (aggregate, sums, server).
+
+    `sums` maps each Round-2 client to its SumShares message. `coeffs[u-1]`,
+    if given, pins client u's (chunk count, t-d) random coefficients.
+    """
     rng = random.Random(seed)
     clients = {u: Client(u, params) for u in range(1, params.n + 1)}
     server = Server(params)
     broadcast = server.round0([c.round0(rng) for c in clients.values()])
     uploads = [
         c.round1(broadcast, inputs[c.u - 1], rng=rng,
-                 coeffs=coeffs[c.u - 1] if coeffs else None)
+                 np_rng=PinnedCoeffs(coeffs[c.u - 1]) if coeffs else None)
         for c in clients.values()
     ]
     deliveries = server.round1(uploads)
-    sums = [
-        clients[u].round2(dv)
+    sums = {
+        u: clients[u].round2(dv)
         for u, dv in deliveries.items()
         if u not in drop_after_round1
-    ]
-    return server.round2(sums), clients, server
+    }
+    return server.round2(list(sums.values())), sums, server
 
 
 class TestPlanParameters:
@@ -84,8 +101,7 @@ class TestPlanParameters:
     def test_params_invariants(self):
         p = plan_parameters(5, 4, security_level="test")
         with pytest.raises(InvalidArgument):
-            Params(n=p.n, t=p.t, d=p.d, B=p.B, m=p.m, chunk_count=p.chunk_count + 1,
-                   fp=p.fp, gp=p.gp)
+            Params(n=p.n, t=p.t, d=p.t + 1, B=p.B, m=p.m, fp=p.fp, gp=p.gp)
 
 
 class TestChunkVector:
@@ -130,15 +146,11 @@ class TestEndToEnd:
         p = plan_parameters(3, 1, B=4, rho=0.34, security_level="test", q=11)
         assert (p.t, p.d, p.chunk_count) == (2, 1, 1)
         coeffs = [[[1]], [[2]], [[3]]]  # client u uses f_u(x) = x_u + c_u * x
-        agg, clients, _ = run_full(p, [[1], [2], [3]], coeffs=coeffs)
+        agg, sums, _ = run_full(p, [[1], [2], [3]], coeffs=coeffs)
         assert agg == [6]
         # Each client's Round-2 sum is F(u) for F(x) = 6 + 6x (the sum poly).
         for u in (1, 2, 3):
-            expected = poly_eval([6, 6], u, p.fp)
-            total = clients[u].own_shares[0] + sum(
-                s[0] for s in clients[u].received_shares.values()
-            )
-            assert total % 11 == expected
+            assert sums[u].sums.tolist() == [poly_eval([6, 6], u, p.fp)]
 
     def test_too_many_dropouts_fails(self):
         p = plan_parameters(5, 3, B=16, rho=0.2, security_level="test")

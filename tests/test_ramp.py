@@ -93,13 +93,17 @@ class TestShare:
         rp = RampParams(t=4, d=2, n=6, fp=F11)
         secrets = np.array([[1, 2], [3, 4]])
         points = rp.default_points()
-        mat = rss_share_batch(rp, secrets, points, None, coeffs=[[5, 6], [7, 19]])
-        for i, high in enumerate([[5, 6], [7, 8]]):
+        pinned = [[5, 6], [7, 8]]
+
+        class PinnedCoeffs:
+            def integers(self, lo, hi, size, dtype):
+                assert (lo, hi, size) == (0, 11, (2, 2))
+                return np.array(pinned, dtype=dtype)
+
+        mat = rss_share_batch(rp, secrets, points, PinnedCoeffs())
+        for i, high in enumerate(pinned):
             poly = secrets[i].tolist() + high
             assert mat[i].tolist() == [poly_eval(poly, x, F11) for x in points]
-        for bad in ([[5, 6]], [[5], [6]], [[5, 6], [7]]):
-            with pytest.raises(InvalidArgument):
-                rss_share_batch(rp, secrets, points, None, coeffs=bad)
 
     def test_batch_matches_poly_eval_at_desk_shape(self):
         # The n=100, rho=gamma=0.3, B=2^16 plan: t=70, d=40.

@@ -236,6 +236,18 @@ class TestConfigFile:
         assert (config.n, config.m, config.seed) == (3, 1, 0)
         assert run_simulation(config).status == "ok"
 
+    @pytest.mark.parametrize("text, pattern", [
+        ("m: 1\n", r"missing key\(s\) in .*: n$"),
+        ("n: 3\nm: 1\ndropout_schedule:\n  2: after_round9\n",
+         r"bad value for dropout_schedule in .*: \{2: 'after_round9'\}"),
+        ("n: 3\nm: 1\ncorrupted: 2\n", r"bad value for corrupted in .*: 2 \("),
+    ], ids=["missing-n", "unknown-drop-point", "scalar-corrupted"])
+    def test_bad_value_refused(self, tmp_path, text, pattern):
+        path = tmp_path / "sim.yaml"
+        path.write_text(text)
+        with pytest.raises(InvalidArgument, match=pattern):
+            load_sim_config(path)
+
     def test_unknown_key_refused(self, tmp_path):
         path = tmp_path / "sim.yaml"
         path.write_text("n: 3\nm: 1\ndropout_schedul:\n  2: after_round0\n")
