@@ -6,7 +6,7 @@ colluding honest-but-curious clients. Built from ramp secret sharing over a
 prime field, Diffie-Hellman key agreement, and authenticated encryption.
 """
 
-from .aead import AeCiphertext, ae_dec, ae_enc
+from .aead import ae_dec, ae_enc
 from .errors import (
     ClientAborted,
     FssaError,
@@ -24,7 +24,7 @@ from .field import (
     find_field_modulus,
     poly_eval,
 )
-from .keyagree import GroupParams, KeyPair, ka_agree, ka_gen, ka_setup
+from .keyagree import KeyPair, ka_agree, ka_gen
 from .messages import (
     ClientHello,
     KeyBroadcast,
@@ -49,12 +49,12 @@ from .sim import DropPoint, SimConfig, SimReport, load_sim_config, run_simulatio
 __version__ = "0.1.0"
 
 __all__ = [
-    "AeCiphertext", "ae_dec", "ae_enc",
+    "ae_dec", "ae_enc",
     "ClientAborted", "FssaError", "InsufficientShares", "InvalidArgument",
     "ProtocolOrderViolation", "Rejected", "RoundAborted",
     "FieldParams", "ReconMatrix", "build_recon_matrix", "fe_inv",
     "find_field_modulus", "poly_eval",
-    "GroupParams", "KeyPair", "ka_agree", "ka_gen", "ka_setup",
+    "KeyPair", "ka_agree", "ka_gen",
     "ClientHello", "KeyBroadcast", "ShareDelivery", "ShareUpload", "SumShares",
     "deserialize", "serialize",
     "Client", "Params", "Server", "chunk_vector", "plan_parameters",

@@ -75,7 +75,6 @@ class SweepSpec:
     seed_base: int = 0
     output: str = "sweep.csv"
     degenerate_privacy_ok: bool = False
-    security_level: str = "production"
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -139,9 +138,7 @@ def run_point(spec: SweepSpec, index: int, n, m, rho, gamma) -> dict:
     row.update(n=n, m=m, rho=rho, gamma=gamma, iterations=spec.iterations)
     try:
         params = plan_parameters(
-            n, m, rho=rho, gamma=gamma,
-            degenerate_privacy_ok=spec.degenerate_privacy_ok,
-            security_level=spec.security_level,
+            n, m, rho=rho, gamma=gamma, degenerate_privacy_ok=spec.degenerate_privacy_ok
         )
     except FssaError:
         row["feasible"] = "no"
@@ -164,7 +161,6 @@ def run_point(spec: SweepSpec, index: int, n, m, rho, gamma) -> dict:
             gamma=gamma,
             seed=seed,
             dropout_schedule={u: DropPoint.AFTER_ROUND0 for u in dropped},
-            security_level=spec.security_level,
             degenerate_privacy_ok=spec.degenerate_privacy_ok,
         )
         report = run_simulation(cfg)

@@ -3,9 +3,10 @@ and reconstruction matrices.
 
 One modulus range is supported: a prime q with (q-1)^2 < 2^63, so that
 every element fits 4 bytes and every elementwise product fits int64.
-`FieldParams` refuses any other q. Scalar helpers work on plain Python ints
-kept fully reduced in [0, q); they are the reference the batch code is
-tested against. Batch data are numpy int64 arrays of reduced elements.
+`FieldParams` refuses any other q. Primality is decided by trial division,
+exact for every n and a few milliseconds at most in this range. Scalar
+helpers work on plain Python ints kept fully reduced in [0, q); they are the
+reference the batch code is tested against. Batch data are numpy int64 arrays of reduced elements.
 Sharing evaluates polynomials by Horner's rule (`poly_eval_batch`); every
 matrix product over the field goes through `mod_matmul`, which is exact for
 every inner length t and modulus q that `kernel_path` accepts and raises
@@ -14,10 +15,10 @@ InvalidArgument for any other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 from .errors import InvalidArgument
 
@@ -28,6 +29,10 @@ def _check_modulus_range(q: int):
             f"modulus {q} too large: (q-1)^2 must stay below 2^63 so that "
             "elementwise products fit int64"
         )
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,7 @@ class FieldParams:
         if self.q < 2:
             raise InvalidArgument(f"modulus must be >= 2, got {self.q}")
         _check_modulus_range(self.q)
-        if not sympy.isprime(self.q):
+        if not _is_prime(self.q):
             raise InvalidArgument(f"modulus {self.q} is not prime")
         object.__setattr__(self, "byte_width", (self.q.bit_length() + 7) // 8)
 
@@ -246,8 +251,13 @@ def build_recon_matrix(points, d: int, fp: FieldParams) -> ReconMatrix:
 def find_field_modulus(n: int, B: int) -> FieldParams:
     """Smallest prime q with q >= n(B-1)+1, so n inputs below B never wrap.
 
-    A q outside the supported range is refused by FieldParams.
+    A bound past the supported range is refused before the search starts; a
+    prime found just past it is refused by FieldParams.
     """
     if n < 1 or B < 2:
         raise InvalidArgument("need n >= 1 and B >= 2")
-    return FieldParams(int(sympy.nextprime(n * (B - 1))))
+    q = n * (B - 1) + 1
+    _check_modulus_range(q)
+    while not _is_prime(q):
+        q += 1
+    return FieldParams(q)

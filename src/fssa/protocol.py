@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aead import AeCiphertext, ae_dec, ae_enc
+from .aead import ae_dec, ae_enc
 from .errors import (
     ClientAborted,
     InsufficientShares,
@@ -28,7 +28,7 @@ from .errors import (
     RoundAborted,
 )
 from .field import FieldParams, build_recon_matrix, find_field_modulus, kernel_path, mod_matmul
-from .keyagree import GroupParams, ka_agree, ka_gen, ka_setup
+from .keyagree import ka_agree, ka_gen
 from .messages import (
     ClientHello,
     KeyBroadcast,
@@ -54,7 +54,6 @@ class Params:
     B: int
     m: int
     fp: FieldParams
-    gp: GroupParams
 
     def __post_init__(self):
         if not 0 < self.d <= self.t <= self.n:
@@ -82,7 +81,6 @@ def plan_parameters(
     rho: float = 0.0,
     gamma: float = 0.0,
     degenerate_privacy_ok: bool = False,
-    security_level: str = "production",
     q: int | None = None,
 ) -> Params:
     """Derive (t, d, q) from the dropout rate rho and corruption rate gamma.
@@ -105,7 +103,7 @@ def plan_parameters(
     if d <= 0:
         raise InvalidArgument("rates too aggressive: secret length would be zero")
     fp = find_field_modulus(n, B) if q is None else FieldParams(q)
-    return Params(n=n, t=t, d=d, B=B, m=m, fp=fp, gp=ka_setup(security_level))
+    return Params(n=n, t=t, d=d, B=B, m=m, fp=fp)
 
 
 def chunk_vector(x, d: int, B: int) -> np.ndarray:
@@ -164,7 +162,7 @@ class Client:
         if self.round is not Round.FRESH:
             raise ProtocolOrderViolation(f"round0 called in state {self.round}")
         t0 = time.perf_counter_ns()
-        self.keypair = ka_gen(self.params.gp, rng)
+        self.keypair = ka_gen(rng)
         self.phase_ns["keygen"] = time.perf_counter_ns() - t0
         self.round = Round.ADVERTISED
         return ClientHello(u=self.u, public_key=self.keypair.public)
@@ -205,7 +203,7 @@ class Client:
         t0 = time.perf_counter_ns()
         for v in others:
             try:
-                self.pair_keys[v] = ka_agree(self.keypair, roster[v], p.gp)
+                self.pair_keys[v] = ka_agree(self.keypair, roster[v])
             except InvalidArgument as e:
                 self._abort(f"malformed public key for peer {v}: {e}")
         self.phase_ns["agree"] = time.perf_counter_ns() - t0
@@ -217,7 +215,7 @@ class Client:
         plaintexts = encode_share_plaintexts(self.u, points, share_matrix, p.fp)
         for v, pt in zip(points, plaintexts):
             if v != self.u:
-                cts.append((v, ae_enc(self.pair_keys[v], pt, rng).to_bytes()))
+                cts.append((v, ae_enc(self.pair_keys[v], pt, rng)))
         self.phase_ns["encrypt"] = time.perf_counter_ns() - t0
 
         self.round = Round.SHARED
@@ -242,7 +240,7 @@ class Client:
             if v == self.u or v not in self.roster:
                 self._abort(f"delivery names unexpected sender {v}")
             try:
-                pt = ae_dec(self.pair_keys[v], AeCiphertext.from_bytes(ct_bytes))
+                pt = ae_dec(self.pair_keys[v], ct_bytes)
                 su, sv, shares = decode_share_plaintext(pt, p.fp)
                 if su != v or sv != self.u:
                     self._abort(f"identity header mismatch from {v}")
@@ -272,7 +270,6 @@ class Server:
         self.u2: tuple = ()
         self.u3: tuple = ()
         self.public_keys = {}
-        self.uploads = {}
         self.phase_ns = {}
 
     def round0(self, hellos) -> KeyBroadcast:
@@ -310,16 +307,16 @@ class Server:
         if len(senders) < p.t:
             raise RoundAborted(f"only {len(senders)} uploads collected, need {p.t}")
         self.u2 = tuple(sorted(senders))
-        self.uploads = {up.u: dict(up.ciphertexts) for up in uploads}
+        by_sender = {up.u: dict(up.ciphertexts) for up in uploads}
         deliveries = {}
         for u in self.u2:
             entries = []
             for v in self.u2:
                 if v == u:
                     continue
-                if u not in self.uploads[v]:
+                if u not in by_sender[v]:
                     raise InvalidArgument(f"client {v} sent no ciphertext for {u}")
-                entries.append((v, self.uploads[v][u]))
+                entries.append((v, by_sender[v][u]))
             deliveries[u] = ShareDelivery(ciphertexts=tuple(entries))
         self.phase_ns["route"] = time.perf_counter_ns() - t0
         self.round = 2

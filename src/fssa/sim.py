@@ -41,7 +41,6 @@ class SimConfig:
     dropout_schedule: dict = field(default_factory=dict)  # client index -> DropPoint
     corrupted: frozenset = frozenset()
     inputs: list | None = None  # fixed input vectors keyed by order 1..n; None = random
-    security_level: str = "production"
     degenerate_privacy_ok: bool = False
     parallel: bool = False
 
@@ -53,7 +52,6 @@ class SimConfig:
             rho=self.rho,
             gamma=self.gamma,
             degenerate_privacy_ok=self.degenerate_privacy_ok,
-            security_level=self.security_level,
         )
 
     def validate(self, params: Params):
@@ -317,11 +315,28 @@ def _sub_rng(seed: int, u: int) -> random.Random:
     return random.Random((seed << 20) ^ (u * 0x9E3779B9))
 
 
+def _integer(v) -> int:
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise ValueError("expected an integer")
+
+
+def _boolean(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError("expected true or false")
+    return v
+
+
 def load_sim_config(path) -> SimConfig:
     """Read a SimConfig from a YAML key-value file.
 
     A key that is not a field, a missing `n` or `m`, or a value that does not
-    convert to its field's type raises InvalidArgument naming the key.
+    convert to its field's type raises InvalidArgument naming the key. An
+    integer field takes a YAML integer (or an integral float) and a flag takes
+    only a YAML boolean; a bool, a string or a fraction is refused, not
+    converted.
     """
     with open(path) as f:
         doc = yaml.safe_load(f) or {}
@@ -341,20 +356,21 @@ def load_sim_config(path) -> SimConfig:
             raise InvalidArgument(f"bad value for {key} in {path}: {doc[key]!r} ({e})") from e
 
     return SimConfig(
-        n=value("n", int),
-        m=value("m", int),
+        n=value("n", _integer),
+        m=value("m", _integer),
         rho=value("rho", float, 0.0),
         gamma=value("gamma", float, 0.0),
-        B=value("B", int, 2**16),
-        seed=value("seed", int, 0),
+        B=value("B", _integer, 2**16),
+        seed=value("seed", _integer, 0),
         dropout_schedule=value(
             "dropout_schedule",
-            lambda s: {int(u): DropPoint(p) for u, p in (s or {}).items()},
+            lambda s: {_integer(u): DropPoint(p) for u, p in (s or {}).items()},
             {},
         ),
-        corrupted=value("corrupted", lambda c: frozenset(int(u) for u in c), frozenset()),
+        corrupted=value(
+            "corrupted", lambda c: frozenset(_integer(u) for u in c), frozenset()
+        ),
         inputs=doc.get("inputs"),
-        security_level=doc.get("security_level", "production"),
-        degenerate_privacy_ok=bool(doc.get("degenerate_privacy_ok", False)),
-        parallel=bool(doc.get("parallel", False)),
+        degenerate_privacy_ok=value("degenerate_privacy_ok", _boolean, False),
+        parallel=value("parallel", _boolean, False),
     )

@@ -51,8 +51,7 @@ def _random_feasible_plan(rng):
         rho = rng.choice([0.0, 0.1, 0.2, 0.3, 1 / n, 2 / n])
         gamma = rng.choice([0.0, 0.1, 0.2, 0.3])
         try:
-            params = plan_parameters(n, m, B=16, rho=rho, gamma=gamma,
-                                     security_level="production")
+            params = plan_parameters(n, m, B=16, rho=rho, gamma=gamma)
         except InvalidArgument:
             continue
         return n, m, rho, gamma, params
@@ -72,7 +71,7 @@ def test_criterion_1_and_5_exactness_and_round_shape():
         schedule = {u: rng.choice(boundaries) for u in dropped}
         report = run_simulation(SimConfig(
             n=n, m=m, rho=rho, gamma=gamma, B=16, seed=trial,
-            dropout_schedule=schedule, security_level="production",
+            dropout_schedule=schedule,
         ))
         assert report.status == "ok", f"trial {trial}: unexpected failure"
         assert report.aggregate == report.expected_sum_over_u2, f"trial {trial}"
@@ -143,9 +142,9 @@ def test_criterion_3_perfect_security_distributions():
 
 
 def test_criterion_4_parameter_reproduction():
-    p = plan_parameters(100, 1000, rho=0.3, gamma=0.3, security_level="test")
+    p = plan_parameters(100, 1000, rho=0.3, gamma=0.3)
     ok = (p.t, p.d) == (70, 40)
-    p500 = plan_parameters(500, 10, B=2**16, security_level="test")
+    p500 = plan_parameters(500, 10, B=2**16)
     bound = 500 * (2**16 - 1) + 1
     ok = ok and p500.fp.q >= bound
     _verdict(4, f"t={p.t}, d={p.d} at n=100, rates 0.3; q={p500.fp.q} >= {bound}", ok)
@@ -267,7 +266,7 @@ def test_criterion_8_wire_format_goldens():
 
 def test_criterion_9_abort_conformance():
     t0 = time.monotonic()
-    p = plan_parameters(4, 2, B=16, rho=0.25, security_level="test")
+    p = plan_parameters(4, 2, B=16, rho=0.25)
     rng = random.Random(4)
     ok = True
 
@@ -313,7 +312,7 @@ def test_criterion_9_abort_conformance():
     # Faults never yield a wrong aggregate: with the budget respected the
     # remaining honest run still sums exactly.
     report = run_simulation(SimConfig(
-        n=4, m=2, rho=0.25, B=16, seed=1, security_level="test",
+        n=4, m=2, rho=0.25, B=16, seed=1,
         dropout_schedule={2: DropPoint.AFTER_ROUND0},
     ))
     ok = report.status == "ok" and report.aggregate == report.expected_sum_over_u2

@@ -22,7 +22,6 @@ def tiny_spec(**kw):
         dropout_rates=[0.2],
         corruption_rates=[0.2],
         iterations=2,
-        security_level="test",
     )
     base.update(kw)
     return SweepSpec(**base)

@@ -1,7 +1,9 @@
+import math
 import random
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +61,20 @@ class TestFieldParams:
     def test_rejects_past_int64_range(self):
         with pytest.raises(InvalidArgument, match=r"2\^63"):
             FieldParams(3037000507)  # the next prime
+
+    def test_primality_matches_oracle(self):
+        def accepted(q):
+            try:
+                FieldParams(q)
+            except InvalidArgument:
+                return False
+            return True
+
+        # Composites whose least factor sits at the top of the trial range.
+        p = sympy.prevprime(math.isqrt(3037000493))
+        top = [3037000493, p * p, p * sympy.prevprime(p)]
+        for q in [*range(20001), *top]:
+            assert accepted(q) == sympy.isprime(q), q
 
 
 class TestInverse:
@@ -232,15 +248,11 @@ class TestFindFieldModulus:
     def test_minimal(self):
         assert find_field_modulus(1, 2).q == 2
 
-    def test_paper_scale(self):
-        fp = find_field_modulus(500, 2**16)
-        R = 500 * (2**16 - 1) + 1
-        assert fp.q >= R == 32767501
-        # smallest prime >= R: nothing prime in between
-        import sympy
-
-        assert sympy.isprime(fp.q)
-        assert sympy.nextprime(R - 1) == fp.q
+    @pytest.mark.parametrize("n", [50, 100, 200, 500, 2047])
+    def test_paper_scale(self, n):
+        # The smallest prime >= n(B-1)+1: nothing prime in between.
+        R = n * (2**16 - 1) + 1
+        assert find_field_modulus(n, 2**16).q == sympy.nextprime(R - 1)
 
     def test_hundred_clients(self):
         fp = find_field_modulus(100, 2**16)

@@ -54,26 +54,23 @@ def run_full(params, inputs, seed=0, drop_after_round1=(), coeffs=None):
 
 class TestPlanParameters:
     def test_reference_rates(self):
-        p = plan_parameters(100, 1000, rho=0.3, gamma=0.3, security_level="test")
+        p = plan_parameters(100, 1000, rho=0.3, gamma=0.3)
         assert (p.t, p.d) == (70, 40)
 
     def test_no_dropout_no_corruption(self):
-        p = plan_parameters(100, 10, rho=0.0, gamma=0.0, security_level="test")
+        p = plan_parameters(100, 10, rho=0.0, gamma=0.0)
         assert (p.t, p.d) == (100, 99)  # d clamped to t-1 by default
 
     def test_degenerate_flag_allows_full_width(self):
-        p = plan_parameters(
-            100, 10, rho=0.0, gamma=0.0, degenerate_privacy_ok=True,
-            security_level="test",
-        )
+        p = plan_parameters(100, 10, rho=0.0, gamma=0.0, degenerate_privacy_ok=True)
         assert (p.t, p.d) == (100, 100)
 
     def test_modulus_bound(self):
-        p = plan_parameters(500, 10, B=2**16, security_level="test")
+        p = plan_parameters(500, 10, B=2**16)
         assert p.fp.q >= 500 * (2**16 - 1) + 1
 
     def test_chunk_count(self):
-        p = plan_parameters(100, 100000, rho=0.3, gamma=0.3, security_level="test")
+        p = plan_parameters(100, 100000, rho=0.3, gamma=0.3)
         assert p.chunk_count == math.ceil(100000 / 40) == 2500
 
     def test_infeasible_rates(self):
@@ -84,7 +81,7 @@ class TestPlanParameters:
 
     def test_rates_near_float_boundaries(self):
         # 0.3 * 10 must round as exactly 3, not 2.999...
-        p = plan_parameters(10, 5, rho=0.3, gamma=0.3, security_level="test")
+        p = plan_parameters(10, 5, rho=0.3, gamma=0.3)
         assert (p.t, p.d) == (7, 4)
 
     def test_supplied_modulus_too_small(self):
@@ -94,14 +91,14 @@ class TestPlanParameters:
     def test_kernel_range_limit(self):
         # At B = 2^16 and rho = 0 (t = n), n = 2047 is the largest cohort
         # whose inner-length-t products mod q the exact kernel accepts.
-        assert plan_parameters(2047, 10, B=2**16, security_level="test").t == 2047
+        assert plan_parameters(2047, 10, B=2**16).t == 2047
         with pytest.raises(InvalidArgument, match="no exact mod-q matmul"):
-            plan_parameters(2048, 10, B=2**16, security_level="test")
+            plan_parameters(2048, 10, B=2**16)
 
     def test_params_invariants(self):
-        p = plan_parameters(5, 4, security_level="test")
+        p = plan_parameters(5, 4)
         with pytest.raises(InvalidArgument):
-            Params(n=p.n, t=p.t, d=p.t + 1, B=p.B, m=p.m, fp=p.fp, gp=p.gp)
+            Params(n=p.n, t=p.t, d=p.t + 1, B=p.B, m=p.m, fp=p.fp)
 
 
 class TestChunkVector:
@@ -127,7 +124,7 @@ class TestChunkVector:
 
 class TestEndToEnd:
     def test_exact_aggregate_no_dropout(self):
-        p = plan_parameters(5, 7, B=16, rho=0.2, gamma=0.2, security_level="test")
+        p = plan_parameters(5, 7, B=16, rho=0.2, gamma=0.2)
         inputs = [[(u * 3 + j) % 16 for j in range(7)] for u in range(5)]
         agg, _, server = run_full(p, inputs)
         assert agg == [sum(col) for col in zip(*inputs)]
@@ -135,7 +132,7 @@ class TestEndToEnd:
 
     def test_exact_aggregate_with_round2_dropout(self):
         # Clients dropping after Round 1 still have their input included.
-        p = plan_parameters(5, 4, B=16, rho=0.2, security_level="test")
+        p = plan_parameters(5, 4, B=16, rho=0.2)
         inputs = [[u + 1, 0, 3, u] for u in range(5)]
         agg, _, server = run_full(p, inputs, drop_after_round1={2})
         assert agg == [sum(col) for col in zip(*inputs)]
@@ -143,7 +140,7 @@ class TestEndToEnd:
 
     def test_hand_trace_three_clients(self):
         # n=3, t=2, d=1, q=11, B=4: inputs 1, 2, 3, all coefficients pinned.
-        p = plan_parameters(3, 1, B=4, rho=0.34, security_level="test", q=11)
+        p = plan_parameters(3, 1, B=4, rho=0.34, q=11)
         assert (p.t, p.d, p.chunk_count) == (2, 1, 1)
         coeffs = [[[1]], [[2]], [[3]]]  # client u uses f_u(x) = x_u + c_u * x
         agg, sums, _ = run_full(p, [[1], [2], [3]], coeffs=coeffs)
@@ -153,7 +150,7 @@ class TestEndToEnd:
             assert sums[u].sums.tolist() == [poly_eval([6, 6], u, p.fp)]
 
     def test_too_many_dropouts_fails(self):
-        p = plan_parameters(5, 3, B=16, rho=0.2, security_level="test")
+        p = plan_parameters(5, 3, B=16, rho=0.2)
         inputs = [[1, 2, 3]] * 5
         with pytest.raises(InsufficientShares):
             run_full(p, inputs, drop_after_round1={1, 4})  # only 3 < t=4 remain
@@ -161,7 +158,7 @@ class TestEndToEnd:
 
 class TestClientAborts:
     def _setup(self, n=4):
-        p = plan_parameters(n, 2, B=16, rho=0.25, security_level="test")
+        p = plan_parameters(n, 2, B=16, rho=0.25)
         rng = random.Random(1)
         clients = {u: Client(u, p) for u in range(1, n + 1)}
         server = Server(p)
@@ -278,26 +275,26 @@ class TestServerChecks:
         return clients, [c.round0(rng) for c in clients.values()]
 
     def test_round0_below_threshold(self):
-        p = plan_parameters(4, 2, B=16, security_level="test")
+        p = plan_parameters(4, 2, B=16)
         clients, hellos = self._hellos(p, random.Random(0))
         with pytest.raises(RoundAborted):
             Server(p).round0(hellos[: p.t - 1])
 
     def test_round0_duplicate_index(self):
-        p = plan_parameters(4, 2, B=16, security_level="test")
+        p = plan_parameters(4, 2, B=16)
         _, hellos = self._hellos(p, random.Random(0))
         with pytest.raises(InvalidArgument):
             Server(p).round0(hellos + [hellos[0]])
 
     def test_round0_unknown_index(self):
-        p = plan_parameters(4, 2, B=16, rho=0.25, security_level="test")
+        p = plan_parameters(4, 2, B=16, rho=0.25)
         _, hellos = self._hellos(p, random.Random(0))
         bad = type(hellos[0])(u=99, public_key=hellos[0].public_key)
         with pytest.raises(InvalidArgument):
             Server(p).round0(hellos[:-1] + [bad])
 
     def test_round1_below_threshold(self):
-        p = plan_parameters(4, 2, B=16, rho=0.25, security_level="test")
+        p = plan_parameters(4, 2, B=16, rho=0.25)
         rng = random.Random(0)
         clients, hellos = self._hellos(p, rng)
         server = Server(p)
@@ -307,7 +304,7 @@ class TestServerChecks:
             server.round1(uploads[: p.t - 1])
 
     def test_round2_below_threshold(self):
-        p = plan_parameters(4, 2, B=16, rho=0.25, security_level="test")
+        p = plan_parameters(4, 2, B=16, rho=0.25)
         rng = random.Random(0)
         clients, hellos = self._hellos(p, rng)
         server = Server(p)
@@ -320,7 +317,7 @@ class TestServerChecks:
             server.round2(sums[: p.t - 1])
 
     def test_round_order_enforced(self):
-        p = plan_parameters(4, 2, B=16, security_level="test")
+        p = plan_parameters(4, 2, B=16)
         server = Server(p)
         with pytest.raises(ProtocolOrderViolation):
             server.round1([])

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import random
 
 import pytest
 
+import fssa.protocol
 from fssa.errors import InvalidArgument
+from fssa.keyagree import ka_gen
 from fssa.sim import (
     DropPoint,
     SimConfig,
@@ -14,7 +17,7 @@ from fssa.sim import (
 
 
 def cfg(**kw):
-    base = dict(n=5, m=4, rho=0.2, B=16, seed=7, security_level="test")
+    base = dict(n=5, m=4, rho=0.2, B=16, seed=7)
     base.update(kw)
     return SimConfig(**base)
 
@@ -181,18 +184,21 @@ class TestFailureReporting:
         # blocked by the budget, so force failure via budget-exact rho and two
         # boundaries: use n=5, rho=0.2 (t=4) and drop 1 at round0 plus an abort.
         report = run_simulation(
-            SimConfig(n=4, m=2, rho=0.25, B=16, seed=0, security_level="test",
+            SimConfig(n=4, m=2, rho=0.25, B=16, seed=0,
                       dropout_schedule={1: DropPoint.AFTER_ROUND1_SEND,
                                         2: DropPoint.NEVER})
         )
         assert report.status == "ok"  # one dropout is within budget
 
-    def test_key_collision_reported_not_raised(self):
-        # The tiny test group has only 22 public keys, so some seeds produce
-        # colliding keys; clients abort and the run fails gracefully.
+    def test_key_collision_reported_not_raised(self, monkeypatch):
+        # Every client advertises the same P-256 key, so each one finds
+        # duplicate keys in the broadcast and aborts; the run fails gracefully.
+        same = ka_gen(random.Random(0))
+        monkeypatch.setattr(fssa.protocol, "ka_gen", lambda rng=None: same)
         report = run_simulation(cfg(seed=2))
         assert report.status == "aggregation_failed"
         assert report.aggregate is None
+        assert report.roster_sizes == {"u1": 5, "u2": 0, "u3": 0}
 
     def test_report_serializes(self):
         report = run_simulation(cfg(seed=12))
@@ -211,7 +217,6 @@ class TestConfigFile:
             "rho: 0.2\n"
             "B: 16\n"
             "seed: 3\n"
-            "security_level: test\n"
             "dropout_schedule:\n"
             "  2: after_round0\n"
             "corrupted: [4]\n"
@@ -231,7 +236,7 @@ class TestConfigFile:
 
     def test_minimal_yaml(self, tmp_path):
         path = tmp_path / "sim.yaml"
-        path.write_text("n: 3\nm: 1\nB: 4\nsecurity_level: test\nrho: 0.34\n")
+        path.write_text("n: 3\nm: 1\nB: 4\nrho: 0.34\n")
         config = load_sim_config(path)
         assert (config.n, config.m, config.seed) == (3, 1, 0)
         assert run_simulation(config).status == "ok"
@@ -241,7 +246,14 @@ class TestConfigFile:
         ("n: 3\nm: 1\ndropout_schedule:\n  2: after_round9\n",
          r"bad value for dropout_schedule in .*: \{2: 'after_round9'\}"),
         ("n: 3\nm: 1\ncorrupted: 2\n", r"bad value for corrupted in .*: 2 \("),
-    ], ids=["missing-n", "unknown-drop-point", "scalar-corrupted"])
+        ('n: 3\nm: 1\ndegenerate_privacy_ok: "false"\n',
+         r"bad value for degenerate_privacy_ok in .*: 'false' \(expected true or false\)"),
+        ('n: 3\nm: 1\nparallel: "no"\n',
+         r"bad value for parallel in .*: 'no' \(expected true or false\)"),
+        ("n: 3\nm: 1\nseed: 2.9\n", r"bad value for seed in .*: 2.9 \(expected an integer\)"),
+        ("n: 3\nm: true\n", r"bad value for m in .*: True \(expected an integer\)"),
+    ], ids=["missing-n", "unknown-drop-point", "scalar-corrupted", "string-flag",
+            "string-parallel", "fractional-seed", "bool-m"])
     def test_bad_value_refused(self, tmp_path, text, pattern):
         path = tmp_path / "sim.yaml"
         path.write_text(text)
