@@ -2,8 +2,7 @@
 and writes one CSV row per grid point.
 
 Desk-scale defaults keep a full sweep fast; --paper-scale switches to the
-large grid (n up to 500, m = 100K). Baseline comparison columns are
-reserved in the schema but left unpopulated.
+large grid (n up to 500, m = 100K).
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ CSV_COLUMNS = [
     "server_reconstruct_ns_std",
     "bytes_per_client_mean",
     "bytes_per_client_std",
-    "baseline_client_ns",
-    "baseline_server_ns",
-    "baseline_bytes_per_client",
 ]
 
 # The measured columns, each written as a _mean and a _std pair.

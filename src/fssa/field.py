@@ -8,9 +8,11 @@ exact for every n and a few milliseconds at most in this range. Scalar
 helpers work on plain Python ints kept fully reduced in [0, q); they are the
 reference the batch code is tested against. Batch data are numpy int64 arrays of reduced elements.
 Sharing evaluates polynomials by Horner's rule (`poly_eval_batch`); every
-matrix product over the field goes through `mod_matmul`, which is exact for
-every inner length t and modulus q that `kernel_path` accepts and raises
-InvalidArgument for any other.
+matrix product over the field goes through `mod_matmul`. It splits the right
+operand into low and high bits so that each half's float64 product is exact,
+or, where no split is exact, multiplies in int64. It is exact for every inner
+length t and modulus q that `kernel_path` accepts and raises InvalidArgument
+for any other.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def _split_bit(t: int, q: int) -> int | None:
 
     Every float dot product must stay below 2^52, so qb + k + lt <= 52 (low
     half) and 2*qb - k + lt <= 52 (high half), with qb and lt the bit lengths
-    of q-1 and t. The balanced left operand only tightens these.
+    of q-1 and t, for a left operand reduced into [0, q).
     """
     qb = (q - 1).bit_length()
     lt = max(t, 1).bit_length()
@@ -107,69 +109,45 @@ def _split_bit(t: int, q: int) -> int | None:
 def kernel_path(t: int, q: int) -> str:
     """How `mod_matmul` computes a product of inner length t mod q exactly.
 
-    "float": one float64 matmul on balanced residues, exact while
-    t*q^2 <= 2^55 - 4q. "split": the right operand split into high and low
-    bits, each half's product exact in float64 (3*bits(q-1) + 2*bits(t) <=
-    104). "int64": an integer matmul, exact while t*(q-1)^2 < 2^63. A (t, q)
-    past all three raises InvalidArgument, as does any q with
-    (q-1)^2 >= 2^63, whose elementwise products would overflow int64.
+    "split": the right operand split into high and low bits, each half's
+    product exact in float64 (3*bits(q-1) + 2*bits(t) <= 104). "int64": an
+    integer matmul, exact while t*(q-1)^2 < 2^63. A (t, q) past both raises
+    InvalidArgument, as does any q with (q-1)^2 >= 2^63, whose elementwise
+    products would overflow int64.
     """
     _check_modulus_range(q)
-    if t * q * q <= 2**55 - 4 * q:
-        return "float"
     if _split_bit(t, q) is not None:
         return "split"
     if t * (q - 1) ** 2 < 2**63:
         return "int64"
     raise InvalidArgument(
         f"no exact mod-q matmul for inner length t={t} at q={q}: the kernel "
-        "needs t*q^2 <= 2^55, 3*bits(q-1) + 2*bits(t) <= 104, or t*(q-1)^2 < 2^63"
+        "needs 3*bits(q-1) + 2*bits(t) <= 104 or t*(q-1)^2 < 2^63"
     )
 
 
-def _balanced_f64(a: np.ndarray, q: int) -> np.ndarray:
-    """Float copy with residues mapped to (-q/2, q/2]."""
-    af = a.astype(np.float64)
-    af -= (af > q / 2) * float(q)
-    return af
-
-
-def mod_matmul(a: np.ndarray, b: np.ndarray, q: int, a_f64=None) -> np.ndarray:
+def mod_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """(a @ b) % q, exactly, for int64 matrices of elements reduced into [0, q).
 
     The evaluation is the one `kernel_path` picks for the inner length and
-    q; a (t, q) outside its range raises InvalidArgument. `a_f64`
-    optionally supplies a precomputed `_balanced_f64(a, q)`.
+    q; a (t, q) outside its range raises InvalidArgument.
     """
     t = a.shape[1]
-    path = kernel_path(t, q)
-    if path == "int64":
+    if kernel_path(t, q) == "int64":
         return (a @ b) % q
-    af = a_f64 if a_f64 is not None else _balanced_f64(a, q)
-    if path == "split":
-        k = _split_bit(t, q)
-        halves = np.concatenate([b & ((1 << k) - 1), b >> k], axis=1)
-        parts = (af @ halves.astype(np.float64)).astype(np.int64)
-        cols = b.shape[1]
-        return ((parts[:, cols:] % q) * (1 << k) + parts[:, :cols]) % q
-    # Balanced residues keep |dot| <= t*(q/2)^2 <= 2^53 - q, exact in float64.
-    qf = float(q)
+    k = _split_bit(t, q)
+    low = (1 << k) - 1
+    af = a.astype(np.float64)
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
-    # Tile over columns so the per-block working set stays cache-resident
-    # no matter how wide b is.
+    # Tile over columns: untiled, a wide product goes to multithreaded BLAS,
+    # whose p90 on 2 cores was 16 ms against 0.47 ms tiled (80x140 @ 140x250).
     block = max(1, 4096 // max(t, 1))
     for lo in range(0, b.shape[1], block):
-        bf = b[:, lo : lo + block].astype(np.float64)
-        bf -= (bf > q / 2) * qf
-        c = af @ bf
-        # Reduce mod q in float: the computed floor(c/q) is off by at most 1
-        # (|c/q| * 2^-51 < 1 under the guard), and every intermediate is an
-        # integer of magnitude <= |c| + q <= 2^53, hence exact; the two
-        # fixups catch the off-by-one cases.
-        c -= np.floor(c * (1.0 / qf)) * qf
-        c[c < 0] += qf
-        c[c >= qf] -= qf
-        out[:, lo : lo + block] = c
+        bb = b[:, lo : lo + block]
+        cols = bb.shape[1]
+        halves = np.concatenate([bb & low, bb >> k], axis=1)
+        parts = (af @ halves.astype(np.float64)).astype(np.int64)
+        out[:, lo : lo + cols] = ((parts[:, cols:] % q) * (1 << k) + parts[:, :cols]) % q
     return out
 
 
@@ -183,9 +161,6 @@ class ReconMatrix:
     points: tuple          # the t evaluation points the matrix was built for
     d: int
     fp: FieldParams
-    # `_balanced_f64(rows, q)`, built with the matrix so that applying it
-    # does not redo the conversion on every call.
-    rows_f64: np.ndarray = field(default=None, compare=False, repr=False)
 
     @property
     def t(self) -> int:
@@ -197,7 +172,7 @@ class ReconMatrix:
             raise InvalidArgument(f"expected {self.t} shares, got {len(shares)}")
         q = self.fp.q
         col = (np.asarray(shares, dtype=np.int64) % q).reshape(-1, 1)
-        return mod_matmul(self.rows, col, q, self.rows_f64)[:, 0].tolist()
+        return mod_matmul(self.rows, col, q)[:, 0].tolist()
 
 
 def build_recon_matrix(points, d: int, fp: FieldParams) -> ReconMatrix:
@@ -243,9 +218,7 @@ def build_recon_matrix(points, d: int, fp: FieldParams) -> ReconMatrix:
         cols.append([(c * scale) % q for c in quot[:d]])
 
     rows = np.ascontiguousarray(np.array(cols, dtype=np.int64).T)
-    return ReconMatrix(
-        rows=rows, points=tuple(pts), d=d, fp=fp, rows_f64=_balanced_f64(rows, q)
-    )
+    return ReconMatrix(rows=rows, points=tuple(pts), d=d, fp=fp)
 
 
 def find_field_modulus(n: int, B: int) -> FieldParams:

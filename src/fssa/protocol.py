@@ -354,7 +354,7 @@ class Server:
         sum_matrix = np.stack([by_u[u] for u in pts])
         t0 = time.perf_counter_ns()
         # One product over all chunks: rows (d x t) @ sums (t x chunks).
-        coeff = mod_matmul(matrix.rows, sum_matrix, p.fp.q, matrix.rows_f64)
+        coeff = mod_matmul(matrix.rows, sum_matrix, p.fp.q)
         self.phase_ns["reconstruct"] = time.perf_counter_ns() - t0
         self.round = 3
         return coeff.T.reshape(-1)[: p.m].tolist()

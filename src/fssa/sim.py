@@ -170,10 +170,11 @@ def run_simulation(cfg: SimConfig) -> SimReport:
 
     # Row u-1 is client u's input vector.
     if cfg.inputs is not None:
-        try:
-            inputs = np.array(cfg.inputs, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError) as e:
-            raise InvalidArgument(f"fixed inputs must be integers that fit int64: {e}") from e
+        inputs = np.asarray(cfg.inputs)
+        if inputs.dtype.kind not in "iu":
+            raise InvalidArgument(
+                f"fixed inputs must be integers that fit int64, got {inputs.dtype} entries"
+            )
     else:
         gen = np.random.default_rng(np_seed_root.spawn(1)[0])
         inputs = np.stack([gen.integers(0, cfg.B, size=cfg.m) for _ in range(cfg.n)])
@@ -323,6 +324,12 @@ def _integer(v) -> int:
     raise ValueError("expected an integer")
 
 
+def _number(v) -> float:
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    raise ValueError("expected a number")
+
+
 def _boolean(v) -> bool:
     if not isinstance(v, bool):
         raise ValueError("expected true or false")
@@ -334,9 +341,9 @@ def load_sim_config(path) -> SimConfig:
 
     A key that is not a field, a missing `n` or `m`, or a value that does not
     convert to its field's type raises InvalidArgument naming the key. An
-    integer field takes a YAML integer (or an integral float) and a flag takes
-    only a YAML boolean; a bool, a string or a fraction is refused, not
-    converted.
+    integer field or input entry takes a YAML integer (or an integral float),
+    a rate takes a YAML number and a flag takes only a YAML boolean; a bool, a
+    string or a fraction is refused, not converted.
     """
     with open(path) as f:
         doc = yaml.safe_load(f) or {}
@@ -358,8 +365,8 @@ def load_sim_config(path) -> SimConfig:
     return SimConfig(
         n=value("n", _integer),
         m=value("m", _integer),
-        rho=value("rho", float, 0.0),
-        gamma=value("gamma", float, 0.0),
+        rho=value("rho", _number, 0.0),
+        gamma=value("gamma", _number, 0.0),
         B=value("B", _integer, 2**16),
         seed=value("seed", _integer, 0),
         dropout_schedule=value(
@@ -370,7 +377,7 @@ def load_sim_config(path) -> SimConfig:
         corrupted=value(
             "corrupted", lambda c: frozenset(_integer(u) for u in c), frozenset()
         ),
-        inputs=doc.get("inputs"),
+        inputs=value("inputs", lambda rows: [[_integer(x) for x in r] for r in rows]),
         degenerate_privacy_ok=value("degenerate_privacy_ok", _boolean, False),
         parallel=value("parallel", _boolean, False),
     )

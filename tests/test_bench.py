@@ -83,7 +83,6 @@ class TestCsv:
         assert len(got) == len(rows) == 1
         assert list(got[0]) == CSV_COLUMNS
         assert got[0]["feasible"] == "yes"
-        assert got[0]["baseline_client_ns"] == ""  # reserved, unpopulated
 
     def test_unwritable_path(self):
         with pytest.raises(IOError):

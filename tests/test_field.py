@@ -173,8 +173,8 @@ def object_matmul_mod(a, b, q):
 
 def kernel_operands(rows, t, cols, q, seed):
     """Random reduced entries, with rows of a and columns of b drawn within
-    1024 of the extremes the exactness bounds are about: the largest
-    balanced residue of each sign and the largest residue."""
+    1024 of (q-1)/2, (q+1)/2 and q-1: the residues on either side of q/2 and
+    the largest residue, which gives the largest dot products."""
     gen = np.random.default_rng(seed)
     a = gen.integers(0, q, size=(rows, t), dtype=np.int64)
     b = gen.integers(0, q, size=(t, cols), dtype=np.int64)
@@ -187,7 +187,6 @@ def kernel_operands(rows, t, cols, q, seed):
 
 class TestModMatmul:
     @pytest.mark.parametrize("path, t, q", [
-        ("float", 3355, 3276773),      # largest t with t*q^2 <= 2^55 - 4q
         ("split", 16383, 32767513),    # largest t with 3*bits(q-1) + 2*bits(t) <= 104
         ("int64", 2097172, 2097143),   # largest t with t*(q-1)^2 < 2^63
     ])
@@ -201,37 +200,23 @@ class TestModMatmul:
         a, b = kernel_operands(3, t, 3, q, seed=t)
         assert np.array_equal(mod_matmul(a, b, q), object_matmul_mod(a, b, q))
 
-    @pytest.mark.parametrize("q", [6553511, 16469927])
-    def test_float_reduction_where_the_quotient_is_off_by_one(self, q):
-        # Dot products c = +-(k*q + delta) near 2^53 for which the float
-        # floor(c * (1/q)) misses floor(c/q) by one, in both directions
-        # across these two moduli; the kernel's two fixups must correct them.
-        t = (2**55 - 4 * q) // (q * q)
-        h = (q - 1) // 2
-        base = (t - 2) * h * h
-        ks = base // q + np.arange(-(1 << 14), 1 << 14)
-        targets = []
-        for delta in (-1, 0, 1):
-            for sign in (1, -1):
-                c = sign * (ks * q + delta)
-                off = np.floor(c * (1.0 / q)) != np.floor_divide(c, q)
-                targets += (ks[off][:3] * q + delta).tolist()
-        assert targets
-        # Row 0 of a times column j of b is targets[j]; row 1 gives -targets[j].
-        a = np.array([[h] * (t - 1) + [1], [q - h] * (t - 1) + [q - 1]], dtype=np.int64)
-        b = np.full((t, len(targets)), h, dtype=np.int64)
-        for j, c in enumerate(targets):
-            y = round((c - base) / h)
-            b[-2, j] = y % q
-            b[-1, j] = (c - base - h * y) % q
-        assert kernel_path(t, q) == "float"
-        assert np.array_equal(mod_matmul(a, b, q), object_matmul_mod(a, b, q))
-
-    @pytest.mark.parametrize("t, q", [(35, 3276773), (140, 13107007), (350, 32767513)])
+    @pytest.mark.parametrize("t, q", [
+        (35, 3276773), (140, 13107007), (350, 32767513), (3355, 3276773),
+    ])
     def test_benchmark_shapes(self, t, q):
-        # (t, q) of the wide, cohort and n=500 paper-scale plans.
+        # (t, q) of the wide, cohort and n=500 paper-scale plans, and the
+        # largest t with t*q^2 <= 2^55 - 4q at the wide plan's q.
         a, b = kernel_operands(20, t, 30, q, seed=q)
         assert np.array_equal(mod_matmul(a, b, q), object_matmul_mod(a, b, q))
+
+    def test_split_covers_former_float_range(self):
+        # For each bit length of q-1, the smallest such q at the largest t
+        # (up to q-1) with t*q^2 <= 2^55 - 4q, the range of the balanced float
+        # product the split replaced; both bounds are monotone in t and q.
+        for bits in range(2, 33):
+            q = 2 ** (bits - 1) + 1
+            t = min(q - 1, (2**55 - 4 * q) // (q * q))
+            assert kernel_path(t, q) == "split", (t, q)
 
     def test_refuses_past_its_range(self):
         q = 32767513

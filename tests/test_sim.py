@@ -41,6 +41,12 @@ class TestBasicRuns:
         assert report.aggregate == report.expected_sum_over_u2
         assert report.roster_sizes == {"u1": 5, "u2": 5, "u3": 5}
 
+    def test_fractional_inputs_refused(self):
+        inputs = [[u, 0, 3, 15] for u in range(1, 6)]
+        inputs[0][1] = 1.7
+        with pytest.raises(InvalidArgument, match="integers .* float64 entries"):
+            run_simulation(cfg(inputs=inputs))
+
     def test_random_inputs_match_expectation(self):
         report = run_simulation(cfg(seed=13))
         assert report.status == "ok"
@@ -252,8 +258,14 @@ class TestConfigFile:
          r"bad value for parallel in .*: 'no' \(expected true or false\)"),
         ("n: 3\nm: 1\nseed: 2.9\n", r"bad value for seed in .*: 2.9 \(expected an integer\)"),
         ("n: 3\nm: true\n", r"bad value for m in .*: True \(expected an integer\)"),
+        ("n: 3\nm: 2\nB: 4\ninputs: [[true, 2], [1, 1], [0, 3]]\n",
+         r"bad value for inputs in .*: \[\[True, 2\], .* \(expected an integer\)"),
+        ("n: 3\nm: 2\nB: 4\ninputs: [[1, 2.9], [1, 1], [0, 3]]\n",
+         r"bad value for inputs in .*: \[\[1, 2.9\], .* \(expected an integer\)"),
+        ('n: 3\nm: 1\nrho: "0.34"\n', r"bad value for rho in .*: '0.34' \(expected a number\)"),
     ], ids=["missing-n", "unknown-drop-point", "scalar-corrupted", "string-flag",
-            "string-parallel", "fractional-seed", "bool-m"])
+            "string-parallel", "fractional-seed", "bool-m", "bool-input",
+            "fractional-input", "string-rho"])
     def test_bad_value_refused(self, tmp_path, text, pattern):
         path = tmp_path / "sim.yaml"
         path.write_text(text)
