@@ -173,9 +173,8 @@ def run_point(spec: SweepSpec, index: int, n, m, rho, gamma) -> dict:
         for phase in ("route", "precompute", "reconstruct"):
             samples[f"server_{phase}_ns"].append(report.server_phase_ns.get(phase, 0))
         survivors = [u for u, ph in report.client_phase_ns.items() if "sum" in ph]
-        samples["bytes_per_client"].append(
-            statistics.fmean(report.bytes_sent[u] for u in survivors)
-        )
+        sent = report.bytes_sent
+        samples["bytes_per_client"].append(statistics.fmean(sent[u] for u in survivors))
 
     for col, vals in samples.items():
         mean, std = _mean_std(vals)

@@ -1,10 +1,14 @@
 """Bit-exact wire formats for the five protocol messages.
 
-Layout: 1 tag byte, then fixed-layout fields. Client indices are 4-byte
-little-endian; list lengths are 4-byte little-endian counts; public keys and
-ciphertexts carry a 4-byte little-endian length prefix; field elements use
-the field's fixed byte width, little-endian. Every modulus FieldParams admits
-is below 2^32, so an element takes at most 4 bytes and decodes into int64.
+Layout: 1 tag byte, then fixed-layout fields. Integers are 4-byte
+little-endian (u32); a public key carries a u32 length prefix; field elements
+use the field's fixed byte width, little-endian. Every modulus FieldParams
+admits is below 2^32, so an element takes at most 4 bytes and decodes into
+int64.
+
+The key roster, an upload's ciphertexts and a delivery's ciphertexts share
+one list layout: a u32 count, then per entry a u32 client index, a u32 length
+and that many bytes. The indices of one list must be distinct.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ TAG_SHARE_DELIVERY = 3
 TAG_SUM_SHARES = 4
 
 _U32 = struct.Struct("<I")
+_ENTRY = struct.Struct("<II")  # list entry: client index, length
 
 
 @dataclass(frozen=True)
@@ -62,24 +67,6 @@ class SumShares:
         return self.u == other.u and np.array_equal(self.sums, other.sums)
 
 
-class _Writer:
-    def __init__(self):
-        self.parts = []
-
-    def u8(self, v):
-        self.parts.append(bytes([v]))
-
-    def u32(self, v):
-        self.parts.append(_U32.pack(v))
-
-    def blob(self, b):
-        self.u32(len(b))
-        self.parts.append(bytes(b))
-
-    def getvalue(self):
-        return b"".join(self.parts)
-
-
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -111,42 +98,37 @@ def _check_unique(indices, what):
         raise InvalidArgument(f"duplicate client index in {what}")
 
 
+def _pack_list(pairs, what) -> list[bytes]:
+    """The list layout of (index, bytes) pairs, as parts to join."""
+    _check_unique([i for i, _ in pairs], what)
+    parts = [_U32.pack(len(pairs))]
+    for i, b in pairs:
+        parts += (_ENTRY.pack(i, len(b)), b)
+    return parts
+
+
+def _read_list(r: _Reader, what) -> tuple:
+    pairs = tuple((r.u32(), r.blob()) for _ in range(r.u32()))
+    _check_unique([i for i, _ in pairs], what)
+    return pairs
+
+
 def serialize(msg, fp: FieldParams) -> bytes:
-    w = _Writer()
     if isinstance(msg, ClientHello):
-        w.u8(TAG_CLIENT_HELLO)
-        w.u32(msg.u)
-        w.blob(msg.public_key)
+        parts = [struct.pack("<BII", TAG_CLIENT_HELLO, msg.u, len(msg.public_key)), msg.public_key]
     elif isinstance(msg, KeyBroadcast):
-        _check_unique([u for u, _ in msg.keys], "KeyBroadcast")
-        w.u8(TAG_KEY_BROADCAST)
-        w.u32(len(msg.keys))
-        for u, pk in msg.keys:
-            w.u32(u)
-            w.blob(pk)
+        parts = [bytes([TAG_KEY_BROADCAST]), *_pack_list(msg.keys, "KeyBroadcast")]
     elif isinstance(msg, ShareUpload):
-        _check_unique([v for v, _ in msg.ciphertexts], "ShareUpload")
-        w.u8(TAG_SHARE_UPLOAD)
-        w.u32(msg.u)
-        w.u32(len(msg.ciphertexts))
-        for v, ct in msg.ciphertexts:
-            w.u32(v)
-            w.blob(ct)
+        head = struct.pack("<BI", TAG_SHARE_UPLOAD, msg.u)
+        parts = [head, *_pack_list(msg.ciphertexts, "ShareUpload")]
     elif isinstance(msg, ShareDelivery):
-        _check_unique([v for v, _ in msg.ciphertexts], "ShareDelivery")
-        w.u8(TAG_SHARE_DELIVERY)
-        w.u32(len(msg.ciphertexts))
-        for v, ct in msg.ciphertexts:
-            w.u32(v)
-            w.blob(ct)
+        parts = [bytes([TAG_SHARE_DELIVERY]), *_pack_list(msg.ciphertexts, "ShareDelivery")]
     elif isinstance(msg, SumShares):
-        w.u8(TAG_SUM_SHARES)
-        w.u32(msg.u)
-        w.u32(len(msg.sums))
-        w.parts.append(encode_elems(msg.sums, fp))
+        head = struct.pack("<BII", TAG_SUM_SHARES, msg.u, len(msg.sums))
+        parts = [head, encode_elems(msg.sums, fp)]
     else:
         raise InvalidArgument(f"unknown message type {type(msg).__name__}")
-    return w.getvalue()
+    return b"".join(parts)
 
 
 def deserialize(data: bytes, fp: FieldParams):
@@ -155,24 +137,13 @@ def deserialize(data: bytes, fp: FieldParams):
     if tag == TAG_CLIENT_HELLO:
         msg = ClientHello(u=r.u32(), public_key=r.blob())
     elif tag == TAG_KEY_BROADCAST:
-        count = r.u32()
-        keys = tuple((r.u32(), r.blob()) for _ in range(count))
-        _check_unique([u for u, _ in keys], "KeyBroadcast")
-        msg = KeyBroadcast(keys=keys)
+        msg = KeyBroadcast(keys=_read_list(r, "KeyBroadcast"))
     elif tag == TAG_SHARE_UPLOAD:
-        u = r.u32()
-        count = r.u32()
-        cts = tuple((r.u32(), r.blob()) for _ in range(count))
-        _check_unique([v for v, _ in cts], "ShareUpload")
-        msg = ShareUpload(u=u, ciphertexts=cts)
+        msg = ShareUpload(u=r.u32(), ciphertexts=_read_list(r, "ShareUpload"))
     elif tag == TAG_SHARE_DELIVERY:
-        count = r.u32()
-        cts = tuple((r.u32(), r.blob()) for _ in range(count))
-        _check_unique([v for v, _ in cts], "ShareDelivery")
-        msg = ShareDelivery(ciphertexts=cts)
+        msg = ShareDelivery(ciphertexts=_read_list(r, "ShareDelivery"))
     elif tag == TAG_SUM_SHARES:
-        u = r.u32()
-        count = r.u32()
+        u, count = r.u32(), r.u32()
         msg = SumShares(u=u, sums=decode_elems(r.take(count * fp.byte_width), count, fp))
     else:
         raise InvalidArgument(f"unknown message tag {tag}")

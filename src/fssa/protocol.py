@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,13 +112,16 @@ def chunk_vector(x, d: int, B: int) -> np.ndarray:
     if d < 1:
         raise InvalidArgument("chunk length must be positive")
     try:
-        a = np.asarray(x, dtype=np.int64)
+        a = np.asarray(x)
     except (OverflowError, TypeError, ValueError) as e:
         raise InvalidArgument(f"input entries must be integers that fit int64: {e}") from e
     if a.ndim != 1:
         raise InvalidArgument("input must be a one-dimensional vector")
     if a.size < 1:
         raise InvalidArgument("empty input vector")
+    # A float, bool or string entry is refused, not truncated or converted.
+    if a.dtype.kind not in "iu":
+        raise InvalidArgument(f"input entries must be integers that fit int64, got {a.dtype}")
     if a.min() < 0 or a.max() >= B:
         bad = a[(a < 0) | (a >= B)][0]
         raise InvalidArgument(f"entry {bad} outside [0, {B})")
@@ -149,8 +153,7 @@ class Client:
         self.params = params
         self.round = Round.FRESH
         self.keypair = None
-        self.roster = {}          # u -> public key bytes, from the broadcast
-        self.pair_keys = {}       # v -> 32-byte symmetric key
+        self.pair_keys = {}       # v -> 32-byte symmetric key, for each other roster member
         self.own_shares = None    # this client's own share of each chunk (int64 array)
         self.phase_ns = {}
 
@@ -186,7 +189,6 @@ class Client:
             self._abort("own public key missing or mismatched in broadcast")
         if len(x) != p.m:
             raise InvalidArgument(f"input vector length {len(x)} != m = {p.m}")
-        self.roster = roster
         points = sorted(roster)
 
         t0 = time.perf_counter_ns()
@@ -230,6 +232,9 @@ class Client:
             raise ProtocolOrderViolation(f"round2 called in state {self.round}")
         p = self.params
         senders = [v for v, _ in delivery.ciphertexts]
+        repeated = [v for v, k in Counter(senders).items() if k > 1]
+        if repeated:
+            self._abort(f"delivery repeats sender {repeated[0]}")
         u2 = set(senders) | {self.u}
         if len(u2) < p.t:
             self._abort(f"|U2| = {len(u2)} below threshold {p.t}")
@@ -237,7 +242,7 @@ class Client:
         t0 = time.perf_counter_ns()
         sums = self.own_shares
         for v, ct_bytes in delivery.ciphertexts:
-            if v == self.u or v not in self.roster:
+            if v not in self.pair_keys:
                 self._abort(f"delivery names unexpected sender {v}")
             try:
                 pt = ae_dec(self.pair_keys[v], ct_bytes)
@@ -269,7 +274,6 @@ class Server:
         self.u1: tuple = ()
         self.u2: tuple = ()
         self.u3: tuple = ()
-        self.public_keys = {}
         self.phase_ns = {}
 
     def round0(self, hellos) -> KeyBroadcast:
@@ -285,9 +289,9 @@ class Server:
         if len(indices) < p.t:
             raise RoundAborted(f"only {len(indices)} keys collected, need {p.t}")
         self.u1 = tuple(sorted(indices))
-        self.public_keys = {h.u: h.public_key for h in hellos}
+        public_keys = {h.u: h.public_key for h in hellos}
         self.round = 1
-        return KeyBroadcast(keys=tuple((u, self.public_keys[u]) for u in self.u1))
+        return KeyBroadcast(keys=tuple((u, public_keys[u]) for u in self.u1))
 
     def round1(self, uploads) -> dict:
         if self.round != 1:

@@ -55,6 +55,9 @@ class SimConfig:
         )
 
     def validate(self, params: Params):
+        for u, point in self.dropout_schedule.items():
+            if not isinstance(point, DropPoint):
+                raise InvalidArgument(f"drop point {point!r} for client {u} is not a DropPoint")
         dropping = {u for u, p in self.dropout_schedule.items() if p is not DropPoint.NEVER}
         if len(dropping) > self.n - params.t:
             raise InvalidArgument(
@@ -75,22 +78,40 @@ class SimConfig:
 
 @dataclass
 class SimReport:
-    status: str                    # "ok" or "aggregation_failed"
+    params: Params
     aggregate: list | None
-    n: int
-    m: int
-    t: int
-    d: int
-    q: int
-    chunk_count: int
     roster_sizes: dict             # {"u1": ..., "u2": ..., "u3": ...}
     expected_sum_over_u2: list | None
     client_phase_ns: dict          # u -> {"keygen", "share", "agree", "encrypt", "sum"} in ns
     server_phase_ns: dict          # {"route", "precompute", "reconstruct"} in ns
-    bytes_sent: dict               # u -> total bytes this client put on the wire
-    server_bytes_sent: int
     transcript: list               # (stage, sender, recipient, payload bytes)
-    corrupted_views: dict          # u -> list of payloads the corrupted client received
+    corrupted: frozenset           # the clients whose received payloads are their views
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.aggregate is not None else "aggregation_failed"
+
+    @property
+    def bytes_sent(self) -> dict:
+        """u -> total bytes this client put on the wire."""
+        out: dict = {}
+        for _, sender, _, payload in self.transcript:
+            if sender != "server":
+                out[sender] = out.get(sender, 0) + len(payload)
+        return out
+
+    @property
+    def server_bytes_sent(self) -> int:
+        return sum(len(p) for _, sender, _, p in self.transcript if sender == "server")
+
+    @property
+    def corrupted_views(self) -> dict:
+        """u -> the payloads each corrupted client received, in order."""
+        views: dict = {u: [] for u in self.corrupted}
+        for _, _, recipient, payload in self.transcript:
+            if recipient in views:
+                views[recipient].append(payload)
+        return views
 
     def sent_counts(self) -> dict:
         out: dict = {}
@@ -107,15 +128,16 @@ class SimReport:
         return out
 
     def to_json(self) -> str:
+        params = self.params
         doc = {
             "status": self.status,
             "aggregate": self.aggregate,
-            "n": self.n,
-            "m": self.m,
-            "t": self.t,
-            "d": self.d,
-            "q": self.q,
-            "chunk_count": self.chunk_count,
+            "n": params.n,
+            "m": params.m,
+            "t": params.t,
+            "d": params.d,
+            "q": params.fp.q,
+            "chunk_count": params.chunk_count,
             "roster_sizes": self.roster_sizes,
             "expected_sum_over_u2": self.expected_sum_over_u2,
             "client_phase_ns": {str(k): v for k, v in self.client_phase_ns.items()},
@@ -136,24 +158,6 @@ class SimReport:
 def apply_dropout_schedule(schedule: dict, boundary: DropPoint, live_set: set) -> set:
     """Remove exactly the clients scheduled to drop at this boundary."""
     return {u for u in live_set if schedule.get(u, DropPoint.NEVER) is not boundary}
-
-
-def collect_metrics(transcript, clients, server, extra) -> dict:
-    """Assemble the measured SimReport fields from a finished (or failed) run."""
-    bytes_sent: dict = {}
-    server_bytes = 0
-    for _, sender, _, payload in transcript:
-        if sender == "server":
-            server_bytes += len(payload)
-        else:
-            bytes_sent[sender] = bytes_sent.get(sender, 0) + len(payload)
-    return {
-        "client_phase_ns": {u: dict(c.phase_ns) for u, c in clients.items() if c.phase_ns},
-        "server_phase_ns": dict(server.phase_ns),
-        "bytes_sent": bytes_sent,
-        "server_bytes_sent": server_bytes,
-        **extra,
-    }
 
 
 def run_simulation(cfg: SimConfig) -> SimReport:
@@ -182,122 +186,93 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     clients = {u: Client(u, params) for u in range(1, cfg.n + 1)}
     server = Server(params)
     transcript: list = []
-    corrupted_views: dict = {u: [] for u in cfg.corrupted}
     schedule = cfg.dropout_schedule
-
-    def log(stage, sender, recipient, payload: bytes):
-        transcript.append((stage, sender, recipient, payload))
-        if recipient in corrupted_views:
-            corrupted_views[recipient].append(payload)
-
-    def report(roster_sizes, aggregate=None, expected=None):
-        extra = {
-            "status": "ok" if aggregate is not None else "aggregation_failed",
-            "aggregate": aggregate,
-            "expected_sum_over_u2": expected,
-            "roster_sizes": roster_sizes,
-        }
-        metrics = collect_metrics(transcript, clients, server, extra)
-        return SimReport(
-            n=cfg.n,
-            m=cfg.m,
-            t=params.t,
-            d=params.d,
-            q=fp.q,
-            chunk_count=params.chunk_count,
-            transcript=transcript,
-            corrupted_views=corrupted_views,
-            **metrics,
-        )
-
+    hellos, uploads, sums = [], [], []
+    aggregate = expected = None
     live = set(clients)
 
-    # Round 0: every live client advertises a key.
-    hellos = []
-    for u in sorted(live):
-        wire = messages.serialize(clients[u].round0(rng), fp)
-        log("round0", u, "server", wire)
-        hellos.append(messages.deserialize(wire, fp))
+    # A round the server aborts (too few keys, uploads or sums) ends the run
+    # with no aggregate; the roster sizes count the messages each round got.
     try:
+        # Round 0: every live client advertises a key.
+        for u in sorted(live):
+            wire = messages.serialize(clients[u].round0(rng), fp)
+            transcript.append(("round0", u, "server", wire))
+            hellos.append(messages.deserialize(wire, fp))
         broadcast = server.round0(hellos)
-    except RoundAborted:
-        return report({"u1": len(hellos), "u2": 0, "u3": 0})
-    broadcast_wire = messages.serialize(broadcast, fp)
-    for u in sorted(live):
-        log("broadcast", "server", u, broadcast_wire)
+        broadcast_wire = messages.serialize(broadcast, fp)
+        for u in sorted(live):
+            transcript.append(("broadcast", "server", u, broadcast_wire))
 
-    live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND0, live)
+        live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND0, live)
 
-    # Round 1: surviving clients chunk, share, and encrypt.
-    np_rngs = {
-        u: np.random.default_rng(s)
-        for u, s in zip(sorted(clients), np_seed_root.spawn(len(clients)))
-    }
+        # Round 1: surviving clients chunk, share, and encrypt.
+        np_rngs = {
+            u: np.random.default_rng(s)
+            for u, s in zip(sorted(clients), np_seed_root.spawn(len(clients)))
+        }
 
-    def do_round1(u):
-        return clients[u].round1(
-            messages.deserialize(broadcast_wire, fp),
-            inputs[u - 1],
-            rng=_sub_rng(cfg.seed, u),
-            np_rng=np_rngs[u],
-        )
+        def do_round1(u):
+            return clients[u].round1(
+                messages.deserialize(broadcast_wire, fp),
+                inputs[u - 1],
+                rng=_sub_rng(cfg.seed, u),
+                np_rng=np_rngs[u],
+            )
 
-    order = sorted(live)
-    aborted = set()
-    if cfg.parallel:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(_guarded(do_round1), order))
-    else:
-        results = [_guarded(do_round1)(u) for u in order]
-    uploads = []
-    for u, res in zip(order, results):
-        if isinstance(res, ClientAborted):
-            aborted.add(u)
-            continue
-        wire = messages.serialize(res, fp)
-        log("round1", u, "server", wire)
-        uploads.append(messages.deserialize(wire, fp))
-    live -= aborted
+        order = sorted(live)
+        if cfg.parallel:
+            with ThreadPoolExecutor() as pool:
+                results = list(pool.map(_guarded(do_round1), order))
+        else:
+            results = [_guarded(do_round1)(u) for u in order]
+        for u, res in zip(order, results):
+            if isinstance(res, ClientAborted):
+                live.discard(u)
+                continue
+            wire = messages.serialize(res, fp)
+            transcript.append(("round1", u, "server", wire))
+            uploads.append(messages.deserialize(wire, fp))
 
-    try:
         deliveries = server.round1(uploads)
-    except RoundAborted:
-        return report({"u1": len(server.u1), "u2": len(uploads), "u3": 0})
 
-    live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND1_SEND, live)
+        live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND1_SEND, live)
 
-    # Round 2: deliveries go out, survivors respond with summed shares.
-    sums = []
-    delivery_wires = {}
-    for u in sorted(live):
-        if u not in deliveries:
-            continue
-        delivery_wires[u] = messages.serialize(deliveries[u], fp)
-        log("delivery", "server", u, delivery_wires[u])
-    live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND1_RECEIVE, live)
-    for u in sorted(live):
-        if u not in delivery_wires:
-            continue
-        try:
-            msg = clients[u].round2(messages.deserialize(delivery_wires[u], fp))
-        except ClientAborted:
-            continue
-        wire = messages.serialize(msg, fp)
-        log("round2", u, "server", wire)
-        sums.append(messages.deserialize(wire, fp))
+        # Round 2: deliveries go out, survivors respond with summed shares.
+        delivery_wires = {}
+        for u in sorted(live):
+            if u not in deliveries:
+                continue
+            delivery_wires[u] = messages.serialize(deliveries[u], fp)
+            transcript.append(("delivery", "server", u, delivery_wires[u]))
+        live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND1_RECEIVE, live)
+        for u in sorted(live):
+            if u not in delivery_wires:
+                continue
+            try:
+                msg = clients[u].round2(messages.deserialize(delivery_wires[u], fp))
+            except ClientAborted:
+                continue
+            wire = messages.serialize(msg, fp)
+            transcript.append(("round2", u, "server", wire))
+            sums.append(messages.deserialize(wire, fp))
 
-    try:
         aggregate = server.round2(sums)
+        # Every U2 input passed chunk_vector's [0, B) check, and n(B-1) < q < 2^32
+        # under the kernel's range, so the int64 sum is exact.
+        expected = (inputs[[u - 1 for u in server.u2]].sum(axis=0) % fp.q).tolist()
     except (InsufficientShares, RoundAborted):
-        return report({"u1": len(server.u1), "u2": len(server.u2), "u3": len(sums)})
+        pass
 
-    # Every U2 input passed chunk_vector's [0, B) check, and n(B-1) < q < 2^32
-    # under the kernel's range, so the int64 sum is exact.
-    expected = inputs[[u - 1 for u in server.u2]].sum(axis=0) % fp.q
-    return report(
-        {"u1": len(server.u1), "u2": len(server.u2), "u3": len(server.u3)},
-        aggregate,
-        expected.tolist(),
+    return SimReport(
+        params=params,
+        aggregate=aggregate,
+        roster_sizes={"u1": len(hellos), "u2": len(uploads), "u3": len(sums)},
+        expected_sum_over_u2=expected,
+        client_phase_ns={u: dict(c.phase_ns) for u, c in clients.items() if c.phase_ns},
+        server_phase_ns=dict(server.phase_ns),
+        transcript=transcript,
+        corrupted=frozenset(cfg.corrupted),
     )
 
 

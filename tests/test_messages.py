@@ -137,11 +137,24 @@ class TestValidation:
         with pytest.raises(InvalidArgument):
             serialize(msg, F11)
 
-    def test_duplicate_key_owner_rejected_on_decode(self):
-        good = serialize(KeyBroadcast(keys=((1, b"\xaa"), (2, b"\xbb"))), F11)
+    @pytest.mark.parametrize("make", [
+        lambda pairs: KeyBroadcast(keys=pairs),
+        lambda pairs: ShareUpload(u=9, ciphertexts=pairs),
+        lambda pairs: ShareDelivery(ciphertexts=pairs),
+    ], ids=["KeyBroadcast", "ShareUpload", "ShareDelivery"])
+    def test_duplicate_key_owner_rejected_on_decode(self, make):
+        good = serialize(make(((1, b"\xaa"), (2, b"\xbb"))), F11)
         bad = good.replace(b"\x02\x00\x00\x00\x01\x00\x00\x00\xbb", b"\x01\x00\x00\x00\x01\x00\x00\x00\xbb")
-        with pytest.raises(InvalidArgument):
+        assert len(bad) == len(good) and bad != good
+        with pytest.raises(InvalidArgument, match="duplicate client index"):
             deserialize(bad, F11)
+
+    def test_share_plaintext_truncated_or_trailing(self):
+        blob = encode_share_plaintext(1, 2, [10, 0], F11)
+        with pytest.raises(InvalidArgument, match="truncated"):
+            decode_share_plaintext(blob[:-1], F11)
+        with pytest.raises(InvalidArgument, match="trailing"):
+            decode_share_plaintext(blob + b"\x00", F11)
 
     def test_element_out_of_range(self):
         blob = serialize(SumShares(u=1, sums=(10,)), F11)

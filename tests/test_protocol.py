@@ -118,8 +118,13 @@ class TestChunkVector:
             chunk_vector([-1], 2, 10)
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match="empty input vector"):
             chunk_vector([], 2, 10)
+
+    @pytest.mark.parametrize("x", [[1.7, 2], [True, False], ["3", "2"]], ids=["float", "bool", "str"])
+    def test_non_integer_entries_rejected(self, x):
+        with pytest.raises(InvalidArgument, match="must be integers"):
+            chunk_vector(x, 2, 10)
 
 
 class TestEndToEnd:
@@ -240,6 +245,16 @@ class TestClientAborts:
         )
         with pytest.raises(ClientAborted):
             clients[1].round2(forged)
+
+    def test_repeated_sender_aborts(self):
+        # Summing one sender's shares twice would make the aggregate wrong.
+        p, rng, clients, server, broadcast = self._setup()
+        uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+        dv = server.round1(uploads)[1]
+        doubled = ShareDelivery(ciphertexts=dv.ciphertexts + dv.ciphertexts[:1])
+        with pytest.raises(ClientAborted, match=f"repeats sender {dv.ciphertexts[0][0]}"):
+            clients[1].round2(doubled)
+        assert clients[1].round is Round.ABORTED
 
     def test_small_delivery_aborts(self):
         p, rng, clients, server, broadcast = self._setup()

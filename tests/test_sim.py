@@ -24,11 +24,12 @@ def cfg(**kw):
 
 def expected_wire_bytes(report, pk_len):
     """Closed-form per-message byte counts for the fixed wire layout."""
-    bw = (report.q.bit_length() + 7) // 8
-    ct_len = 12 + 12 + report.chunk_count * bw + 16  # nonce + header + shares + tag
+    bw = (report.params.fp.q.bit_length() + 7) // 8
+    chunk_count = report.params.chunk_count
+    ct_len = 12 + 12 + chunk_count * bw + 16  # nonce + header + shares + tag
     hello = 1 + 4 + 4 + pk_len
     upload = 1 + 4 + 4 + (report.roster_sizes["u1"] - 1) * (4 + 4 + ct_len)
-    sums = 1 + 4 + 4 + report.chunk_count * bw
+    sums = 1 + 4 + 4 + chunk_count * bw
     return hello, upload, sums
 
 
@@ -137,6 +138,11 @@ class TestScheduleValidation:
         with pytest.raises(InvalidArgument):
             run_simulation(cfg(dropout_schedule={9: DropPoint.AFTER_ROUND0}))
 
+    def test_drop_point_must_be_a_drop_point(self):
+        # A string is neither honoured nor ignored: it names no DropPoint.
+        with pytest.raises(InvalidArgument, match="'after_round0' for client 2"):
+            run_simulation(cfg(dropout_schedule={2: "after_round0"}))
+
     def test_corruption_budget(self):
         # t=4, d=3 at these rates: at most one corrupted client.
         with pytest.raises(InvalidArgument):
@@ -207,11 +213,28 @@ class TestFailureReporting:
         assert report.roster_sizes == {"u1": 5, "u2": 0, "u3": 0}
 
     def test_report_serializes(self):
-        report = run_simulation(cfg(seed=12))
+        report = run_simulation(cfg(
+            seed=12, corrupted=frozenset({3}), dropout_schedule={2: DropPoint.AFTER_ROUND0}
+        ))
         doc = json.loads(report.to_json())
         assert doc["status"] == "ok"
         assert doc["aggregate"] == report.aggregate
         assert len(doc["transcript"]) == len(report.transcript)
+        assert (doc["n"], doc["m"], doc["t"], doc["d"]) == (5, 4, 4, 3)
+        assert doc["q"] == report.params.fp.q
+        assert doc["chunk_count"] == 2
+        sent, server_sent = {}, 0
+        for _, s, _, p in report.transcript:
+            if s == "server":
+                server_sent += len(p)
+            else:
+                sent[str(s)] = sent.get(str(s), 0) + len(p)
+        assert doc["bytes_sent"] == sent
+        assert doc["server_bytes_sent"] == server_sent
+        # Client 3 received the broadcast and its delivery.
+        received = [p.hex() for _, _, r, p in report.transcript if r == 3]
+        assert doc["corrupted_views"] == {"3": received}
+        assert len(received) == 2
 
 
 class TestConfigFile:
