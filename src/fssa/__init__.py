@@ -18,7 +18,6 @@ from .errors import (
 )
 from .field import (
     FieldParams,
-    ReconMatrix,
     build_recon_matrix,
     fe_inv,
     find_field_modulus,
@@ -52,8 +51,7 @@ __all__ = [
     "ae_dec", "ae_enc",
     "ClientAborted", "FssaError", "InsufficientShares", "InvalidArgument",
     "ProtocolOrderViolation", "Rejected", "RoundAborted",
-    "FieldParams", "ReconMatrix", "build_recon_matrix", "fe_inv",
-    "find_field_modulus", "poly_eval",
+    "FieldParams", "build_recon_matrix", "fe_inv", "find_field_modulus", "poly_eval",
     "KeyPair", "ka_agree", "ka_gen",
     "ClientHello", "KeyBroadcast", "ShareDelivery", "ShareUpload", "SumShares",
     "deserialize", "serialize",

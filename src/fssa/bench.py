@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import math
 import random
 import statistics
 import sys
@@ -147,9 +146,9 @@ def run_point(spec: SweepSpec, index: int, n, m, rho, gamma) -> dict:
     # BLAS initialization) so the measured iterations reflect steady state.
     for it in range(-1, spec.iterations):
         seed = spec.seed_base + index + max(it, 0)
-        drop_count = math.floor(rho * n + 1e-9)
-        # Dropouts happen after key advertisement, before share upload.
-        dropped = random.Random(seed).sample(range(1, n + 1), drop_count)
+        # The planned n - t dropouts happen after key advertisement, before
+        # share upload.
+        dropped = random.Random(seed).sample(range(1, n + 1), params.n - params.t)
         cfg = SimConfig(
             n=n,
             m=m,

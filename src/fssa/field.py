@@ -1,5 +1,5 @@
 """Prime-field arithmetic, polynomial evaluation, the exact mod-q matrix product,
-and reconstruction matrices.
+and reconstruction matrices as plain (d, t) int64 arrays.
 
 One modulus range is supported: a prime q with (q-1)^2 < 2^63, so that
 every element fits 4 bytes and every elementwise product fits int64.
@@ -8,10 +8,10 @@ exact for every n and a few milliseconds at most in this range. Scalar
 helpers work on plain Python ints kept fully reduced in [0, q); they are the
 reference the batch code is tested against. Batch data are numpy int64 arrays of reduced elements.
 Sharing evaluates polynomials by Horner's rule (`poly_eval_batch`); every
-matrix product over the field goes through `mod_matmul`. It splits the right
-operand into low and high bits so that each half's float64 product is exact,
-or, where no split is exact, multiplies in int64. It is exact for every inner
-length t and modulus q that `kernel_path` accepts and raises InvalidArgument
+matrix product over the field goes through `mod_matmul`, which has one
+evaluation: it splits the right operand into low and high bits so that each
+half's float64 product is exact. `split_bit` states its range (inner length t
+and modulus q with 3*bits(q-1) + 2*bits(t) <= 104) and raises InvalidArgument
 for any other.
 """
 
@@ -90,52 +90,37 @@ def poly_eval_batch(coeff_matrix: np.ndarray, xs: np.ndarray, fp: FieldParams) -
     return acc
 
 
-def _split_bit(t: int, q: int) -> int | None:
-    """Bit k at which to split the right operand, or None if no split is exact.
+def split_bit(t: int, q: int) -> int:
+    """Bit k at which `mod_matmul` splits the right operand for inner length t mod q.
 
     Every float dot product must stay below 2^52, so qb + k + lt <= 52 (low
     half) and 2*qb - k + lt <= 52 (high half), with qb and lt the bit lengths
-    of q-1 and t, for a left operand reduced into [0, q).
+    of q-1 and t, for a left operand reduced into [0, q): some k exists while
+    3*bits(q-1) + 2*bits(t) <= 104. A (t, q) past that raises InvalidArgument,
+    as does any q with (q-1)^2 >= 2^63, whose elementwise products would
+    overflow int64.
     """
+    _check_modulus_range(q)
     qb = (q - 1).bit_length()
     lt = max(t, 1).bit_length()
     k_min = max(1, 2 * qb + lt - 52)
     k_max = 52 - qb - lt
     if k_min > k_max:
-        return None
+        raise InvalidArgument(
+            f"no exact mod-q matmul for inner length t={t} at q={q}: the kernel "
+            "needs 3*bits(q-1) + 2*bits(t) <= 104"
+        )
     return min(max(qb // 2, k_min), k_max)
-
-
-def kernel_path(t: int, q: int) -> str:
-    """How `mod_matmul` computes a product of inner length t mod q exactly.
-
-    "split": the right operand split into high and low bits, each half's
-    product exact in float64 (3*bits(q-1) + 2*bits(t) <= 104). "int64": an
-    integer matmul, exact while t*(q-1)^2 < 2^63. A (t, q) past both raises
-    InvalidArgument, as does any q with (q-1)^2 >= 2^63, whose elementwise
-    products would overflow int64.
-    """
-    _check_modulus_range(q)
-    if _split_bit(t, q) is not None:
-        return "split"
-    if t * (q - 1) ** 2 < 2**63:
-        return "int64"
-    raise InvalidArgument(
-        f"no exact mod-q matmul for inner length t={t} at q={q}: the kernel "
-        "needs 3*bits(q-1) + 2*bits(t) <= 104 or t*(q-1)^2 < 2^63"
-    )
 
 
 def mod_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """(a @ b) % q, exactly, for int64 matrices of elements reduced into [0, q).
 
-    The evaluation is the one `kernel_path` picks for the inner length and
-    q; a (t, q) outside its range raises InvalidArgument.
+    b is split at `split_bit` into low and high bits, and each half's float64
+    product is exact; a (t, q) outside that range raises InvalidArgument.
     """
     t = a.shape[1]
-    if kernel_path(t, q) == "int64":
-        return (a @ b) % q
-    k = _split_bit(t, q)
+    k = split_bit(t, q)
     low = (1 << k) - 1
     af = a.astype(np.float64)
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
@@ -151,32 +136,8 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ReconMatrix:
-    """d x t matrix mapping t polynomial evaluations to the first d coefficients."""
-
-    # (d, t) int64 array; determined by the other fields, so left out of
-    # equality and hashing.
-    rows: np.ndarray = field(compare=False, repr=False)
-    points: tuple          # the t evaluation points the matrix was built for
-    d: int
-    fp: FieldParams
-
-    @property
-    def t(self) -> int:
-        return len(self.points)
-
-    def apply(self, shares) -> list[int]:
-        """Recover the first d coefficients from evaluations at self.points."""
-        if len(shares) != self.t:
-            raise InvalidArgument(f"expected {self.t} shares, got {len(shares)}")
-        q = self.fp.q
-        col = (np.asarray(shares, dtype=np.int64) % q).reshape(-1, 1)
-        return mod_matmul(self.rows, col, q)[:, 0].tolist()
-
-
-def build_recon_matrix(points, d: int, fp: FieldParams) -> ReconMatrix:
-    """Precompute the coefficient-extraction matrix for a set of evaluation points.
+def build_recon_matrix(points, d: int, fp: FieldParams) -> np.ndarray:
+    """The (d, t) int64 coefficient-extraction matrix for t evaluation points.
 
     Row j holds the degree-j coefficients of the Lagrange basis polynomials for
     the given points, so row j dotted with (f(p_1), ..., f(p_t)) yields the
@@ -193,7 +154,7 @@ def build_recon_matrix(points, d: int, fp: FieldParams) -> ReconMatrix:
         raise InvalidArgument("evaluation points must be nonzero")
     if len(set(pts)) != t:
         raise InvalidArgument("evaluation points must be distinct")
-    kernel_path(t, q)  # a matrix the kernel cannot apply is refused here
+    split_bit(t, q)  # a matrix the kernel cannot apply is refused here
 
     # Master polynomial P(x) = prod (x - p_k), ascending coefficients.
     master = [1]
@@ -217,8 +178,7 @@ def build_recon_matrix(points, d: int, fp: FieldParams) -> ReconMatrix:
         scale = fe_inv(denom, fp)
         cols.append([(c * scale) % q for c in quot[:d]])
 
-    rows = np.ascontiguousarray(np.array(cols, dtype=np.int64).T)
-    return ReconMatrix(rows=rows, points=tuple(pts), d=d, fp=fp)
+    return np.ascontiguousarray(np.array(cols, dtype=np.int64).T)
 
 
 def find_field_modulus(n: int, B: int) -> FieldParams:

@@ -59,7 +59,12 @@ class SumShares:
     sums: np.ndarray  # one summed share per chunk, int64; any int sequence is converted
 
     def __post_init__(self):
-        object.__setattr__(self, "sums", np.asarray(self.sums, dtype=np.int64))
+        sums = np.asarray(self.sums)
+        # A non-integer entry is refused, not truncated; Server.round2 refuses
+        # any entry outside [0, q).
+        if sums.size and sums.dtype.kind not in "iu":
+            raise InvalidArgument(f"sum shares must be integers, got {sums.dtype}")
+        object.__setattr__(self, "sums", sums.astype(np.int64, copy=False))
 
     def __eq__(self, other):
         if not isinstance(other, SumShares):

@@ -28,7 +28,7 @@ from .errors import (
     Rejected,
     RoundAborted,
 )
-from .field import FieldParams, build_recon_matrix, find_field_modulus, kernel_path, mod_matmul
+from .field import FieldParams, build_recon_matrix, find_field_modulus, mod_matmul, split_bit
 from .keyagree import ka_agree, ka_gen
 from .messages import (
     ClientHello,
@@ -62,7 +62,7 @@ class Params:
         if self.n * (self.B - 1) + 1 > self.fp.q:
             raise InvalidArgument("modulus too small: sums could wrap")
         # Reconstruction is an inner-length-t product mod q.
-        kernel_path(self.t, self.fp.q)
+        split_bit(self.t, self.fp.q)
 
     @property
     def chunk_count(self) -> int:
@@ -122,6 +122,9 @@ def chunk_vector(x, d: int, B: int) -> np.ndarray:
     # A float, bool or string entry is refused, not truncated or converted.
     if a.dtype.kind not in "iu":
         raise InvalidArgument(f"input entries must be integers that fit int64, got {a.dtype}")
+    # numpy gives [True, 2] an integer dtype, so a sequence is scanned for bools.
+    if not isinstance(x, np.ndarray) and {bool, np.bool_} & set(map(type, x)):
+        raise InvalidArgument("input entries must be integers, got a bool")
     if a.min() < 0 or a.max() >= B:
         bad = a[(a < 0) | (a >= B)][0]
         raise InvalidArgument(f"entry {bad} outside [0, {B})")
@@ -256,7 +259,7 @@ class Client:
             if len(shares) != p.chunk_count:
                 self._abort(f"wrong share count from {v}")
             sums = sums + shares
-        # At most n <= q-1 addends below q each, and kernel_path keeps
+        # At most n <= q-1 addends below q each, and FieldParams keeps
         # (q-1)^2 < 2^63, so one reduction at the end is exact.
         sums = sums % p.fp.q
         self.phase_ns["sum"] = time.perf_counter_ns() - t0
@@ -339,6 +342,8 @@ class Server:
                 raise InvalidArgument(f"sum shares from client {s.u} outside U2")
             if len(s.sums) != p.chunk_count:
                 raise InvalidArgument("sum-share vector has wrong chunk count")
+            if s.sums.min() < 0 or s.sums.max() >= p.fp.q:
+                raise InvalidArgument(f"sum shares from client {s.u} outside [0, {p.fp.q})")
         if len(senders) < p.t:
             raise InsufficientShares(
                 f"only {len(senders)} clients survived to Round 2, need {p.t}"
@@ -357,8 +362,8 @@ class Server:
         by_u = {s.u: s.sums for s in sums}
         sum_matrix = np.stack([by_u[u] for u in pts])
         t0 = time.perf_counter_ns()
-        # One product over all chunks: rows (d x t) @ sums (t x chunks).
-        coeff = mod_matmul(matrix.rows, sum_matrix, p.fp.q)
+        # One product over all chunks: matrix (d x t) @ sums (t x chunks).
+        coeff = mod_matmul(matrix, sum_matrix, p.fp.q)
         self.phase_ns["reconstruct"] = time.perf_counter_ns() - t0
         self.round = 3
         return coeff.T.reshape(-1)[: p.m].tolist()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientShares, InvalidArgument
-from .field import FieldParams, build_recon_matrix, poly_eval, poly_eval_batch
+from .field import FieldParams, build_recon_matrix, mod_matmul, poly_eval, poly_eval_batch
 
 _ENUMERATION_CAP = 10**6
 
@@ -109,12 +109,12 @@ def rss_recon(rp: RampParams, shares: dict) -> list[int]:
 
     When more than t shares are available the t smallest points are used.
     """
-    if len(set(shares)) != len(shares):
-        raise InvalidArgument("duplicate share points")
     if len(shares) < rp.t:
         raise InsufficientShares(f"need {rp.t} shares, got {len(shares)}")
     pts = sorted(shares)[: rp.t]
-    return build_recon_matrix(pts, rp.d, rp.fp).apply([shares[p] for p in pts])
+    q = rp.fp.q
+    col = np.array([[shares[p] % q] for p in pts], dtype=np.int64)
+    return mod_matmul(build_recon_matrix(pts, rp.d, rp.fp), col, q)[:, 0].tolist()
 
 
 def share_sum(bundles, u: int) -> int:

@@ -13,9 +13,9 @@ from fssa.field import (
     build_recon_matrix,
     fe_inv,
     find_field_modulus,
-    kernel_path,
     mod_matmul,
     poly_eval,
+    split_bit,
 )
 
 F11 = FieldParams(11)
@@ -120,22 +120,28 @@ class TestPolyEval:
             assert poly_eval(coeffs, x, fp) == naive
 
 
+def apply(matrix, shares, q):
+    """Recover the first d coefficients from shares at the matrix's points."""
+    return mod_matmul(matrix, np.array(shares, dtype=np.int64).reshape(-1, 1), q)[:, 0].tolist()
+
+
 class TestReconMatrix:
     def test_lagrange_at_zero_pair(self):
         m = build_recon_matrix([1, 2], 1, F11)
-        assert m.rows.tolist() == [[2, 10]]
+        assert isinstance(m, np.ndarray) and m.dtype == np.int64
+        assert m.tolist() == [[2, 10]]
 
     def test_two_coefficients(self):
         # f(x) = 5 + 7x + x^2, evaluated at 1, 2, 3.
         shares = [poly_eval([5, 7, 1], x, F11) for x in (1, 2, 3)]
         assert shares == [2, 1, 2]
         m = build_recon_matrix([1, 2, 3], 2, F11)
-        assert m.apply(shares) == [5, 7]
-        assert m.apply(shares) == interpolate_coeffs([1, 2, 3], shares, 11)[:2]
+        assert apply(m, shares, 11) == [5, 7]
+        assert apply(m, shares, 11) == interpolate_coeffs([1, 2, 3], shares, 11)[:2]
 
     def test_zero_polynomial(self):
         m = build_recon_matrix([2, 5, 7], 3, F11)
-        assert m.apply([0, 0, 0]) == [0, 0, 0]
+        assert apply(m, [0, 0, 0], 11) == [0, 0, 0]
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -159,8 +165,8 @@ class TestReconMatrix:
                 coeffs = [rng.randrange(q) for _ in range(t)]
                 shares = [poly_eval(coeffs, p, fp) for p in points]
                 m = build_recon_matrix(points, d, fp)
-                assert m.apply(shares) == interpolate_coeffs(points, shares, q)[:d]
-                assert m.apply(shares) == coeffs[:d]
+                assert apply(m, shares, q) == interpolate_coeffs(points, shares, q)[:d]
+                assert apply(m, shares, q) == coeffs[:d]
 
 
 def object_matmul_mod(a, b, q):
@@ -186,17 +192,14 @@ def kernel_operands(rows, t, cols, q, seed):
 
 
 class TestModMatmul:
-    @pytest.mark.parametrize("path, t, q", [
-        ("split", 16383, 32767513),    # largest t with 3*bits(q-1) + 2*bits(t) <= 104
-        ("int64", 2097172, 2097143),   # largest t with t*(q-1)^2 < 2^63
+    @pytest.mark.parametrize("t, q", [
+        # largest t with 3*bits(q-1) + 2*bits(t) <= 104
+        pytest.param(16383, 32767513, id="split-16383-32767513"),
     ])
-    def test_each_path_exact_at_its_largest_shape(self, path, t, q):
-        assert kernel_path(t, q) == path
-        try:
-            beyond = kernel_path(t + 1, q)
-        except InvalidArgument:
-            beyond = None
-        assert beyond != path
+    def test_each_path_exact_at_its_largest_shape(self, t, q):
+        split_bit(t, q)
+        with pytest.raises(InvalidArgument, match="no exact mod-q matmul"):
+            split_bit(t + 1, q)
         a, b = kernel_operands(3, t, 3, q, seed=t)
         assert np.array_equal(mod_matmul(a, b, q), object_matmul_mod(a, b, q))
 
@@ -216,17 +219,18 @@ class TestModMatmul:
         for bits in range(2, 33):
             q = 2 ** (bits - 1) + 1
             t = min(q - 1, (2**55 - 4 * q) // (q * q))
-            assert kernel_path(t, q) == "split", (t, q)
+            split_bit(t, q)
 
     def test_refuses_past_its_range(self):
         q = 32767513
         a = np.zeros((1, 16384), dtype=np.int64)
         with pytest.raises(InvalidArgument, match="no exact mod-q matmul"):
             mod_matmul(a, a.T, q)
-        with pytest.raises(InvalidArgument, match="no exact mod-q matmul"):
-            kernel_path(2097173, 2097143)
+        for t in (2097172, 2097173):  # the largest int64 shape is refused too
+            with pytest.raises(InvalidArgument, match="no exact mod-q matmul"):
+                split_bit(t, 2097143)
         with pytest.raises(InvalidArgument, match="2\\^63"):
-            kernel_path(1, 3037000501)  # (q-1)^2 just past 2^63
+            split_bit(1, 3037000501)  # (q-1)^2 just past 2^63
 
 
 class TestFindFieldModulus:
@@ -262,4 +266,4 @@ def test_recon_matrix_property(q, data):
     )
     coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=t, max_size=t))
     shares = [poly_eval(coeffs, p, fp) for p in points]
-    assert build_recon_matrix(points, d, fp).apply(shares) == coeffs[:d]
+    assert apply(build_recon_matrix(points, d, fp), shares, q) == coeffs[:d]

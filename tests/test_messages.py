@@ -156,6 +156,12 @@ class TestValidation:
         with pytest.raises(InvalidArgument, match="trailing"):
             decode_share_plaintext(blob + b"\x00", F11)
 
+    def test_sum_shares_must_be_integers(self):
+        for sums in ([1.5, 2.5], [True], [2**64], ["3"]):
+            with pytest.raises(InvalidArgument, match="must be integers"):
+                SumShares(u=1, sums=sums)
+        assert SumShares(u=1, sums=[]).sums.dtype == np.int64
+
     def test_element_out_of_range(self):
         blob = serialize(SumShares(u=1, sums=(10,)), F11)
         bad = blob[:-1] + b"\x0b"  # 11 >= q

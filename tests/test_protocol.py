@@ -12,7 +12,7 @@ from fssa.errors import (
     RoundAborted,
 )
 from fssa.field import poly_eval
-from fssa.messages import KeyBroadcast, ShareDelivery
+from fssa.messages import KeyBroadcast, ShareDelivery, SumShares
 from fssa.protocol import Client, Params, Round, Server, chunk_vector, plan_parameters
 
 
@@ -95,6 +95,11 @@ class TestPlanParameters:
         with pytest.raises(InvalidArgument, match="no exact mod-q matmul"):
             plan_parameters(2048, 10, B=2**16)
 
+    def test_largest_cohort_refused(self):
+        # t = n = 2^20 at q = 1048583: 3*bits(q-1) + 2*bits(t) = 105 > 104.
+        with pytest.raises(InvalidArgument, match="no exact mod-q matmul"):
+            plan_parameters(2**20, 1, B=2, gamma=0.5)
+
     def test_params_invariants(self):
         p = plan_parameters(5, 4)
         with pytest.raises(InvalidArgument):
@@ -121,7 +126,10 @@ class TestChunkVector:
         with pytest.raises(InvalidArgument, match="empty input vector"):
             chunk_vector([], 2, 10)
 
-    @pytest.mark.parametrize("x", [[1.7, 2], [True, False], ["3", "2"]], ids=["float", "bool", "str"])
+    @pytest.mark.parametrize(
+        "x", [[1.7, 2], [True, False], ["3", "2"], [True, 2]],
+        ids=["float", "bool", "str", "mixed-bool"],
+    )
     def test_non_integer_entries_rejected(self, x):
         with pytest.raises(InvalidArgument, match="must be integers"):
             chunk_vector(x, 2, 10)
@@ -330,6 +338,24 @@ class TestServerChecks:
         sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
         with pytest.raises(InsufficientShares):
             server.round2(sums[: p.t - 1])
+
+    def test_round2_unreduced_sum_shares(self):
+        # The same residues shifted by a multiple of q would reconstruct a
+        # wrong aggregate, so any entry outside [0, q) is refused.
+        p = plan_parameters(10, 20, rho=0.3)
+        rng = random.Random(0)
+        clients, hellos = self._hellos(p, rng)
+        server = Server(p)
+        broadcast = server.round0(hellos)
+        deliveries = server.round1(
+            [c.round1(broadcast, [1] * p.m, rng=rng) for c in clients.values()]
+        )
+        sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
+        for shift in (p.fp.q << 30, -p.fp.q):
+            bad = SumShares(u=sums[0].u, sums=sums[0].sums + shift)
+            with pytest.raises(InvalidArgument, match=f"client {bad.u} outside"):
+                server.round2([bad] + sums[1:])
+        assert server.round2(sums) == [p.n] * p.m
 
     def test_round_order_enforced(self):
         p = plan_parameters(4, 2, B=16)

@@ -137,6 +137,11 @@ class TestRecon:
         with pytest.raises(InsufficientShares):
             rss_recon(rp, {1: 2, 2: 1})
 
+    def test_points_equal_mod_q_rejected(self):
+        rp = RampParams(t=3, d=2, n=10, fp=F11)
+        with pytest.raises(InvalidArgument, match="distinct"):
+            rss_recon(rp, {1: 2, 12: 1, 3: 2})
+
     def test_threshold_exhaustive(self):
         # Every t-subset of the n shares reconstructs the same secret.
         rng = random.Random(7)
