@@ -177,8 +177,9 @@ class Client:
         """Share the input vector to the Round-0 roster.
 
         The random sharing coefficients come from the numpy generator
-        `np_rng`; without one, a generator is seeded from `rng` (or from the
-        system when `rng` is None). `rng` also supplies the AEAD nonces.
+        `np_rng`; without one, a generator is seeded with 256 bits drawn
+        from `rng` (or from the system when `rng` is None). `rng` also
+        supplies the AEAD nonces.
         """
         if self.round is not Round.ADVERTISED:
             raise ProtocolOrderViolation(f"round1 called in state {self.round}")
@@ -197,7 +198,7 @@ class Client:
         t0 = time.perf_counter_ns()
         chunks = chunk_vector(x, p.d, p.B)
         if np_rng is None:
-            seed = rng.getrandbits(64) if rng is not None else None
+            seed = rng.getrandbits(256) if rng is not None else None
             np_rng = np.random.default_rng(seed)
         share_matrix = rss_share_batch(p.ramp(), chunks, points, np_rng)
         self.phase_ns["share"] = time.perf_counter_ns() - t0

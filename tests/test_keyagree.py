@@ -5,26 +5,41 @@ import pytest
 from fssa.errors import InvalidArgument
 from fssa.keyagree import decode_public, encode_public, ka_agree, ka_gen
 
-# Compressed encodings of G and 2G on P-256, and SHA-256 of x(2G).
-PUB_1 = "036b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296"
-PUB_2 = "037cf27b188d034f7e8a52380304b51ac3c08969e277f21b35a60b48fc47669978"
-KEY_1_2 = "23775201799b2234a18e8071e409cec80d42632fe77534180afdc533c9b76f81"
+# RFC 7748 section 6.1: Alice's and Bob's private and public keys, and
+# SHA-256 of their shared secret 4a5d9d5b...1e161742.
+PRIV_A = "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a"
+PUB_A = "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a"
+PRIV_B = "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb"
+PUB_B = "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f"
+KEY_A_B = "dead45a1d43d6902aa9240b43c0d75a0b5fc750660590d6d45461cbfc4010684"
+
+P25519 = 2**255 - 19
+# A point of order 8 on Curve25519.
+ORDER_8 = "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"
+
+
+def u_bytes(u):
+    return u.to_bytes(32, "little")
 
 
 class Fixed:
-    """Stand-in rng whose one draw is a chosen scalar."""
+    """Stand-in rng whose one draw is a chosen private key."""
 
-    def __init__(self, x):
-        self.x = x
+    def __init__(self, hex_key):
+        self.key = bytes.fromhex(hex_key)
+        self.draws = 0
 
-    def randrange(self, lo, hi):
-        assert lo <= self.x < hi
-        return self.x
+    def randbytes(self, n):
+        assert n == 32
+        self.draws += 1
+        return self.key
 
 
 def test_gen_forced_scalar():
-    assert ka_gen(Fixed(1)).public.hex() == PUB_1
-    assert ka_gen(Fixed(2)).public.hex() == PUB_2
+    rng = Fixed(PRIV_A)
+    assert ka_gen(rng).public.hex() == PUB_A
+    assert rng.draws == 1
+    assert ka_gen(Fixed(PRIV_B)).public.hex() == PUB_B
 
 
 def test_gen_distinct_keys():
@@ -34,10 +49,9 @@ def test_gen_distinct_keys():
 
 
 def test_agree_hand_trace():
-    a, b = ka_gen(Fixed(1)), ka_gen(Fixed(2))
-    # Scalars 1 and 2 share the point 1 * 2G = 2 * G.
-    assert ka_agree(a, b.public).hex() == KEY_1_2
-    assert ka_agree(b, a.public).hex() == KEY_1_2
+    a, b = ka_gen(Fixed(PRIV_A)), ka_gen(Fixed(PRIV_B))
+    assert ka_agree(a, b.public).hex() == KEY_A_B
+    assert ka_agree(b, a.public).hex() == KEY_A_B
 
 
 def test_symmetry_production_random_pairs():
@@ -55,15 +69,28 @@ def test_public_key_roundtrip():
 
 
 def test_invalid_public_keys_rejected():
-    kp = ka_gen(Fixed(1))
+    kp = ka_gen(Fixed(PRIV_A))
+    pub_b = bytes.fromhex(PUB_B)
     for data in [
         b"",
-        b"\x00",                                  # the point at infinity
-        b"\x02" + (1).to_bytes(32, "big"),        # not on the curve
-        bytes.fromhex(PUB_1)[:-1],                # wrong length
-        b"\x05" + bytes.fromhex(PUB_1)[1:],       # unknown point format
+        pub_b[:-1],                               # 31 bytes
+        b"\x02" + pub_b,                          # 33 bytes, the old compressed length
+        pub_b[:-1] + bytes([pub_b[-1] | 0x80]),   # top-bit alias of a valid key
+        u_bytes(P25519),                          # u = p
+        u_bytes(2**255 - 1),
     ]:
         with pytest.raises(InvalidArgument):
             decode_public(data)
         with pytest.raises(InvalidArgument):
             ka_agree(kp, data)
+
+
+@pytest.mark.parametrize(
+    "data", [u_bytes(0), u_bytes(1), u_bytes(P25519 - 1), bytes.fromhex(ORDER_8)],
+    ids=["u=0", "u=1", "u=p-1", "order-8"],
+)
+def test_low_order_points_refused(data):
+    kp = ka_gen(Fixed(PRIV_A))
+    decode_public(data)  # canonical, so only the agreement can refuse it
+    with pytest.raises(InvalidArgument, match="low-order"):
+        ka_agree(kp, data)

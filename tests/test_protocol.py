@@ -199,15 +199,36 @@ class TestClientAborts:
             clients[1].round1(KeyBroadcast(keys=tuple(keys)), [1, 2], rng=rng)
 
     def test_malformed_peer_key_aborts(self):
-        p = plan_parameters(4, 2, B=16, rho=0.25)  # P-256
-        rng = random.Random(1)
-        clients = {u: Client(u, p) for u in range(1, 5)}
-        broadcast = Server(p).round0([c.round0(rng) for c in clients.values()])
-        # A compressed point whose x coordinate exceeds the field prime.
-        keys = [(u, pk if u != 3 else b"\x02" + b"\xff" * 32) for u, pk in broadcast.keys]
+        p, rng, clients, _, broadcast = self._setup()
+        # u = 0 is a low-order point: its shared secret is all zero.
+        keys = [(u, pk if u != 3 else bytes(32)) for u, pk in broadcast.keys]
         with pytest.raises(ClientAborted, match="peer 3"):
             clients[1].round1(KeyBroadcast(keys=tuple(keys)), [1, 2], rng=rng)
         assert clients[1].round is Round.ABORTED
+
+    def test_aliased_peer_key_aborts(self):
+        # Client 2 advertises client 1's key with the top bit set, which
+        # passes the duplicate check byte-wise but names the same point.
+        p, rng, clients, _, broadcast = self._setup()
+        keys = dict(broadcast.keys)
+        keys[2] = keys[1][:-1] + bytes([keys[1][-1] | 0x80])
+        assert keys[2] != keys[1]
+        with pytest.raises(ClientAborted, match="peer 2"):
+            clients[1].round1(KeyBroadcast(keys=tuple(keys.items())), [1, 2], rng=rng)
+        assert clients[1].round is Round.ABORTED
+
+    def test_sharing_seed_draws_256_bits(self):
+        # Without an np_rng, the sharing generator's seed is one 256-bit draw.
+        widths = []
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                widths.append(k)
+                return super().getrandbits(k)
+
+        p, _, clients, _, broadcast = self._setup()
+        clients[1].round1(broadcast, [1, 2], rng=Recording(2))
+        assert widths[0] == 256  # the draws after it are AEAD nonces
 
     def test_tampered_ciphertext_aborts(self):
         p, rng, clients, server, broadcast = self._setup()

@@ -117,7 +117,7 @@ class TestDeterminism:
             h.update(f"{stage}:{sender}:{recipient}:{len(payload)}:".encode())
             h.update(payload)
         assert h.hexdigest() == (
-            "acc67a5c34188585574bf37db0ffefdf2c6f456d18125759cd36e9e29a50b5e7"
+            "cdef00154a0dd12ba4af991d6158a8112b5661d415fbd1d340554caa45c88f61"
         )
 
 
@@ -203,7 +203,7 @@ class TestFailureReporting:
         assert report.status == "ok"  # one dropout is within budget
 
     def test_key_collision_reported_not_raised(self, monkeypatch):
-        # Every client advertises the same P-256 key, so each one finds
+        # Every client advertises the same X25519 key, so each one finds
         # duplicate keys in the broadcast and aborts; the run fails gracefully.
         same = ka_gen(random.Random(0))
         monkeypatch.setattr(fssa.protocol, "ka_gen", lambda rng=None: same)
