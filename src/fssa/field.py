@@ -6,9 +6,17 @@ every element fits 4 bytes and every elementwise product fits int64.
 `FieldParams` refuses any other q. Primality is decided by trial division,
 exact for every n and a few milliseconds at most in this range. Scalar
 helpers work on plain Python ints kept fully reduced in [0, q); they are the
-reference the batch code is tested against. Batch data are numpy int64 arrays of reduced elements.
-Sharing evaluates polynomials by Horner's rule (`poly_eval_batch`); every
-matrix product over the field goes through `mod_matmul`, which has one
+reference the batch code is tested against. Batch data are numpy int64
+arrays of reduced elements.
+
+Sharing evaluates polynomials by Horner's rule (`poly_eval_batch`) with lazy
+reduction. From an accumulator below q, i multiply-adds at points up to X
+stay at most b_i, where b_0 = q-1 and b_{i+1} = b_i*X + (q-1); the
+accumulator is reduced only every s steps, s being the largest count (capped
+at the coefficient count) with b_s < 2^63. s >= 1 at every admitted q, since
+(q-1)^2 + (q-1) < 2^63.
+
+Every matrix product over the field goes through `mod_matmul`, which has one
 evaluation: it splits the right operand into low and high bits so that each
 half's float64 product is exact. `split_bit` states its range (inner length t
 and modulus q with 3*bits(q-1) + 2*bits(t) <= 104) and raises InvalidArgument
@@ -72,21 +80,52 @@ def poly_eval(coeffs, x: int, fp: FieldParams) -> int:
     return acc
 
 
+def _lazy_steps(q: int, x_max: int, num_coeffs: int) -> int:
+    """Horner steps that stay below 2^63 from a reduced accumulator, at most num_coeffs.
+
+    An accumulator bounded by b becomes at most b*x_max + (q-1) after one step;
+    starting from b = q-1, count the steps before that bound reaches 2^63.
+    """
+    s, b = 0, q - 1
+    while s < num_coeffs:
+        b = b * x_max + (q - 1)
+        if b >= 2**63:
+            break
+        s += 1
+    return s
+
+
 def poly_eval_batch(coeff_matrix: np.ndarray, xs: np.ndarray, fp: FieldParams) -> np.ndarray:
     """Evaluate many polynomials at many points at once.
 
     coeff_matrix has shape (num_polys, num_coeffs), ascending degree;
     xs has shape (num_points,). Returns shape (num_polys, num_points).
+    Coefficients and points must be reduced into [0, q); anything else raises
+    InvalidArgument, since the overflow bound assumes it. Horner's rule runs
+    in place and reduces mod q only every s steps and once at the end, with s
+    from `_lazy_steps` at X = max(xs): s unreduced steps from an accumulator
+    below q stay under 2^63. s >= 1 for every q FieldParams admits, since
+    (q-1)^2 + (q-1) < 2^63.
     """
     if coeff_matrix.ndim != 2 or coeff_matrix.shape[1] == 0:
         raise InvalidArgument("coefficient matrix must be 2-D and nonempty")
     q = fp.q
     c = np.asarray(coeff_matrix, dtype=np.int64)
     x = np.asarray(xs, dtype=np.int64)
+    if c.min(initial=0) < 0 or c.max(initial=0) >= q:
+        raise InvalidArgument(f"coefficients must lie in [0, {q})")
+    if x.min(initial=0) < 0 or x.max(initial=0) >= q:
+        raise InvalidArgument(f"evaluation points must lie in [0, {q})")
+    num_coeffs = c.shape[1]
+    s = _lazy_steps(q, int(x.max(initial=0)), num_coeffs)
     acc = np.zeros((c.shape[0], x.shape[0]), dtype=np.int64)
-    # (q-1)^2 + (q-1) < 2^63 for every q FieldParams admits, so no step overflows.
-    for k in range(c.shape[1] - 1, -1, -1):
-        acc = (acc * x + c[:, k : k + 1]) % q
+    for step, k in enumerate(range(num_coeffs - 1, -1, -1), start=1):
+        acc *= x
+        acc += c[:, k : k + 1]
+        if step % s == 0:
+            acc %= q
+    if num_coeffs % s:
+        acc %= q
     return acc
 
 

@@ -187,6 +187,9 @@ class Client:
         roster = dict(broadcast.keys)
         if len(roster) < p.t:
             self._abort(f"roster size {len(roster)} below threshold {p.t}")
+        outside = [v for v in sorted(roster) if not 1 <= v <= p.n]
+        if outside:
+            self._abort(f"roster index {outside[0]} outside [1, {p.n}]")
         if len({pk for pk in roster.values()}) != len(roster):
             self._abort("duplicate public keys in broadcast")
         if roster.get(self.u) != self.keypair.public:

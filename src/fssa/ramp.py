@@ -92,7 +92,8 @@ def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, rng) -> np.ndar
 
     Row i of `secrets` is one secret. The random high coefficients, a
     (num_secrets, t-d) block uniform in [0, q), are drawn from the numpy
-    generator `rng` in one `rng.integers` call.
+    generator `rng` in one `rng.integers` call. A point equal to 0 mod q is
+    refused: the share there is the secret's first element in the clear.
     """
     secrets = np.asarray(secrets)
     if secrets.ndim != 2 or secrets.shape[1] != rp.d:
@@ -101,6 +102,8 @@ def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, rng) -> np.ndar
     high = rng.integers(0, q, size=(secrets.shape[0], rp.t - rp.d), dtype=np.int64)
     coeff_matrix = np.concatenate([secrets.astype(np.int64), high], axis=1)
     xs = np.array([p % q for p in points], dtype=np.int64)
+    if not xs.all():
+        raise InvalidArgument("share points must be nonzero mod q")
     return poly_eval_batch(coeff_matrix, xs, rp.fp)
 
 

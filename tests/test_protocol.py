@@ -12,6 +12,7 @@ from fssa.errors import (
     RoundAborted,
 )
 from fssa.field import poly_eval
+from fssa.keyagree import ka_gen
 from fssa.messages import KeyBroadcast, ShareDelivery, SumShares
 from fssa.protocol import Client, Params, Round, Server, chunk_vector, plan_parameters
 
@@ -215,6 +216,15 @@ class TestClientAborts:
         assert keys[2] != keys[1]
         with pytest.raises(ClientAborted, match="peer 2"):
             clients[1].round1(KeyBroadcast(keys=tuple(keys.items())), [1, 2], rng=rng)
+        assert clients[1].round is Round.ABORTED
+
+    @pytest.mark.parametrize("index", [0, 9])
+    def test_roster_index_outside_range_aborts(self, index):
+        # A server-held key at an index no client has would receive a share.
+        p, rng, clients, _, broadcast = self._setup()
+        extra = (index, ka_gen(random.Random(5)).public)
+        with pytest.raises(ClientAborted, match=f"roster index {index}"):
+            clients[1].round1(KeyBroadcast(keys=broadcast.keys + (extra,)), [1, 2], rng=rng)
         assert clients[1].round is Round.ABORTED
 
     def test_sharing_seed_draws_256_bits(self):

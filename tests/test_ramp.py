@@ -105,6 +105,13 @@ class TestShare:
             poly = secrets[i].tolist() + high
             assert mat[i].tolist() == [poly_eval(poly, x, F11) for x in points]
 
+    @pytest.mark.parametrize("bad", [0, 11, -22])
+    def test_batch_point_zero_mod_q_rejected(self, bad):
+        # The share at point 0 is the chunk's first secret element in the clear.
+        rp = RampParams(t=3, d=2, n=4, fp=F11)
+        with pytest.raises(InvalidArgument, match="nonzero"):
+            rss_share_batch(rp, np.array([[7, 8]]), [1, 2, bad], np.random.default_rng(0))
+
     def test_batch_matches_poly_eval_at_desk_shape(self):
         # The n=100, rho=gamma=0.3, B=2^16 plan: t=70, d=40.
         fp = find_field_modulus(100, 2**16)
