@@ -69,7 +69,6 @@ class SweepSpec:
     iterations: int = 5
     seed_base: int = 0
     output: str = "sweep.csv"
-    degenerate_privacy_ok: bool = False
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -115,7 +114,6 @@ def build_case_spec(case: int, args) -> SweepSpec:
         iterations=args.iterations,
         seed_base=args.seed,
         output=args.output,
-        degenerate_privacy_ok=args.degenerate_privacy_ok,
     )
 
 
@@ -132,9 +130,7 @@ def run_point(spec: SweepSpec, index: int, n, m, rho, gamma) -> dict:
     row = {c: "" for c in CSV_COLUMNS}
     row.update(n=n, m=m, rho=rho, gamma=gamma, iterations=spec.iterations)
     try:
-        params = plan_parameters(
-            n, m, rho=rho, gamma=gamma, degenerate_privacy_ok=spec.degenerate_privacy_ok
-        )
+        params = plan_parameters(n, m, rho=rho, gamma=gamma)
     except FssaError:
         row["feasible"] = "no"
         return row
@@ -156,7 +152,6 @@ def run_point(spec: SweepSpec, index: int, n, m, rho, gamma) -> dict:
             gamma=gamma,
             seed=seed,
             dropout_schedule={u: DropPoint.AFTER_ROUND0 for u in dropped},
-            degenerate_privacy_ok=spec.degenerate_privacy_ok,
         )
         report = run_simulation(cfg)
         if it < 0:
@@ -223,7 +218,6 @@ def main(argv=None) -> int:
                         choices=["1", "2", "3", "4", "custom"])
     parser.add_argument("--output", type=str, default="sweep.csv")
     parser.add_argument("--paper-scale", action="store_true")
-    parser.add_argument("--degenerate-privacy-ok", action="store_true")
     args = parser.parse_args(argv)
 
     if args.case != "custom":
@@ -241,7 +235,6 @@ def main(argv=None) -> int:
             iterations=args.iterations,
             seed_base=args.seed,
             output=args.output,
-            degenerate_privacy_ok=args.degenerate_privacy_ok,
         )
 
     rows = run_experiment_grid(spec)

@@ -57,8 +57,7 @@ class Params:
     fp: FieldParams
 
     def __post_init__(self):
-        if not 0 < self.d <= self.t <= self.n:
-            raise InvalidArgument("need 0 < d <= t <= n")
+        self.ramp()  # RampParams checks 0 < d < t <= n <= q-1
         if self.n * (self.B - 1) + 1 > self.fp.q:
             raise InvalidArgument("modulus too small: sums could wrap")
         # Reconstruction is an inner-length-t product mod q.
@@ -70,41 +69,28 @@ class Params:
         return math.ceil(self.m / self.d)
 
     def ramp(self) -> RampParams:
-        return RampParams(
-            t=self.t, d=self.d, n=self.n, fp=self.fp, allow_degenerate=self.d == self.t
-        )
+        return RampParams(t=self.t, d=self.d, n=self.n, fp=self.fp)
 
 
 def plan_parameters(
-    n: int,
-    m: int,
-    B: int = 2**16,
-    rho: float = 0.0,
-    gamma: float = 0.0,
-    degenerate_privacy_ok: bool = False,
-    q: int | None = None,
+    n: int, m: int, B: int = 2**16, rho: float = 0.0, gamma: float = 0.0
 ) -> Params:
     """Derive (t, d, q) from the dropout rate rho and corruption rate gamma.
 
     t = n - floor(rho*n) so up to floor(rho*n) dropouts are tolerated;
-    d = t - ceil(gamma*n) so ceil(gamma*n) colluders see at most t-d shares.
-    d is clamped to t-1 unless degenerate_privacy_ok, since d = t leaves no
-    random coefficients at all.
+    d = min(t - ceil(gamma*n), t - 1) so ceil(gamma*n) colluders see at most
+    t-d shares and t - d >= 1 random coefficients remain even at gamma = 0;
+    q = find_field_modulus(n, B), the smallest prime with no wrap of n sums.
     """
     if n < 2 or m < 1:
         raise InvalidArgument("need n >= 2 and m >= 1")
     if not (0 <= rho < 1 and 0 <= gamma < 1 and rho + gamma < 1):
         raise InvalidArgument("rates must satisfy 0 <= rho, gamma and rho + gamma < 1")
     t = n - math.floor(rho * n + _EPS)
-    d = t - math.ceil(gamma * n - _EPS)
-    if not degenerate_privacy_ok:
-        d = min(d, t - 1)
-    else:
-        d = min(d, t)
+    d = min(t - math.ceil(gamma * n - _EPS), t - 1)
     if d <= 0:
         raise InvalidArgument("rates too aggressive: secret length would be zero")
-    fp = find_field_modulus(n, B) if q is None else FieldParams(q)
-    return Params(n=n, t=t, d=d, B=B, m=m, fp=fp)
+    return Params(n=n, t=t, d=d, B=B, m=m, fp=find_field_modulus(n, B))
 
 
 def chunk_vector(x, d: int, B: int) -> np.ndarray:
@@ -294,7 +280,7 @@ class Server:
             if not 1 <= h.u <= p.n:
                 raise InvalidArgument(f"unknown client index {h.u}")
         if len(indices) < p.t:
-            raise RoundAborted(f"only {len(indices)} keys collected, need {p.t}")
+            raise RoundAborted(f"Round 0: only {len(indices)} keys collected, need {p.t}")
         self.u1 = tuple(sorted(indices))
         public_keys = {h.u: h.public_key for h in hellos}
         self.round = 1
@@ -316,7 +302,7 @@ class Server:
                 if v not in u1set or v == up.u:
                     raise InvalidArgument(f"ciphertext addressed to unknown recipient {v}")
         if len(senders) < p.t:
-            raise RoundAborted(f"only {len(senders)} uploads collected, need {p.t}")
+            raise RoundAborted(f"Round 1: only {len(senders)} uploads collected, need {p.t}")
         self.u2 = tuple(sorted(senders))
         by_sender = {up.u: dict(up.ciphertexts) for up in uploads}
         deliveries = {}
@@ -350,7 +336,7 @@ class Server:
                 raise InvalidArgument(f"sum shares from client {s.u} outside [0, {p.fp.q})")
         if len(senders) < p.t:
             raise InsufficientShares(
-                f"only {len(senders)} clients survived to Round 2, need {p.t}"
+                f"Round 2: only {len(senders)} sum-share messages collected, need {p.t}"
             )
         self.u3 = tuple(sorted(senders))
 

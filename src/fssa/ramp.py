@@ -1,8 +1,8 @@
 """(t, d, n)-ramp secret sharing built on polynomial evaluation.
 
 A length-d secret becomes the low-order coefficients of a degree-(t-1)
-polynomial whose remaining t-d coefficients are uniformly random; the share
-for party u is the evaluation at point u. Any t shares reconstruct the
+polynomial whose remaining t-d >= 1 coefficients are uniformly random; the
+share for party u is the evaluation at point u. Any t shares reconstruct the
 secret, and any t-d or fewer shares are distributed independently of it.
 """
 
@@ -23,22 +23,28 @@ _ENUMERATION_CAP = 10**6
 
 @dataclass(frozen=True)
 class RampParams:
-    """Threshold t, secret length d, party count n over the field fp."""
+    """Threshold t, secret length d, party count n over the field fp.
+
+    The one home of the sharing invariant 0 < d < t <= n <= q-1: t - d >= 1
+    random coefficients hide every secret.
+    """
 
     t: int
     d: int
     n: int
     fp: FieldParams
-    allow_degenerate: bool = False  # permit d == t (no random coefficients)
 
     def __post_init__(self):
-        if not 0 < self.d <= self.t <= self.n <= self.fp.q - 1:
+        if self.d == self.t:
             raise InvalidArgument(
-                f"need 0 < d <= t <= n <= q-1, got d={self.d}, t={self.t}, "
+                f"d = t = {self.t} leaves no random coefficient: each share is a "
+                "fixed linear function of the secret"
+            )
+        if not 0 < self.d < self.t <= self.n <= self.fp.q - 1:
+            raise InvalidArgument(
+                f"need 0 < d < t <= n <= q-1, got d={self.d}, t={self.t}, "
                 f"n={self.n}, q={self.fp.q}"
             )
-        if self.d == self.t and not self.allow_degenerate:
-            raise InvalidArgument("d == t gives no privacy; pass allow_degenerate to permit it")
 
     def default_points(self) -> tuple:
         return tuple(range(1, self.n + 1))

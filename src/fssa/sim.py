@@ -41,18 +41,10 @@ class SimConfig:
     dropout_schedule: dict = field(default_factory=dict)  # client index -> DropPoint
     corrupted: frozenset = frozenset()
     inputs: list | None = None  # fixed input vectors keyed by order 1..n; None = random
-    degenerate_privacy_ok: bool = False
     parallel: bool = False
 
     def plan(self) -> Params:
-        return plan_parameters(
-            self.n,
-            self.m,
-            B=self.B,
-            rho=self.rho,
-            gamma=self.gamma,
-            degenerate_privacy_ok=self.degenerate_privacy_ok,
-        )
+        return plan_parameters(self.n, self.m, B=self.B, rho=self.rho, gamma=self.gamma)
 
     def validate(self, params: Params):
         for u, point in self.dropout_schedule.items():
@@ -86,6 +78,8 @@ class SimReport:
     server_phase_ns: dict          # {"route", "precompute", "reconstruct"} in ns
     transcript: list               # (stage, sender, recipient, payload bytes)
     corrupted: frozenset           # the clients whose received payloads are their views
+    aborted: dict                  # u -> the reason client u aborted, in client order
+    failure: str | None            # the server's reason for aborting the run, or None
 
     @property
     def status(self) -> str:
@@ -139,6 +133,8 @@ class SimReport:
             "q": params.fp.q,
             "chunk_count": params.chunk_count,
             "roster_sizes": self.roster_sizes,
+            "aborted": {str(u): why for u, why in self.aborted.items()},
+            "failure": self.failure,
             "expected_sum_over_u2": self.expected_sum_over_u2,
             "client_phase_ns": {str(k): v for k, v in self.client_phase_ns.items()},
             "server_phase_ns": self.server_phase_ns,
@@ -164,7 +160,9 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     """One deterministic aggregation run under the configured fault schedule.
 
     Too many dropouts is a legitimate outcome: the report comes back with
-    status "aggregation_failed" rather than an exception.
+    status "aggregation_failed" and the server's reason in `failure` rather
+    than an exception. A client that aborts leaves the run, and its reason
+    goes into `aborted`.
     """
     params = cfg.plan()
     cfg.validate(params)
@@ -188,8 +186,17 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     transcript: list = []
     schedule = cfg.dropout_schedule
     hellos, uploads, sums = [], [], []
-    aggregate = expected = None
+    aggregate = expected = failure = None
     live = set(clients)
+    aborted: dict = {}
+
+    def attempt(u, step):
+        """step(u), or None with the reason recorded if client u aborts."""
+        try:
+            return step(u)
+        except ClientAborted as e:
+            aborted[u] = str(e)
+            return None
 
     # A round the server aborts (too few keys, uploads or sums) ends the run
     # with no aggregate; the roster sizes count the messages each round got.
@@ -223,11 +230,11 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         order = sorted(live)
         if cfg.parallel:
             with ThreadPoolExecutor() as pool:
-                results = list(pool.map(_guarded(do_round1), order))
+                results = list(pool.map(lambda u: attempt(u, do_round1), order))
         else:
-            results = [_guarded(do_round1)(u) for u in order]
+            results = [attempt(u, do_round1) for u in order]
         for u, res in zip(order, results):
-            if isinstance(res, ClientAborted):
+            if res is None:
                 live.discard(u)
                 continue
             wire = messages.serialize(res, fp)
@@ -246,12 +253,15 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             delivery_wires[u] = messages.serialize(deliveries[u], fp)
             transcript.append(("delivery", "server", u, delivery_wires[u]))
         live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND1_RECEIVE, live)
+
+        def do_round2(u):
+            return clients[u].round2(messages.deserialize(delivery_wires[u], fp))
+
         for u in sorted(live):
             if u not in delivery_wires:
                 continue
-            try:
-                msg = clients[u].round2(messages.deserialize(delivery_wires[u], fp))
-            except ClientAborted:
+            msg = attempt(u, do_round2)
+            if msg is None:
                 continue
             wire = messages.serialize(msg, fp)
             transcript.append(("round2", u, "server", wire))
@@ -261,8 +271,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         # Every U2 input passed chunk_vector's [0, B) check, and n(B-1) < q < 2^32
         # under the kernel's range, so the int64 sum is exact.
         expected = (inputs[[u - 1 for u in server.u2]].sum(axis=0) % fp.q).tolist()
-    except (InsufficientShares, RoundAborted):
-        pass
+    except (InsufficientShares, RoundAborted) as e:
+        failure = str(e)
 
     return SimReport(
         params=params,
@@ -273,17 +283,9 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         server_phase_ns=dict(server.phase_ns),
         transcript=transcript,
         corrupted=frozenset(cfg.corrupted),
+        aborted=dict(sorted(aborted.items())),
+        failure=failure,
     )
-
-
-def _guarded(fn):
-    def inner(u):
-        try:
-            return fn(u)
-        except ClientAborted as e:
-            return e
-
-    return inner
 
 
 def _sub_rng(seed: int, u: int) -> random.Random:
@@ -353,6 +355,5 @@ def load_sim_config(path) -> SimConfig:
             "corrupted", lambda c: frozenset(_integer(u) for u in c), frozenset()
         ),
         inputs=value("inputs", lambda rows: [[_integer(x) for x in r] for r in rows]),
-        degenerate_privacy_ok=value("degenerate_privacy_ok", _boolean, False),
         parallel=value("parallel", _boolean, False),
     )

@@ -131,11 +131,17 @@ class TestCli:
 
         args = argparse.Namespace(
             paper_scale=False, iterations=1, seed=0,
-            output=str(tmp_path / "x.csv"), degenerate_privacy_ok=False,
+            output=str(tmp_path / "x.csv"),
         )
         spec = build_case_spec(1, args)
         assert len(spec.grid()) == len(DESK_CLIENTS) * len(RATE_GRID)
         assert spec.vector_sizes == [10_000]
+
+    def test_degenerate_flag_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--degenerate-privacy-ok", "--clients", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --degenerate-privacy-ok" in capsys.readouterr().err
 
     def test_console_script_help(self):
         proc = subprocess.run(

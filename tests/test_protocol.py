@@ -1,8 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fssa.errors import (
     ClientAborted,
@@ -11,7 +15,7 @@ from fssa.errors import (
     ProtocolOrderViolation,
     RoundAborted,
 )
-from fssa.field import poly_eval
+from fssa.field import FieldParams, poly_eval
 from fssa.keyagree import ka_gen
 from fssa.messages import KeyBroadcast, ShareDelivery, SumShares
 from fssa.protocol import Client, Params, Round, Server, chunk_vector, plan_parameters
@@ -60,11 +64,7 @@ class TestPlanParameters:
 
     def test_no_dropout_no_corruption(self):
         p = plan_parameters(100, 10, rho=0.0, gamma=0.0)
-        assert (p.t, p.d) == (100, 99)  # d clamped to t-1 by default
-
-    def test_degenerate_flag_allows_full_width(self):
-        p = plan_parameters(100, 10, rho=0.0, gamma=0.0, degenerate_privacy_ok=True)
-        assert (p.t, p.d) == (100, 100)
+        assert (p.t, p.d) == (100, 99)  # d is always at most t-1
 
     def test_modulus_bound(self):
         p = plan_parameters(500, 10, B=2**16)
@@ -86,8 +86,8 @@ class TestPlanParameters:
         assert (p.t, p.d) == (7, 4)
 
     def test_supplied_modulus_too_small(self):
-        with pytest.raises(InvalidArgument):
-            plan_parameters(100, 10, B=2**16, q=101)
+        with pytest.raises(InvalidArgument, match="sums could wrap"):
+            Params(n=100, t=100, d=99, B=2**16, m=10, fp=FieldParams(101))
 
     def test_kernel_range_limit(self):
         # At B = 2^16 and rho = 0 (t = n), n = 2047 is the largest cohort
@@ -105,6 +105,27 @@ class TestPlanParameters:
         p = plan_parameters(5, 4)
         with pytest.raises(InvalidArgument):
             Params(n=p.n, t=p.t, d=p.t + 1, B=p.B, m=p.m, fp=p.fp)
+        with pytest.raises(InvalidArgument, match="no random coefficient"):
+            Params(n=p.n, t=p.t, d=p.t, B=p.B, m=p.m, fp=p.fp)
+
+
+_RATES = st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 0.9])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 300), rho=_RATES, gamma=_RATES, B=st.sampled_from([2, 16, 2**16]))
+def test_plan_parameters_property(n, rho, gamma, B):
+    # The one planning policy, checked against exact rational arithmetic:
+    # every plan either is refused or keeps 0 < d < t <= n with at least
+    # max(1, ceil(gamma*n)) random coefficients over the smallest no-wrap prime.
+    try:
+        p = plan_parameters(n, 3, B=B, rho=rho, gamma=gamma)
+    except InvalidArgument:
+        return
+    assert 0 < p.d < p.t <= n
+    assert p.t == n - math.floor(Fraction(str(rho)) * n)
+    assert p.t - p.d >= max(1, math.ceil(Fraction(str(gamma)) * n))
+    assert p.fp.q == sympy.nextprime(n * (B - 1))  # the smallest prime >= n(B-1)+1
 
 
 class TestChunkVector:
@@ -154,8 +175,8 @@ class TestEndToEnd:
 
     def test_hand_trace_three_clients(self):
         # n=3, t=2, d=1, q=11, B=4: inputs 1, 2, 3, all coefficients pinned.
-        p = plan_parameters(3, 1, B=4, rho=0.34, q=11)
-        assert (p.t, p.d, p.chunk_count) == (2, 1, 1)
+        p = Params(n=3, t=2, d=1, B=4, m=1, fp=FieldParams(11))
+        assert p.chunk_count == 1
         coeffs = [[[1]], [[2]], [[3]]]  # client u uses f_u(x) = x_u + c_u * x
         agg, sums, _ = run_full(p, [[1], [2], [3]], coeffs=coeffs)
         assert agg == [6]

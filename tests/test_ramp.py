@@ -37,13 +37,9 @@ def textbook_shamir_recon(shares, q):
 
 
 class TestRampParams:
-    def test_degenerate_rejected_by_default(self):
-        with pytest.raises(InvalidArgument):
+    def test_degenerate_rejected(self):
+        with pytest.raises(InvalidArgument, match="no random coefficient"):
             RampParams(t=3, d=3, n=4, fp=F11)
-
-    def test_degenerate_flag(self):
-        rp = RampParams(t=3, d=3, n=4, fp=F11, allow_degenerate=True)
-        assert rp.d == rp.t
 
     def test_too_many_parties(self):
         with pytest.raises(InvalidArgument):

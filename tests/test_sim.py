@@ -7,6 +7,7 @@ import pytest
 import fssa.protocol
 from fssa.errors import InvalidArgument
 from fssa.keyagree import ka_gen
+from fssa.messages import ShareDelivery
 from fssa.sim import (
     DropPoint,
     SimConfig,
@@ -211,6 +212,33 @@ class TestFailureReporting:
         assert report.status == "aggregation_failed"
         assert report.aggregate is None
         assert report.roster_sizes == {"u1": 5, "u2": 0, "u3": 0}
+        assert report.aborted == {
+            u: f"client {u}: duplicate public keys in broadcast" for u in range(1, 6)
+        }
+        assert report.failure == "Round 1: only 0 uploads collected, need 4"
+        doc = json.loads(report.to_json())
+        assert doc["aborted"] == {str(u): why for u, why in report.aborted.items()}
+        assert doc["failure"] == report.failure
+
+    def test_round2_abort_reported(self, monkeypatch):
+        # The server flips one tag bit of client 2's ciphertext for client 1:
+        # client 1 aborts in Round 2 and the other four still reconstruct.
+        route = fssa.protocol.Server.round1
+
+        def tampered(self, uploads):
+            deliveries = route(self, uploads)
+            (v, ct), *rest = deliveries[1].ciphertexts
+            bad = ct[:-1] + bytes([ct[-1] ^ 1])
+            deliveries[1] = ShareDelivery(ciphertexts=((v, bad), *rest))
+            return deliveries
+
+        monkeypatch.setattr(fssa.protocol.Server, "round1", tampered)
+        report = run_simulation(cfg(seed=3, inputs=[[u, 1, 2, 3] for u in range(5)]))
+        assert report.status == "ok"
+        assert report.aggregate == [10, 5, 10, 15]
+        assert report.roster_sizes == {"u1": 5, "u2": 5, "u3": 4}
+        assert report.aborted == {1: "client 1: ciphertext from 2 failed authentication"}
+        assert report.failure is None
 
     def test_report_serializes(self):
         report = run_simulation(cfg(
@@ -219,6 +247,7 @@ class TestFailureReporting:
         doc = json.loads(report.to_json())
         assert doc["status"] == "ok"
         assert doc["aggregate"] == report.aggregate
+        assert (doc["aborted"], doc["failure"]) == ({}, None)
         assert len(doc["transcript"]) == len(report.transcript)
         assert (doc["n"], doc["m"], doc["t"], doc["d"]) == (5, 4, 4, 3)
         assert doc["q"] == report.params.fp.q
@@ -275,8 +304,8 @@ class TestConfigFile:
         ("n: 3\nm: 1\ndropout_schedule:\n  2: after_round9\n",
          r"bad value for dropout_schedule in .*: \{2: 'after_round9'\}"),
         ("n: 3\nm: 1\ncorrupted: 2\n", r"bad value for corrupted in .*: 2 \("),
-        ('n: 3\nm: 1\ndegenerate_privacy_ok: "false"\n',
-         r"bad value for degenerate_privacy_ok in .*: 'false' \(expected true or false\)"),
+        ("n: 3\nm: 1\ndegenerate_privacy_ok: true\n",
+         r"unknown key\(s\) in .*: degenerate_privacy_ok$"),
         ('n: 3\nm: 1\nparallel: "no"\n',
          r"bad value for parallel in .*: 'no' \(expected true or false\)"),
         ("n: 3\nm: 1\nseed: 2.9\n", r"bad value for seed in .*: 2.9 \(expected an integer\)"),
@@ -286,7 +315,7 @@ class TestConfigFile:
         ("n: 3\nm: 2\nB: 4\ninputs: [[1, 2.9], [1, 1], [0, 3]]\n",
          r"bad value for inputs in .*: \[\[1, 2.9\], .* \(expected an integer\)"),
         ('n: 3\nm: 1\nrho: "0.34"\n', r"bad value for rho in .*: '0.34' \(expected a number\)"),
-    ], ids=["missing-n", "unknown-drop-point", "scalar-corrupted", "string-flag",
+    ], ids=["missing-n", "unknown-drop-point", "scalar-corrupted", "degenerate-flag",
             "string-parallel", "fractional-seed", "bool-m", "bool-input",
             "fractional-input", "string-rho"])
     def test_bad_value_refused(self, tmp_path, text, pattern):
