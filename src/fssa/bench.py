@@ -19,39 +19,20 @@ from .errors import FssaError, InvalidArgument
 from .protocol import plan_parameters
 from .sim import DropPoint, SimConfig, run_simulation
 
-CSV_COLUMNS = [
-    "n",
-    "m",
-    "rho",
-    "gamma",
-    "t",
-    "d",
-    "q",
-    "chunk_count",
-    "feasible",
-    "iterations",
-    "client_keygen_ns_mean",
-    "client_keygen_ns_std",
-    "client_agree_ns_mean",
-    "client_agree_ns_std",
-    "client_share_ns_mean",
-    "client_share_ns_std",
-    "client_encrypt_ns_mean",
-    "client_encrypt_ns_std",
-    "client_sum_ns_mean",
-    "client_sum_ns_std",
-    "server_route_ns_mean",
-    "server_route_ns_std",
-    "server_precompute_ns_mean",
-    "server_precompute_ns_std",
-    "server_reconstruct_ns_mean",
-    "server_reconstruct_ns_std",
-    "bytes_per_client_mean",
-    "bytes_per_client_std",
-]
+CLIENT_PHASES = ("keygen", "agree", "share", "encrypt", "sum")
+SERVER_PHASES = ("route", "precompute", "reconstruct")
 
 # The measured columns, each written as a _mean and a _std pair.
-_TIMED_COLUMNS = [c[: -len("_mean")] for c in CSV_COLUMNS if c.endswith("_mean")]
+_TIMED_COLUMNS = [
+    *(f"client_{phase}_ns" for phase in CLIENT_PHASES),
+    *(f"server_{phase}_ns" for phase in SERVER_PHASES),
+    "bytes_per_client",
+]
+
+CSV_COLUMNS = [
+    "n", "m", "rho", "gamma", "t", "d", "q", "chunk_count", "feasible", "iterations",
+    *(f"{col}_{stat}" for col in _TIMED_COLUMNS for stat in ("mean", "std")),
+]
 
 DESK_CLIENTS = [50, 100, 200]
 DESK_VECTOR_SIZE = 10_000
@@ -160,11 +141,11 @@ def run_point(spec: SweepSpec, index: int, n, m, rho, gamma) -> dict:
         # over the whole cohort, the Round-1 and Round-2 phases over the
         # clients that reached them.
         phases = report.client_phase_ns.values()
-        for phase in ("keygen", "agree", "share", "encrypt", "sum"):
+        for phase in CLIENT_PHASES:
             samples[f"client_{phase}_ns"].append(
                 statistics.fmean(ph[phase] for ph in phases if phase in ph)
             )
-        for phase in ("route", "precompute", "reconstruct"):
+        for phase in SERVER_PHASES:
             samples[f"server_{phase}_ns"].append(report.server_phase_ns.get(phase, 0))
         survivors = [u for u, ph in report.client_phase_ns.items() if "sum" in ph]
         sent = report.bytes_sent

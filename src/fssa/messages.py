@@ -156,8 +156,6 @@ def deserialize(data: bytes, fp: FieldParams):
     return msg
 
 
-# Share plaintext: sender u, recipient v, chunk count, then the chunk shares.
-
 def encode_elems(values, fp: FieldParams) -> bytes:
     """Pack many field elements as fixed-width little-endian, vectorized."""
     a = np.ascontiguousarray(values, dtype="<u8")
@@ -177,35 +175,28 @@ def decode_elems(data: bytes, count: int, fp: FieldParams) -> np.ndarray:
     return vals.astype(np.int64)
 
 
-def encode_share_plaintexts(u: int, recipients, shares, fp: FieldParams) -> list[bytes]:
-    """The share plaintexts from u to many recipients, encoded in one pass.
+# A share plaintext is the sender's chunk shares for one recipient and nothing
+# else, chunk_count * byte_width bytes. The AEAD binds its direction: it is
+# sealed with share_ad(sender, recipient) as associated data.
 
-    Column i of the (chunk count, len(recipients)) matrix `shares` holds the
-    chunk shares for recipients[i]; the result holds one plaintext per
-    recipient, in order.
-    """
+def share_ad(sender: int, recipient: int) -> bytes:
+    """The associated data of a share ciphertext: sender and recipient as u32s."""
+    return struct.pack("<II", sender, recipient)
+
+
+def encode_share_plaintexts(shares, fp: FieldParams) -> list[bytes]:
+    """One share plaintext per column of the (chunk count, k) matrix `shares`, in order."""
     shares = np.asarray(shares)
     count, k = shares.shape
-    size = 12 + count * fp.byte_width
-    buf = np.empty((k, size), dtype=np.uint8)
-    header = buf[:, :12].view("<u4")
-    header[:, 0] = u
-    header[:, 1] = recipients
-    header[:, 2] = count
-    buf[:, 12:] = np.frombuffer(encode_elems(shares.T, fp), dtype=np.uint8).reshape(k, size - 12)
-    flat = buf.tobytes()
-    return [flat[i : i + size] for i in range(0, k * size, size)]
+    flat = encode_elems(shares.T, fp)
+    size = count * fp.byte_width
+    return [flat[i * size : (i + 1) * size] for i in range(k)]
 
 
-def encode_share_plaintext(u: int, v: int, shares, fp: FieldParams) -> bytes:
-    return encode_share_plaintexts(u, [v], np.reshape(shares, (-1, 1)), fp)[0]
+def encode_share_plaintext(shares, fp: FieldParams) -> bytes:
+    return encode_elems(shares, fp)
 
 
-def decode_share_plaintext(data: bytes, fp: FieldParams):
-    r = _Reader(data)
-    u = r.u32()
-    v = r.u32()
-    count = r.u32()
-    shares = decode_elems(r.take(count * fp.byte_width), count, fp)
-    r.done()
-    return u, v, shares
+def decode_share_plaintext(data: bytes, count: int, fp: FieldParams) -> np.ndarray:
+    """The `count` chunk shares of one plaintext; refuses a wrong length or an element >= q."""
+    return decode_elems(data, count, fp)

@@ -39,6 +39,7 @@ from .messages import (
     decode_share_plaintext,
     encode_share_plaintext,  # noqa: F401  (looked up here by perfbench/tracing.py)
     encode_share_plaintexts,
+    share_ad,
 )
 from .ramp import RampParams, rss_share_batch
 
@@ -207,17 +208,17 @@ class Client:
         cts = []
         # Encoding the whole roster in one pass (own column included, then
         # skipped) is cheaper than first gathering the peers' columns.
-        plaintexts = encode_share_plaintexts(self.u, points, share_matrix, p.fp)
+        plaintexts = encode_share_plaintexts(share_matrix, p.fp)
         for v, pt in zip(points, plaintexts):
             if v != self.u:
-                cts.append((v, ae_enc(self.pair_keys[v], pt, rng)))
+                cts.append((v, ae_enc(self.pair_keys[v], pt, share_ad(self.u, v), rng)))
         self.phase_ns["encrypt"] = time.perf_counter_ns() - t0
 
         self.round = Round.SHARED
         return ShareUpload(u=self.u, ciphertexts=tuple(cts))
 
     def round2(self, delivery: ShareDelivery) -> SumShares:
-        """Decrypt peers' shares, verify the identity headers, and sum per chunk.
+        """Decrypt peers' shares, each bound to (sender, self) as AEAD data, and sum per chunk.
 
         Each decrypted share vector is added into a running sum and not kept.
         """
@@ -238,16 +239,12 @@ class Client:
             if v not in self.pair_keys:
                 self._abort(f"delivery names unexpected sender {v}")
             try:
-                pt = ae_dec(self.pair_keys[v], ct_bytes)
-                su, sv, shares = decode_share_plaintext(pt, p.fp)
-                if su != v or sv != self.u:
-                    self._abort(f"identity header mismatch from {v}")
+                pt = ae_dec(self.pair_keys[v], ct_bytes, share_ad(v, self.u))
+                shares = decode_share_plaintext(pt, p.chunk_count, p.fp)
             except Rejected:
                 self._abort(f"ciphertext from {v} failed authentication")
             except InvalidArgument as e:
                 self._abort(f"malformed share payload from {v}: {e}")
-            if len(shares) != p.chunk_count:
-                self._abort(f"wrong share count from {v}")
             sums = sums + shares
         # At most n <= q-1 addends below q each, and FieldParams keeps
         # (q-1)^2 < 2^63, so one reduction at the end is exact.

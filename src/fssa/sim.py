@@ -72,7 +72,7 @@ class SimConfig:
 class SimReport:
     params: Params
     aggregate: list | None
-    roster_sizes: dict             # {"u1": ..., "u2": ..., "u3": ...}
+    rosters: dict                  # {"u1", "u2", "u3"} -> sorted senders of each round's messages
     expected_sum_over_u2: list | None
     client_phase_ns: dict          # u -> {"keygen", "share", "agree", "encrypt", "sum"} in ns
     server_phase_ns: dict          # {"route", "precompute", "reconstruct"} in ns
@@ -84,6 +84,10 @@ class SimReport:
     @property
     def status(self) -> str:
         return "ok" if self.aggregate is not None else "aggregation_failed"
+
+    @property
+    def roster_sizes(self) -> dict:
+        return {k: len(r) for k, r in self.rosters.items()}
 
     @property
     def bytes_sent(self) -> dict:
@@ -132,6 +136,7 @@ class SimReport:
             "d": params.d,
             "q": params.fp.q,
             "chunk_count": params.chunk_count,
+            "rosters": {k: list(r) for k, r in self.rosters.items()},
             "roster_sizes": self.roster_sizes,
             "aborted": {str(u): why for u, why in self.aborted.items()},
             "failure": self.failure,
@@ -199,7 +204,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             return None
 
     # A round the server aborts (too few keys, uploads or sums) ends the run
-    # with no aggregate; the roster sizes count the messages each round got.
+    # with no aggregate; the rosters list the senders of the messages each
+    # round got.
     try:
         # Round 0: every live client advertises a key.
         for u in sorted(live):
@@ -277,7 +283,10 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     return SimReport(
         params=params,
         aggregate=aggregate,
-        roster_sizes={"u1": len(hellos), "u2": len(uploads), "u3": len(sums)},
+        rosters={
+            name: tuple(sorted(msg.u for msg in msgs))
+            for name, msgs in (("u1", hellos), ("u2", uploads), ("u3", sums))
+        },
         expected_sum_over_u2=expected,
         client_phase_ns={u: dict(c.phase_ns) for u, c in clients.items() if c.phase_ns},
         server_phase_ns=dict(server.phase_ns),

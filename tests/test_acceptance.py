@@ -297,7 +297,8 @@ def test_criterion_9_abort_conformance():
     with pytest.raises(ClientAborted):
         clients[1].round2(ShareDelivery(ciphertexts=((v, bad),) + dv.ciphertexts[1:]))
 
-    # Header mismatch: a ciphertext intended for client 3 delivered to client 1.
+    # Misrouted: a ciphertext client 2 sealed for client 3 (key and associated
+    # data of the pair 2, 3) delivered to client 1 fails authentication.
     clients, server, broadcast = fresh()
     uploads = {up.u: up for up in (c.round1(broadcast, [1, 2], rng=rng)
                                    for c in clients.values())}

@@ -84,6 +84,23 @@ class TestCsv:
         assert list(got[0]) == CSV_COLUMNS
         assert got[0]["feasible"] == "yes"
 
+    def test_header_order_pinned(self, tmp_path):
+        # Readers of old sweeps index columns by position; the header is frozen.
+        out = tmp_path / "sweep.csv"
+        emit_csv([], out)
+        assert out.read_bytes() == (
+            b"n,m,rho,gamma,t,d,q,chunk_count,feasible,iterations,"
+            b"client_keygen_ns_mean,client_keygen_ns_std,"
+            b"client_agree_ns_mean,client_agree_ns_std,"
+            b"client_share_ns_mean,client_share_ns_std,"
+            b"client_encrypt_ns_mean,client_encrypt_ns_std,"
+            b"client_sum_ns_mean,client_sum_ns_std,"
+            b"server_route_ns_mean,server_route_ns_std,"
+            b"server_precompute_ns_mean,server_precompute_ns_std,"
+            b"server_reconstruct_ns_mean,server_reconstruct_ns_std,"
+            b"bytes_per_client_mean,bytes_per_client_std\r\n"
+        )
+
     def test_unwritable_path(self):
         with pytest.raises(IOError):
             emit_csv([], "/nonexistent-dir/sweep.csv")

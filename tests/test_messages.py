@@ -16,7 +16,9 @@ from fssa.messages import (
     deserialize,
     encode_elems,
     encode_share_plaintext,
+    encode_share_plaintexts,
     serialize,
+    share_ad,
 )
 
 F257 = FieldParams(257)
@@ -55,10 +57,13 @@ class TestGoldenBytes:
         assert blob == b"\x04\x02\x00\x00\x00\x02\x00\x00\x00\x00\x01\x03\x00"
 
     def test_share_plaintext(self):
-        blob = encode_share_plaintext(1, 2, [10, 0], F11)
-        assert blob == b"\x01\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00\x0a\x00"
-        u, v, shares = decode_share_plaintext(blob, F11)
-        assert (u, v, shares.tolist()) == (1, 2, [10, 0])
+        # The chunk shares alone; sender and recipient travel as AEAD data.
+        blob = encode_share_plaintext([10, 0], F11)
+        assert blob == b"\x0a\x00"
+        assert decode_share_plaintext(blob, 2, F11).tolist() == [10, 0]
+
+    def test_share_ad(self):
+        assert share_ad(1, 2) == b"\x01\0\0\0\x02\0\0\0"
 
 
 def _random_message(rng, fp):
@@ -110,11 +115,16 @@ class TestRoundtrip:
     def test_share_plaintext_random(self):
         rng = random.Random(9)
         for _ in range(500):
-            u, v = rng.randrange(1, 500), rng.randrange(1, 500)
-            shares = [rng.randrange(257) for _ in range(rng.randrange(0, 20))]
-            blob = encode_share_plaintext(u, v, shares, F257)
-            got_u, got_v, got = decode_share_plaintext(blob, F257)
-            assert (got_u, got_v, got.tolist()) == (u, v, shares)
+            count, k = rng.randrange(0, 20), rng.randrange(1, 6)
+            shares = np.array(
+                [[rng.randrange(257) for _ in range(k)] for _ in range(count)], dtype=np.int64
+            ).reshape(count, k)
+            blobs = encode_share_plaintexts(shares, F257)
+            assert len(blobs) == k
+            for col, blob in zip(shares.T, blobs):
+                assert len(blob) == count * F257.byte_width
+                assert blob == encode_share_plaintext(col, F257)
+                assert decode_share_plaintext(blob, count, F257).tolist() == col.tolist()
 
 
 class TestValidation:
@@ -150,11 +160,12 @@ class TestValidation:
             deserialize(bad, F11)
 
     def test_share_plaintext_truncated_or_trailing(self):
-        blob = encode_share_plaintext(1, 2, [10, 0], F11)
-        with pytest.raises(InvalidArgument, match="truncated"):
-            decode_share_plaintext(blob[:-1], F11)
-        with pytest.raises(InvalidArgument, match="trailing"):
-            decode_share_plaintext(blob + b"\x00", F11)
+        blob = encode_share_plaintext([10, 0], F11)
+        for bad in (blob[:-1], blob + b"\x00", b""):
+            with pytest.raises(InvalidArgument, match="wrong length"):
+                decode_share_plaintext(bad, 2, F11)
+        with pytest.raises(InvalidArgument, match="out of range"):
+            decode_share_plaintext(b"\x0a\x0b", 2, F11)  # 11 >= q
 
     def test_sum_shares_must_be_integers(self):
         for sums in ([1.5, 2.5], [True], [2**64], ["3"]):

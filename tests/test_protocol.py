@@ -275,7 +275,7 @@ class TestClientAborts:
 
     def test_swapped_ciphertext_header_mismatch(self):
         # Deliver client 3's ciphertext labeled as coming from client 2:
-        # it decrypts under the wrong key and must be rejected.
+        # client 1 opens it under the key it shares with 2, so the tag fails.
         p, rng, clients, server, broadcast = self._setup()
         uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
         deliveries = server.round1(uploads)
@@ -286,13 +286,13 @@ class TestClientAborts:
                 (v, cts[3] if v == 2 else ct) for v, ct in dv.ciphertexts
             )
         )
-        with pytest.raises(ClientAborted):
+        with pytest.raises(ClientAborted, match="from 2 failed authentication"):
             clients[1].round2(forged)
 
     def test_misrouted_own_ciphertext_header_mismatch(self):
         # A ciphertext client 2 made for client 3, delivered to client 1 under
-        # the correct sender label, decrypts only if keys collide -- it cannot,
-        # so either authentication or the header check must fire.
+        # the correct sender label: it was sealed under the key of 2 and 3 with
+        # share_ad(2, 3), so it fails authentication on both counts.
         p, rng, clients, server, broadcast = self._setup()
         uploads = {up.u: up for up in (c.round1(broadcast, [1, 2], rng=rng)
                                        for c in clients.values())}
@@ -303,8 +303,26 @@ class TestClientAborts:
                 (v, for_three if v == 2 else ct) for v, ct in dv.ciphertexts
             )
         )
-        with pytest.raises(ClientAborted):
+        with pytest.raises(ClientAborted, match="from 2 failed authentication"):
             clients[1].round2(forged)
+
+    def test_reflected_own_ciphertext_aborts(self):
+        # Client 1's own ciphertext for client 2, delivered back to client 1
+        # labeled as from 2. The pairwise key is symmetric, so only the
+        # direction bound into the ciphertext tells it apart from 2's.
+        p, rng, clients, server, broadcast = self._setup()
+        uploads = {up.u: up for up in (c.round1(broadcast, [1, 2], rng=rng)
+                                       for c in clients.values())}
+        reflected = dict(uploads[1].ciphertexts)[2]
+        dv = server.round1(list(uploads.values()))[1]
+        forged = ShareDelivery(
+            ciphertexts=tuple(
+                (v, reflected if v == 2 else ct) for v, ct in dv.ciphertexts
+            )
+        )
+        with pytest.raises(ClientAborted, match="from 2"):
+            clients[1].round2(forged)
+        assert clients[1].round is Round.ABORTED
 
     def test_repeated_sender_aborts(self):
         # Summing one sender's shares twice would make the aggregate wrong.

@@ -27,7 +27,7 @@ def expected_wire_bytes(report, pk_len):
     """Closed-form per-message byte counts for the fixed wire layout."""
     bw = (report.params.fp.q.bit_length() + 7) // 8
     chunk_count = report.params.chunk_count
-    ct_len = 12 + 12 + chunk_count * bw + 16  # nonce + header + shares + tag
+    ct_len = 12 + chunk_count * bw + 16  # nonce + shares + tag
     hello = 1 + 4 + 4 + pk_len
     upload = 1 + 4 + 4 + (report.roster_sizes["u1"] - 1) * (4 + 4 + ct_len)
     sums = 1 + 4 + 4 + chunk_count * bw
@@ -81,6 +81,23 @@ class TestBasicRuns:
         assert report.aggregate == [15]
         assert report.roster_sizes["u3"] == 4
 
+    def test_rosters_at_every_drop_point(self):
+        report = run_simulation(SimConfig(n=10, m=2, rho=0.3, B=16, seed=4, dropout_schedule={
+            2: DropPoint.AFTER_ROUND0,
+            5: DropPoint.AFTER_ROUND1_SEND,
+            9: DropPoint.AFTER_ROUND1_RECEIVE,
+        }))
+        assert report.status == "ok"
+        assert report.rosters == {
+            "u1": (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+            "u2": (1, 3, 4, 5, 6, 7, 8, 9, 10),
+            "u3": (1, 3, 4, 6, 7, 8, 10),
+        }
+        assert report.roster_sizes == {"u1": 10, "u2": 9, "u3": 7}
+        doc = json.loads(report.to_json())
+        assert doc["rosters"] == {k: list(r) for k, r in report.rosters.items()}
+        assert doc["roster_sizes"] == report.roster_sizes
+
 
 class TestDeterminism:
     def test_identical_transcripts(self):
@@ -118,7 +135,7 @@ class TestDeterminism:
             h.update(f"{stage}:{sender}:{recipient}:{len(payload)}:".encode())
             h.update(payload)
         assert h.hexdigest() == (
-            "cdef00154a0dd12ba4af991d6158a8112b5661d415fbd1d340554caa45c88f61"
+            "7a2fabf76742f582ce34605b1e9326cd30adab7e06c1a09ee05a3686911e16df"
         )
 
 
@@ -211,6 +228,7 @@ class TestFailureReporting:
         report = run_simulation(cfg(seed=2))
         assert report.status == "aggregation_failed"
         assert report.aggregate is None
+        assert report.rosters == {"u1": (1, 2, 3, 4, 5), "u2": (), "u3": ()}
         assert report.roster_sizes == {"u1": 5, "u2": 0, "u3": 0}
         assert report.aborted == {
             u: f"client {u}: duplicate public keys in broadcast" for u in range(1, 6)
@@ -219,6 +237,7 @@ class TestFailureReporting:
         doc = json.loads(report.to_json())
         assert doc["aborted"] == {str(u): why for u, why in report.aborted.items()}
         assert doc["failure"] == report.failure
+        assert doc["rosters"] == {"u1": [1, 2, 3, 4, 5], "u2": [], "u3": []}
 
     def test_round2_abort_reported(self, monkeypatch):
         # The server flips one tag bit of client 2's ciphertext for client 1:
@@ -236,7 +255,9 @@ class TestFailureReporting:
         report = run_simulation(cfg(seed=3, inputs=[[u, 1, 2, 3] for u in range(5)]))
         assert report.status == "ok"
         assert report.aggregate == [10, 5, 10, 15]
-        assert report.roster_sizes == {"u1": 5, "u2": 5, "u3": 4}
+        assert report.rosters == {
+            "u1": (1, 2, 3, 4, 5), "u2": (1, 2, 3, 4, 5), "u3": (2, 3, 4, 5),
+        }
         assert report.aborted == {1: "client 1: ciphertext from 2 failed authentication"}
         assert report.failure is None
 
