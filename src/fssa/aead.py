@@ -1,16 +1,19 @@
-"""Authenticated encryption: AES-256-GCM with a random 96-bit nonce.
+"""Authenticated encryption: AES-256-GCM with a nonce derived from the associated data.
 
-A ciphertext is the bytes nonce + body, where body is the sealed plaintext
-followed by its 16-byte tag, so the wire form is self-contained. The
-associated data `ad` is authenticated but not sent. Key agreement is
-symmetric, so each pairwise key seals two messages per protocol run, one per
-direction, told apart by their `ad`; with so few messages per key, random
-nonces are collision-safe.
+A ciphertext is the sealed plaintext followed by its 16-byte tag; no nonce is
+sent. Both ends derive the 96-bit nonce from the associated data `ad`, which
+is authenticated but not sent either: `ad` zero-padded to 11 bytes, then its
+length, so distinct `ad` values give distinct nonces.
+
+The rule: a (key, ad) pair seals at most one plaintext. GCM under a repeated
+(key, nonce) leaks the XOR of the two plaintexts and lets the tag be forged.
+In the protocol every pairwise key comes from key pairs drawn fresh in
+Round 0, so it lives for one run; key agreement is symmetric, so the key of
+u and v seals exactly two messages in that run, one per direction, under
+share_ad(u, v) and share_ad(v, u).
 """
 
 from __future__ import annotations
-
-import os
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -22,23 +25,28 @@ TAG_LEN = 16
 _MAX_PLAINTEXT = 2**31
 
 
-def ae_enc(key: bytes, plaintext: bytes, ad: bytes, rng=None) -> bytes:
-    """Seal plaintext under `ad`; returns nonce + body. `rng` supplies the nonce when given."""
+def _nonce(ad: bytes) -> bytes:
+    if len(ad) >= NONCE_LEN:
+        raise InvalidArgument(f"associated data must be under {NONCE_LEN} bytes")
+    return ad.ljust(NONCE_LEN - 1, b"\0") + bytes([len(ad)])
+
+
+def ae_enc(key: bytes, plaintext: bytes, ad: bytes) -> bytes:
+    """Seal plaintext under `ad`; returns body + tag. Seal each (key, ad) at most once."""
     if len(key) != 32:
         raise InvalidArgument("key must be 32 bytes")
     if len(plaintext) > _MAX_PLAINTEXT:
         raise InvalidArgument("plaintext too large")
-    nonce = rng.randbytes(NONCE_LEN) if rng is not None else os.urandom(NONCE_LEN)
-    return nonce + AESGCM(key).encrypt(nonce, plaintext, ad)
+    return AESGCM(key).encrypt(_nonce(ad), plaintext, ad)
 
 
 def ae_dec(key: bytes, ct: bytes, ad: bytes) -> bytes:
-    """Open nonce + body under `ad`; raises Rejected if authentication fails."""
+    """Open body + tag under `ad`; raises Rejected if authentication fails."""
     if len(key) != 32:
         raise InvalidArgument("key must be 32 bytes")
-    if len(ct) < NONCE_LEN + TAG_LEN:
+    if len(ct) < TAG_LEN:
         raise InvalidArgument("ciphertext too short")
     try:
-        return AESGCM(key).decrypt(ct[:NONCE_LEN], ct[NONCE_LEN:], ad)
+        return AESGCM(key).decrypt(_nonce(ad), ct, ad)
     except InvalidTag as e:
         raise Rejected("authentication failed") from e

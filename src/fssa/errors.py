@@ -9,6 +9,14 @@ class InvalidArgument(FssaError, ValueError):
     """A precondition on an argument was violated."""
 
 
+class MalformedPlaintext(InvalidArgument):
+    """One plaintext of a batch failed to decode; `index` is its position."""
+
+    def __init__(self, index: int, why: str):
+        super().__init__(why)
+        self.index = index
+
+
 class InsufficientShares(FssaError):
     """Fewer than t shares survived; reconstruction is impossible."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, MalformedPlaintext
 from .field import FieldParams
 
 TAG_CLIENT_HELLO = 0
@@ -162,14 +162,18 @@ def encode_elems(values, fp: FieldParams) -> bytes:
     return a.view(np.uint8).reshape(-1, 8)[:, : fp.byte_width].tobytes()
 
 
-def decode_elems(data: bytes, count: int, fp: FieldParams) -> np.ndarray:
-    """Unpack `count` fixed-width elements into an int64 array; each must be below q."""
-    bw = fp.byte_width
-    if len(data) != count * bw:
-        raise InvalidArgument("element block has wrong length")
+def _unpack(data: bytes, count: int, bw: int) -> np.ndarray:
+    """`count` fixed-width little-endian elements as uint64, unchecked."""
     padded = np.zeros((count, 8), dtype=np.uint8)
     padded[:, :bw] = np.frombuffer(data, dtype=np.uint8).reshape(count, bw)
-    vals = padded.reshape(-1).view("<u8")
+    return padded.reshape(-1).view("<u8")
+
+
+def decode_elems(data: bytes, count: int, fp: FieldParams) -> np.ndarray:
+    """Unpack `count` fixed-width elements into an int64 array; each must be below q."""
+    if len(data) != count * fp.byte_width:
+        raise InvalidArgument("element block has wrong length")
+    vals = _unpack(data, count, fp.byte_width)
     if count and int(vals.max()) >= fp.q:
         raise InvalidArgument("element encoding out of range")
     return vals.astype(np.int64)
@@ -191,6 +195,24 @@ def encode_share_plaintexts(shares, fp: FieldParams) -> list[bytes]:
     flat = encode_elems(shares.T, fp)
     size = count * fp.byte_width
     return [flat[i * size : (i + 1) * size] for i in range(k)]
+
+
+def decode_share_plaintexts(plaintexts, count: int, fp: FieldParams) -> np.ndarray:
+    """The (k, count) chunk shares of k share plaintexts, in one decode.
+
+    The mirror of encode_share_plaintexts. A plaintext of the wrong length or
+    holding an element >= q raises MalformedPlaintext with its position.
+    """
+    size = count * fp.byte_width
+    for i, pt in enumerate(plaintexts):
+        if len(pt) != size:
+            raise MalformedPlaintext(i, "element block has wrong length")
+    k = len(plaintexts)
+    vals = _unpack(b"".join(plaintexts), k * count, fp.byte_width).reshape(k, count)
+    bad = np.flatnonzero(vals.max(axis=1, initial=0) >= fp.q)
+    if bad.size:
+        raise MalformedPlaintext(int(bad[0]), "element encoding out of range")
+    return vals.astype(np.int64)
 
 
 def encode_share_plaintext(shares, fp: FieldParams) -> bytes:

@@ -24,6 +24,7 @@ from .errors import (
     ClientAborted,
     InsufficientShares,
     InvalidArgument,
+    MalformedPlaintext,
     ProtocolOrderViolation,
     Rejected,
     RoundAborted,
@@ -36,7 +37,8 @@ from .messages import (
     ShareDelivery,
     ShareUpload,
     SumShares,
-    decode_share_plaintext,
+    decode_share_plaintext,  # noqa: F401  (looked up here by perfbench/tracing.py)
+    decode_share_plaintexts,
     encode_share_plaintext,  # noqa: F401  (looked up here by perfbench/tracing.py)
     encode_share_plaintexts,
     share_ad,
@@ -165,8 +167,8 @@ class Client:
 
         The random sharing coefficients come from the numpy generator
         `np_rng`; without one, a generator is seeded with 256 bits drawn
-        from `rng` (or from the system when `rng` is None). `rng` also
-        supplies the AEAD nonces.
+        from `rng` (or from the system when `rng` is None). That seed is the
+        only use of `rng`: the AEAD nonces are derived, not drawn.
         """
         if self.round is not Round.ADVERTISED:
             raise ProtocolOrderViolation(f"round1 called in state {self.round}")
@@ -211,7 +213,7 @@ class Client:
         plaintexts = encode_share_plaintexts(share_matrix, p.fp)
         for v, pt in zip(points, plaintexts):
             if v != self.u:
-                cts.append((v, ae_enc(self.pair_keys[v], pt, share_ad(self.u, v), rng)))
+                cts.append((v, ae_enc(self.pair_keys[v], pt, share_ad(self.u, v))))
         self.phase_ns["encrypt"] = time.perf_counter_ns() - t0
 
         self.round = Round.SHARED
@@ -220,7 +222,8 @@ class Client:
     def round2(self, delivery: ShareDelivery) -> SumShares:
         """Decrypt peers' shares, each bound to (sender, self) as AEAD data, and sum per chunk.
 
-        Each decrypted share vector is added into a running sum and not kept.
+        The plaintexts are decoded together into one (senders, chunks) block,
+        summed down its columns and dropped.
         """
         if self.round is not Round.SHARED:
             raise ProtocolOrderViolation(f"round2 called in state {self.round}")
@@ -234,21 +237,23 @@ class Client:
             self._abort(f"|U2| = {len(u2)} below threshold {p.t}")
 
         t0 = time.perf_counter_ns()
-        sums = self.own_shares
+        plaintexts = []
         for v, ct_bytes in delivery.ciphertexts:
             if v not in self.pair_keys:
                 self._abort(f"delivery names unexpected sender {v}")
             try:
-                pt = ae_dec(self.pair_keys[v], ct_bytes, share_ad(v, self.u))
-                shares = decode_share_plaintext(pt, p.chunk_count, p.fp)
+                plaintexts.append(ae_dec(self.pair_keys[v], ct_bytes, share_ad(v, self.u)))
             except Rejected:
                 self._abort(f"ciphertext from {v} failed authentication")
             except InvalidArgument as e:
                 self._abort(f"malformed share payload from {v}: {e}")
-            sums = sums + shares
+        try:
+            shares = decode_share_plaintexts(plaintexts, p.chunk_count, p.fp)
+        except MalformedPlaintext as e:
+            self._abort(f"malformed share payload from {senders[e.index]}: {e}")
         # At most n <= q-1 addends below q each, and FieldParams keeps
         # (q-1)^2 < 2^63, so one reduction at the end is exact.
-        sums = sums % p.fp.q
+        sums = (self.own_shares + shares.sum(axis=0)) % p.fp.q
         self.phase_ns["sum"] = time.perf_counter_ns() - t0
 
         self.round = Round.DONE
@@ -264,6 +269,7 @@ class Server:
         self.u1: tuple = ()
         self.u2: tuple = ()
         self.u3: tuple = ()
+        self.excluded: dict = {}  # v -> why client v's upload was left out of U2
         self.phase_ns = {}
 
     def round0(self, hellos) -> KeyBroadcast:
@@ -284,6 +290,12 @@ class Server:
         return KeyBroadcast(keys=tuple((u, public_keys[u]) for u in self.u1))
 
     def round1(self, uploads) -> dict:
+        """Route the uploads; a faulty upload is left out of U2, not fatal.
+
+        An upload is faulty if it addresses a ciphertext to itself or to a
+        client outside U1, or lacks one for another uploader. Its sender is
+        treated as dropped before uploading, with the reason in `excluded`.
+        """
         if self.round != 1:
             raise ProtocolOrderViolation("round1 out of order")
         p = self.params
@@ -295,23 +307,26 @@ class Server:
         for up in uploads:
             if up.u not in u1set:
                 raise InvalidArgument(f"upload from client {up.u} outside the roster")
-            for v, _ in up.ciphertexts:
-                if v not in u1set or v == up.u:
-                    raise InvalidArgument(f"ciphertext addressed to unknown recipient {v}")
-        if len(senders) < p.t:
-            raise RoundAborted(f"Round 1: only {len(senders)} uploads collected, need {p.t}")
-        self.u2 = tuple(sorted(senders))
         by_sender = {up.u: dict(up.ciphertexts) for up in uploads}
-        deliveries = {}
-        for u in self.u2:
-            entries = []
-            for v in self.u2:
-                if v == u:
-                    continue
-                if u not in by_sender[v]:
-                    raise InvalidArgument(f"client {v} sent no ciphertext for {u}")
-                entries.append((v, by_sender[v][u]))
-            deliveries[u] = ShareDelivery(ciphertexts=tuple(entries))
+        for v, cts in by_sender.items():
+            stray = sorted(cts.keys() - (u1set - {v}))
+            missing = sorted(by_sender.keys() - cts.keys() - {v})
+            if stray:
+                self.excluded[v] = f"ciphertext addressed to unknown recipient {stray[0]}"
+            elif missing:
+                self.excluded[v] = f"client {v} sent no ciphertext for {missing[0]}"
+        # Leaving a sender out only removes recipients, so every upload kept
+        # here still covers all of U2: one pass is already stable.
+        self.u2 = tuple(sorted(by_sender.keys() - self.excluded.keys()))
+        if len(self.u2) < p.t:
+            left_out = f" ({len(self.excluded)} left out)" if self.excluded else ""
+            raise RoundAborted(
+                f"Round 1: only {len(self.u2)} uploads collected{left_out}, need {p.t}"
+            )
+        deliveries = {
+            u: ShareDelivery(ciphertexts=tuple((v, by_sender[v][u]) for v in self.u2 if v != u))
+            for u in self.u2
+        }
         self.phase_ns["route"] = time.perf_counter_ns() - t0
         self.round = 2
         return deliveries

@@ -73,12 +73,14 @@ class SimReport:
     params: Params
     aggregate: list | None
     rosters: dict                  # {"u1", "u2", "u3"} -> sorted senders of each round's messages
+                                   # ("u2" leaves out the uploads in `excluded`)
     expected_sum_over_u2: list | None
     client_phase_ns: dict          # u -> {"keygen", "share", "agree", "encrypt", "sum"} in ns
     server_phase_ns: dict          # {"route", "precompute", "reconstruct"} in ns
     transcript: list               # (stage, sender, recipient, payload bytes)
     corrupted: frozenset           # the clients whose received payloads are their views
     aborted: dict                  # u -> the reason client u aborted, in client order
+    excluded: dict                 # v -> why the server left v's upload out of U2
     failure: str | None            # the server's reason for aborting the run, or None
 
     @property
@@ -101,6 +103,19 @@ class SimReport:
     @property
     def server_bytes_sent(self) -> int:
         return sum(len(p) for _, sender, _, p in self.transcript if sender == "server")
+
+    @property
+    def bytes_received(self) -> dict:
+        """u -> total bytes the server put on the wire for this client."""
+        out: dict = {}
+        for _, _, recipient, payload in self.transcript:
+            if recipient != "server":
+                out[recipient] = out.get(recipient, 0) + len(payload)
+        return out
+
+    @property
+    def server_bytes_received(self) -> int:
+        return sum(len(p) for _, _, recipient, p in self.transcript if recipient == "server")
 
     @property
     def corrupted_views(self) -> dict:
@@ -139,12 +154,15 @@ class SimReport:
             "rosters": {k: list(r) for k, r in self.rosters.items()},
             "roster_sizes": self.roster_sizes,
             "aborted": {str(u): why for u, why in self.aborted.items()},
+            "excluded": {str(v): why for v, why in self.excluded.items()},
             "failure": self.failure,
             "expected_sum_over_u2": self.expected_sum_over_u2,
             "client_phase_ns": {str(k): v for k, v in self.client_phase_ns.items()},
             "server_phase_ns": self.server_phase_ns,
             "bytes_sent": {str(k): v for k, v in self.bytes_sent.items()},
             "server_bytes_sent": self.server_bytes_sent,
+            "bytes_received": {str(k): v for k, v in self.bytes_received.items()},
+            "server_bytes_received": self.server_bytes_received,
             "transcript": [
                 {"stage": st, "from": s, "to": r, "payload": p.hex()}
                 for st, s, r, p in self.transcript
@@ -167,7 +185,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     Too many dropouts is a legitimate outcome: the report comes back with
     status "aggregation_failed" and the server's reason in `failure` rather
     than an exception. A client that aborts leaves the run, and its reason
-    goes into `aborted`.
+    goes into `aborted`; an upload the server leaves out of U2 goes into
+    `excluded`.
     """
     params = cfg.plan()
     cfg.validate(params)
@@ -205,7 +224,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
 
     # A round the server aborts (too few keys, uploads or sums) ends the run
     # with no aggregate; the rosters list the senders of the messages each
-    # round got.
+    # round got, less the uploads the server left out.
     try:
         # Round 0: every live client advertises a key.
         for u in sorted(live):
@@ -229,7 +248,6 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             return clients[u].round1(
                 messages.deserialize(broadcast_wire, fp),
                 inputs[u - 1],
-                rng=_sub_rng(cfg.seed, u),
                 np_rng=np_rngs[u],
             )
 
@@ -284,8 +302,9 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         params=params,
         aggregate=aggregate,
         rosters={
-            name: tuple(sorted(msg.u for msg in msgs))
-            for name, msgs in (("u1", hellos), ("u2", uploads), ("u3", sums))
+            "u1": tuple(sorted(h.u for h in hellos)),
+            "u2": tuple(sorted(up.u for up in uploads if up.u not in server.excluded)),
+            "u3": tuple(sorted(s.u for s in sums)),
         },
         expected_sum_over_u2=expected,
         client_phase_ns={u: dict(c.phase_ns) for u, c in clients.items() if c.phase_ns},
@@ -293,13 +312,9 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         transcript=transcript,
         corrupted=frozenset(cfg.corrupted),
         aborted=dict(sorted(aborted.items())),
+        excluded=dict(sorted(server.excluded.items())),
         failure=failure,
     )
-
-
-def _sub_rng(seed: int, u: int) -> random.Random:
-    """Independent deterministic stream per (seed, client) for nonces."""
-    return random.Random((seed << 20) ^ (u * 0x9E3779B9))
 
 
 def _integer(v) -> int:

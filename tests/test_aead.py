@@ -20,10 +20,27 @@ def test_empty_plaintext():
     assert ae_dec(KEY, ae_enc(KEY, b"", AD), AD) == b""
 
 
-def test_randomized_encryption():
-    a = ae_enc(KEY, b"same message", AD)
-    b = ae_enc(KEY, b"same message", AD)
-    assert a[:NONCE_LEN] != b[:NONCE_LEN] and a[NONCE_LEN:] != b[NONCE_LEN:]
+def test_sealing_is_deterministic():
+    # The nonce comes from the associated data, so one (key, plaintext, ad)
+    # always seals to the same bytes.
+    assert ae_enc(KEY, b"same message", AD) == ae_enc(KEY, b"same message", AD)
+
+
+def test_directions_get_different_nonces():
+    # u -> v and v -> u share one key; their nonces differ, so the same
+    # plaintext seals to unrelated bodies, not only different tags.
+    a = ae_enc(KEY, b"same message", share_ad(1, 2))
+    b = ae_enc(KEY, b"same message", share_ad(2, 1))
+    assert a[:-TAG_LEN] != b[:-TAG_LEN] and a[-TAG_LEN:] != b[-TAG_LEN:]
+
+
+def test_associated_data_below_nonce_length():
+    # Every ad under NONCE_LEN bytes maps to its own nonce; a longer one
+    # would not fit and is refused.
+    ae_enc(KEY, b"m", bytes(NONCE_LEN - 1))
+    with pytest.raises(InvalidArgument, match="associated data"):
+        ae_enc(KEY, b"m", bytes(NONCE_LEN))
+    assert ae_enc(KEY, b"m", b"ab") != ae_enc(KEY, b"m", b"ab\0")
 
 
 def test_wrong_key_rejected():
@@ -55,12 +72,15 @@ def test_bad_key_length():
 
 
 def test_wire_form():
-    # nonce + sealed plaintext + tag; the associated data is not sent, and
-    # the nonce comes from the rng when given.
-    ct = ae_enc(KEY, b"abc", AD, random.Random(9))
-    assert len(ct) == NONCE_LEN + 3 + TAG_LEN
-    assert ct[:NONCE_LEN] == random.Random(9).randbytes(NONCE_LEN)
-    for short in (b"", ct[: NONCE_LEN + TAG_LEN - 1]):
+    # Sealed plaintext + tag; neither the nonce nor the associated data is sent.
+    ct = ae_enc(KEY, b"abc", AD)
+    assert len(ct) == 3 + TAG_LEN
+    with pytest.raises(TypeError):
+        ae_enc(KEY, b"abc", AD, random.Random(9))  # no rng: nothing is drawn
+
+
+def test_short_body_rejected():
+    for short in (b"", ae_enc(KEY, b"", AD)[: TAG_LEN - 1]):
         with pytest.raises(InvalidArgument, match="too short"):
             ae_dec(KEY, short, AD)
 
@@ -71,11 +91,11 @@ def test_roundtrip_many_random():
         key = rng.randbytes(32)
         msg = rng.randbytes(rng.randrange(0, 64))
         ad = share_ad(rng.randrange(1, 500), rng.randrange(1, 500))
-        assert ae_dec(key, ae_enc(key, msg, ad, rng), ad) == msg
+        assert ae_dec(key, ae_enc(key, msg, ad), ad) == msg
 
 
 def test_every_bit_flip_rejected():
-    ct = ae_enc(KEY, b"x", AD, random.Random(5))
+    ct = ae_enc(KEY, b"x", AD)
     blob = bytearray(ct)
     for i in range(len(blob) * 8):
         mutated = bytearray(blob)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from fssa.errors import InvalidArgument
+from fssa.errors import InvalidArgument, MalformedPlaintext
 from fssa.field import FieldParams
 from fssa.messages import (
     ClientHello,
@@ -13,6 +13,7 @@ from fssa.messages import (
     SumShares,
     decode_elems,
     decode_share_plaintext,
+    decode_share_plaintexts,
     deserialize,
     encode_elems,
     encode_share_plaintext,
@@ -125,6 +126,7 @@ class TestRoundtrip:
                 assert len(blob) == count * F257.byte_width
                 assert blob == encode_share_plaintext(col, F257)
                 assert decode_share_plaintext(blob, count, F257).tolist() == col.tolist()
+            assert decode_share_plaintexts(blobs, count, F257).tolist() == shares.T.tolist()
 
 
 class TestValidation:
@@ -166,6 +168,15 @@ class TestValidation:
                 decode_share_plaintext(bad, 2, F11)
         with pytest.raises(InvalidArgument, match="out of range"):
             decode_share_plaintext(b"\x0a\x0b", 2, F11)  # 11 >= q
+
+    def test_share_plaintexts_name_the_bad_one(self):
+        good = encode_share_plaintext([10, 0], F11)
+        assert decode_share_plaintexts([], 2, F11).shape == (0, 2)
+        for bad, why in ((good[:-1], "wrong length"), (good + b"\x00", "wrong length"),
+                         (b"\x0a\x0b", "out of range")):
+            with pytest.raises(MalformedPlaintext, match=why) as caught:
+                decode_share_plaintexts([good, good, bad, good], 2, F11)
+            assert caught.value.index == 2
 
     def test_sum_shares_must_be_integers(self):
         for sums in ([1.5, 2.5], [True], [2**64], ["3"]):

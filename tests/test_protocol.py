@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fssa.aead import ae_enc
 from fssa.errors import (
     ClientAborted,
     InsufficientShares,
@@ -17,7 +18,7 @@ from fssa.errors import (
 )
 from fssa.field import FieldParams, poly_eval
 from fssa.keyagree import ka_gen
-from fssa.messages import KeyBroadcast, ShareDelivery, SumShares
+from fssa.messages import KeyBroadcast, ShareDelivery, ShareUpload, SumShares, share_ad
 from fssa.protocol import Client, Params, Round, Server, chunk_vector, plan_parameters
 
 
@@ -259,7 +260,7 @@ class TestClientAborts:
 
         p, _, clients, _, broadcast = self._setup()
         clients[1].round1(broadcast, [1, 2], rng=Recording(2))
-        assert widths[0] == 256  # the draws after it are AEAD nonces
+        assert widths == [256]  # the only draw: AEAD nonces are derived
 
     def test_tampered_ciphertext_aborts(self):
         p, rng, clients, server, broadcast = self._setup()
@@ -321,6 +322,25 @@ class TestClientAborts:
             )
         )
         with pytest.raises(ClientAborted, match="from 2"):
+            clients[1].round2(forged)
+        assert clients[1].round is Round.ABORTED
+
+    @pytest.mark.parametrize("payload, why", [
+        (b"\x01\x01", "wrong length"),  # one chunk, one byte per element
+        (b"\xff", "out of range"),
+    ], ids=["length", "range"])
+    def test_malformed_plaintext_names_sender(self, payload, why):
+        # A plaintext sealed correctly under the pair key of 1 and 3 but not
+        # holding chunk_count elements below q; the batched decode names 3.
+        p, rng, clients, server, broadcast = self._setup()
+        uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+        dv = server.round1(uploads)[1]
+        bad = ae_enc(clients[1].pair_keys[3], payload, share_ad(3, 1))
+        forged = ShareDelivery(
+            ciphertexts=tuple((v, bad if v == 3 else ct) for v, ct in dv.ciphertexts)
+        )
+        assert [v for v, _ in forged.ciphertexts] == [2, 3, 4]
+        with pytest.raises(ClientAborted, match=f"malformed share payload from 3: .*{why}"):
             clients[1].round2(forged)
         assert clients[1].round is Round.ABORTED
 
@@ -395,6 +415,41 @@ class TestServerChecks:
         uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
         with pytest.raises(RoundAborted):
             server.round1(uploads[: p.t - 1])
+
+    @pytest.mark.parametrize("fault", ["to-self", "outside-roster", "missing"])
+    def test_round1_faulty_upload_left_out(self, fault):
+        p = plan_parameters(5, 2, B=16, rho=0.2)
+        rng = random.Random(0)
+        clients, hellos = self._hellos(p, rng)
+        server = Server(p)
+        broadcast = server.round0(hellos)
+        uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+        cts = uploads[2].ciphertexts  # client 3's, for 1, 2, 4, 5
+        cts, why = {
+            "to-self": (cts + ((3, b"x" * 16),), "unknown recipient 3"),
+            "outside-roster": (cts + ((9, b"x" * 16),), "unknown recipient 9"),
+            "missing": (cts[1:], "client 3 sent no ciphertext for 1"),
+        }[fault]
+        uploads[2] = ShareUpload(u=3, ciphertexts=cts)
+        deliveries = server.round1(uploads)
+        assert server.u2 == (1, 2, 4, 5) and sorted(deliveries) == [1, 2, 4, 5]
+        assert list(server.excluded) == [3] and why in server.excluded[3]
+        assert all(3 not in dict(dv.ciphertexts) for dv in deliveries.values())
+        sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
+        assert server.round2(sums) == [4, 8]
+
+    def test_round1_too_few_after_leaving_out(self):
+        p = plan_parameters(4, 2, B=16, rho=0.25)
+        rng = random.Random(0)
+        clients, hellos = self._hellos(p, rng)
+        server = Server(p)
+        broadcast = server.round0(hellos)
+        uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+        for i in (0, 1):
+            up = uploads[i]
+            uploads[i] = ShareUpload(u=up.u, ciphertexts=up.ciphertexts[1:])
+        with pytest.raises(RoundAborted, match=r"only 2 uploads collected \(2 left out\), need 3"):
+            server.round1(uploads)
 
     def test_round2_below_threshold(self):
         p = plan_parameters(4, 2, B=16, rho=0.25)

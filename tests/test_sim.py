@@ -5,9 +5,10 @@ import random
 import pytest
 
 import fssa.protocol
+from fssa.aead import _nonce
 from fssa.errors import InvalidArgument
 from fssa.keyagree import ka_gen
-from fssa.messages import ShareDelivery
+from fssa.messages import ShareDelivery, ShareUpload
 from fssa.sim import (
     DropPoint,
     SimConfig,
@@ -27,7 +28,7 @@ def expected_wire_bytes(report, pk_len):
     """Closed-form per-message byte counts for the fixed wire layout."""
     bw = (report.params.fp.q.bit_length() + 7) // 8
     chunk_count = report.params.chunk_count
-    ct_len = 12 + chunk_count * bw + 16  # nonce + shares + tag
+    ct_len = chunk_count * bw + 16  # shares + tag; the nonce is derived, not sent
     hello = 1 + 4 + 4 + pk_len
     upload = 1 + 4 + 4 + (report.roster_sizes["u1"] - 1) * (4 + 4 + ct_len)
     sums = 1 + 4 + 4 + chunk_count * bw
@@ -135,7 +136,7 @@ class TestDeterminism:
             h.update(f"{stage}:{sender}:{recipient}:{len(payload)}:".encode())
             h.update(payload)
         assert h.hexdigest() == (
-            "7a2fabf76742f582ce34605b1e9326cd30adab7e06c1a09ee05a3686911e16df"
+            "b1d6fd22d1df33aeb807d091d339ca256e03b3aa4749cfc9475635deee33dea0"
         )
 
 
@@ -173,6 +174,27 @@ class TestScheduleValidation:
         assert apply_dropout_schedule(sched, DropPoint.AFTER_ROUND1_SEND, live) == {1, 3}
 
 
+class TestNonces:
+    def test_no_key_and_nonce_seals_twice(self, monkeypatch):
+        # Every ciphertext of a run is sealed under its own (pair key,
+        # nonce), although each pair key seals one message per direction.
+        sealed = []
+        seal = fssa.protocol.ae_enc
+
+        def recording(key, plaintext, ad):
+            sealed.append((key, _nonce(ad)))
+            return seal(key, plaintext, ad)
+
+        monkeypatch.setattr(fssa.protocol, "ae_enc", recording)
+        report = run_simulation(SimConfig(
+            n=8, m=30, rho=0.25, seed=3, dropout_schedule={4: DropPoint.AFTER_ROUND1_SEND},
+        ))
+        assert report.status == "ok"
+        assert len(sealed) == 8 * 7
+        assert len(set(sealed)) == len(sealed)
+        assert len({key for key, _ in sealed}) == 8 * 7 // 2
+
+
 class TestByteAccounting:
     def test_closed_form_message_sizes(self):
         report = run_simulation(cfg(seed=3))
@@ -191,6 +213,12 @@ class TestByteAccounting:
             assert total == sum(
                 len(p) for _, s, _, p in report.transcript if s == u
             )
+        for u, total in report.bytes_received.items():
+            assert total == sum(
+                len(p) for _, _, r, p in report.transcript if r == u
+            )
+        assert report.server_bytes_received == sum(report.bytes_sent.values())
+        assert sum(report.bytes_received.values()) == report.server_bytes_sent
 
     def test_message_counts_full_run(self):
         report = run_simulation(cfg(seed=1))
@@ -239,6 +267,31 @@ class TestFailureReporting:
         assert doc["failure"] == report.failure
         assert doc["rosters"] == {"u1": [1, 2, 3, 4, 5], "u2": [], "u3": []}
 
+    def test_faulty_upload_excluded(self, monkeypatch):
+        # Client 2 omits its ciphertext for client 1. The server leaves 2's
+        # upload out of U2, as if 2 had dropped before uploading, and the
+        # other four still reconstruct their exact sum.
+        share = fssa.protocol.Client.round1
+
+        def omitting(self, *args, **kwargs):
+            upload = share(self, *args, **kwargs)
+            if self.u == 2:
+                upload = ShareUpload(u=2, ciphertexts=upload.ciphertexts[1:])
+            return upload
+
+        monkeypatch.setattr(fssa.protocol.Client, "round1", omitting)
+        inputs = [[u, 1, 2, 3] for u in range(1, 6)]
+        report = run_simulation(cfg(inputs=inputs))
+        assert report.status == "ok"
+        assert report.aggregate == [1 + 3 + 4 + 5, 4, 8, 12]
+        assert report.aggregate == report.expected_sum_over_u2
+        assert report.excluded == {2: "client 2 sent no ciphertext for 1"}
+        assert report.rosters == {
+            "u1": (1, 2, 3, 4, 5), "u2": (1, 3, 4, 5), "u3": (1, 3, 4, 5),
+        }
+        assert (report.aborted, report.failure) == ({}, None)
+        assert json.loads(report.to_json())["excluded"] == {"2": report.excluded[2]}
+
     def test_round2_abort_reported(self, monkeypatch):
         # The server flips one tag bit of client 2's ciphertext for client 1:
         # client 1 aborts in Round 2 and the other four still reconstruct.
@@ -281,6 +334,13 @@ class TestFailureReporting:
                 sent[str(s)] = sent.get(str(s), 0) + len(p)
         assert doc["bytes_sent"] == sent
         assert doc["server_bytes_sent"] == server_sent
+        received = {}
+        for _, _, r, p in report.transcript:
+            if r != "server":
+                received[str(r)] = received.get(str(r), 0) + len(p)
+        assert doc["bytes_received"] == received
+        assert doc["server_bytes_received"] == sum(sent.values())
+        assert doc["excluded"] == {}
         # Client 3 received the broadcast and its delivery.
         received = [p.hex() for _, _, r, p in report.transcript if r == 3]
         assert doc["corrupted_views"] == {"3": received}
