@@ -27,6 +27,7 @@ _TIMED_COLUMNS = [
     *(f"client_{phase}_ns" for phase in CLIENT_PHASES),
     *(f"server_{phase}_ns" for phase in SERVER_PHASES),
     "bytes_per_client",
+    "bytes_received_per_client",
 ]
 
 CSV_COLUMNS = [
@@ -148,8 +149,11 @@ def run_point(spec: SweepSpec, index: int, n, m, rho, gamma) -> dict:
         for phase in SERVER_PHASES:
             samples[f"server_{phase}_ns"].append(report.server_phase_ns.get(phase, 0))
         survivors = [u for u, ph in report.client_phase_ns.items() if "sum" in ph]
-        sent = report.bytes_sent
+        sent, received = report.bytes_sent, report.bytes_received
         samples["bytes_per_client"].append(statistics.fmean(sent[u] for u in survivors))
+        samples["bytes_received_per_client"].append(
+            statistics.fmean(received[u] for u in survivors)
+        )
 
     for col, vals in samples.items():
         mean, std = _mean_std(vals)

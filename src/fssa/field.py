@@ -195,29 +195,47 @@ def build_recon_matrix(points, d: int, fp: FieldParams) -> np.ndarray:
         raise InvalidArgument("evaluation points must be distinct")
     split_bit(t, q)  # a matrix the kernel cannot apply is refused here
 
-    # Master polynomial P(x) = prod (x - p_k), ascending coefficients.
-    master = [1]
-    for p in pts:
-        nxt = [0] * (len(master) + 1)
-        for i, c in enumerate(master):
-            nxt[i] = (nxt[i] - c * p) % q
-            nxt[i + 1] = (nxt[i + 1] + c) % q
-        master = nxt
-
-    cols = []
-    for p in pts:
-        # Synthetic division: Q(x) = P(x) / (x - p), degree t-1.
-        quot = [0] * t
-        carry = master[t]
-        for i in range(t - 1, -1, -1):
-            quot[i] = carry
-            carry = (master[i] + carry * p) % q
-        # Normalize so the basis polynomial equals 1 at p.
-        denom = poly_eval(quot, p, fp)
-        scale = fe_inv(denom, fp)
-        cols.append([(c * scale) % q for c in quot[:d]])
-
-    return np.ascontiguousarray(np.array(cols, dtype=np.int64).T)
+    x = np.array(pts, dtype=np.int64)
+    x_max = max(pts)
+    # Master polynomial P(x) = prod (x - p_k), in descending order: one step
+    # per root, the product by x being the shift into the zero padding. A
+    # step multiplies magnitudes by at most 1 + x_max, so, as in Horner's
+    # rule, reduction waits for the steps `_lazy_steps` allows; one step
+    # from reduced entries stays within (q-1)^2 in magnitude, so at least
+    # one is always safe.
+    desc = np.zeros(t + 1, dtype=np.int64)
+    desc[0] = 1
+    steps = max(1, _lazy_steps(q, 1 + x_max, t))
+    for j, p in enumerate(pts, start=1):
+        desc[1 : j + 1] -= p * desc[:j]
+        if j % steps == 0:
+            desc %= q
+    desc %= q
+    # Synthetic division at every point at once is Horner's rule on P: row k
+    # of quot holds the low d coefficients of Q_k(x) = P(x) / (x - p_k),
+    # stored unreduced within the Horner bound and reduced once at the end.
+    quot = np.empty((t, d), dtype=np.int64)
+    carry = np.ones(t, dtype=np.int64)
+    steps = _lazy_steps(q, x_max, t)
+    for step, i in enumerate(range(t - 1, -1, -1), start=1):
+        if i < d:
+            quot[:, i] = carry
+        carry *= x
+        carry += desc[t - i]
+        if step % steps == 0:
+            carry %= q
+    quot %= q
+    # Q_k(p_k) = prod_{j != k} (p_k - p_j), halving the columns of the
+    # difference matrix in log2(t) products; then Q_k / Q_k(p_k) is 1 at p_k
+    # and 0 at every other point.
+    diffs = (x[:, None] - x) % q
+    np.fill_diagonal(diffs, 1)
+    while diffs.shape[1] > 1:
+        if diffs.shape[1] % 2:
+            diffs = np.concatenate([diffs, np.ones((t, 1), dtype=np.int64)], axis=1)
+        diffs = diffs[:, ::2] * diffs[:, 1::2] % q
+    inv = np.array([pow(a, -1, q) for a in diffs[:, 0].tolist()], dtype=np.int64)
+    return np.ascontiguousarray((quot * inv[:, None] % q).T)
 
 
 def find_field_modulus(n: int, B: int) -> FieldParams:

@@ -50,7 +50,7 @@ class ShareUpload:
 
 @dataclass(frozen=True)
 class ShareDelivery:
-    ciphertexts: tuple  # ((v, ct_bytes), ...) routed to one recipient
+    ciphertexts: tuple  # ((v, ct_bytes), ...) routed to one recipient; b"" if v designates it
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +113,24 @@ def _pack_list(pairs, what) -> list[bytes]:
 
 
 def _read_list(r: _Reader, what) -> tuple:
-    pairs = tuple((r.u32(), r.blob()) for _ in range(r.u32()))
+    """The list at the reader's position, one `unpack_from` per entry header."""
+    count = r.u32()
+    data, pos, end = r.data, r.pos, len(r.data)
+    unpack = _ENTRY.unpack_from
+    pairs = []
+    try:
+        for _ in range(count):
+            i, size = unpack(data, pos)
+            pos += _ENTRY.size
+            if pos + size > end:
+                raise InvalidArgument("truncated message")
+            pairs.append((i, data[pos : pos + size]))
+            pos += size
+    except struct.error:
+        raise InvalidArgument("truncated message") from None
+    r.pos = pos
     _check_unique([i for i, _ in pairs], what)
-    return pairs
+    return tuple(pairs)
 
 
 def serialize(msg, fp: FieldParams) -> bytes:

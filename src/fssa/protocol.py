@@ -1,16 +1,20 @@
 """Client and server state machines for the 3-round aggregation protocol.
 
 Round 0: every client advertises a fresh public key; the server broadcasts
-the roster. Round 1: every client splits its input into length-d chunks,
-ramp-shares each chunk to the roster, and uploads one authenticated
-ciphertext per peer holding all of that peer's chunk shares; the server
-routes them. Round 2: every client sums its own and the decrypted shares
-per chunk and sends the sums; the server reconstructs each chunk and
-concatenates the results.
+the roster U1. Round 1: every client u splits its input into length-d
+chunks and ramp-shares each chunk to U1. The shares of the t-d designated
+peers D_u (`designated_peers`) are drawn from the pair keys, and the
+sharing polynomials are solved to take them; u uploads one authenticated
+ciphertext per other peer, holding all of that peer's chunk shares, and
+nothing for D_u. The server routes them. Round 2: every client derives the
+shares of the senders that designate it, decrypts the others, sums them
+with its own per chunk and sends the sums; the server reconstructs each
+chunk and concatenates the results.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 import time
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aead import ae_dec, ae_enc
+from .aead import ae_dec, ae_enc, derive_elems
 from .errors import (
     ClientAborted,
     InsufficientShares,
@@ -96,6 +100,17 @@ def plan_parameters(
     return Params(n=n, t=t, d=d, B=B, m=m, fp=find_field_modulus(n, B))
 
 
+def designated_peers(u: int, roster, k: int) -> tuple:
+    """D_u: the k members of the sorted roster U1 that follow u, cyclically.
+
+    A public function of u and U1, so u, the server and every peer compute
+    the same set: u derives these peers' shares from the pair keys and sends
+    them nothing.
+    """
+    i = bisect.bisect_right(roster, u)
+    return tuple(roster[i : i + k]) + tuple(roster[: max(0, i + k - len(roster))])
+
+
 def chunk_vector(x, d: int, B: int) -> np.ndarray:
     """Split an input vector into a (ceil(m/d), d) int64 array, zero-padding the last chunk."""
     if d < 1:
@@ -145,6 +160,7 @@ class Client:
         self.params = params
         self.round = Round.FRESH
         self.keypair = None
+        self.u1 = ()              # the Round-0 roster, ascending
         self.pair_keys = {}       # v -> 32-byte symmetric key, for each other roster member
         self.own_shares = None    # this client's own share of each chunk (int64 array)
         self.phase_ns = {}
@@ -162,13 +178,13 @@ class Client:
         self.round = Round.ADVERTISED
         return ClientHello(u=self.u, public_key=self.keypair.public)
 
-    def round1(self, broadcast: KeyBroadcast, x, rng=None, np_rng=None) -> ShareUpload:
-        """Share the input vector to the Round-0 roster.
+    def round1(self, broadcast: KeyBroadcast, x) -> ShareUpload:
+        """Share the input vector to the Round-0 roster U1.
 
-        The random sharing coefficients come from the numpy generator
-        `np_rng`; without one, a generator is seeded with 256 bits drawn
-        from `rng` (or from the system when `rng` is None). That seed is the
-        only use of `rng`: the AEAD nonces are derived, not drawn.
+        The shares of the designated peers D_u are drawn from the pair keys
+        (`derive_elems` under share_ad(u, v)); they are the sharing
+        polynomials' only randomness, so this round draws none. Every other
+        peer gets one ciphertext.
         """
         if self.round is not Round.ADVERTISED:
             raise ProtocolOrderViolation(f"round1 called in state {self.round}")
@@ -185,21 +201,12 @@ class Client:
             self._abort("own public key missing or mismatched in broadcast")
         if len(x) != p.m:
             raise InvalidArgument(f"input vector length {len(x)} != m = {p.m}")
-        points = sorted(roster)
+        self.u1 = tuple(sorted(roster))
 
         t0 = time.perf_counter_ns()
-        chunks = chunk_vector(x, p.d, p.B)
-        if np_rng is None:
-            seed = rng.getrandbits(256) if rng is not None else None
-            np_rng = np.random.default_rng(seed)
-        share_matrix = rss_share_batch(p.ramp(), chunks, points, np_rng)
-        self.phase_ns["share"] = time.perf_counter_ns() - t0
-
-        self.own_shares = share_matrix[:, points.index(self.u)].copy()
-        others = [v for v in points if v != self.u]
-
-        t0 = time.perf_counter_ns()
-        for v in others:
+        for v in self.u1:
+            if v == self.u:
+                continue
             try:
                 self.pair_keys[v] = ka_agree(self.keypair, roster[v])
             except InvalidArgument as e:
@@ -207,8 +214,20 @@ class Client:
         self.phase_ns["agree"] = time.perf_counter_ns() - t0
 
         t0 = time.perf_counter_ns()
+        chunks = chunk_vector(x, p.d, p.B)
+        designated = designated_peers(self.u, self.u1, p.t - p.d)
+        values = derive_elems(
+            [(self.pair_keys[v], share_ad(self.u, v)) for v in designated], p.chunk_count, p.fp.q
+        )
+        skip = set(designated)
+        points = [v for v in self.u1 if v not in skip]
+        share_matrix = rss_share_batch(p.ramp(), chunks, points, designated, values.T)
+        self.phase_ns["share"] = time.perf_counter_ns() - t0
+        self.own_shares = share_matrix[:, points.index(self.u)].copy()
+
+        t0 = time.perf_counter_ns()
         cts = []
-        # Encoding the whole roster in one pass (own column included, then
+        # Encoding every column in one pass (own column included, then
         # skipped) is cheaper than first gathering the peers' columns.
         plaintexts = encode_share_plaintexts(share_matrix, p.fp)
         for v, pt in zip(points, plaintexts):
@@ -220,10 +239,13 @@ class Client:
         return ShareUpload(u=self.u, ciphertexts=tuple(cts))
 
     def round2(self, delivery: ShareDelivery) -> SumShares:
-        """Decrypt peers' shares, each bound to (sender, self) as AEAD data, and sum per chunk.
+        """Recover peers' shares and sum them per chunk.
 
-        The plaintexts are decoded together into one (senders, chunks) block,
-        summed down its columns and dropped.
+        A sender that designates this client sends an empty entry and its
+        shares are derived from the pair key; any other sender's ciphertext
+        is opened with (sender, self) as AEAD data. The opened plaintexts are
+        decoded together into one (senders, chunks) block, and both blocks
+        are summed down their columns and dropped.
         """
         if self.round is not Round.SHARED:
             raise ProtocolOrderViolation(f"round2 called in state {self.round}")
@@ -237,23 +259,35 @@ class Client:
             self._abort(f"|U2| = {len(u2)} below threshold {p.t}")
 
         t0 = time.perf_counter_ns()
-        plaintexts = []
+        # v designates this client when it is among the t-d members before
+        # it, cyclically: exactly when it is not among the others after it.
+        not_designating = set(designated_peers(self.u, self.u1, len(self.u1) - 1 - (p.t - p.d)))
+        plaintexts, sealed, streams = [], [], []
         for v, ct_bytes in delivery.ciphertexts:
             if v not in self.pair_keys:
                 self._abort(f"delivery names unexpected sender {v}")
+            if v not in not_designating:
+                if ct_bytes:
+                    self._abort(f"sender {v} designates this client but sent a ciphertext")
+                streams.append((self.pair_keys[v], share_ad(v, self.u)))
+                continue
+            if not ct_bytes:
+                self._abort(f"empty payload from {v}, which does not designate this client")
             try:
                 plaintexts.append(ae_dec(self.pair_keys[v], ct_bytes, share_ad(v, self.u)))
             except Rejected:
                 self._abort(f"ciphertext from {v} failed authentication")
             except InvalidArgument as e:
                 self._abort(f"malformed share payload from {v}: {e}")
+            sealed.append(v)
         try:
             shares = decode_share_plaintexts(plaintexts, p.chunk_count, p.fp)
         except MalformedPlaintext as e:
-            self._abort(f"malformed share payload from {senders[e.index]}: {e}")
+            self._abort(f"malformed share payload from {sealed[e.index]}: {e}")
+        derived = derive_elems(streams, p.chunk_count, p.fp.q)
         # At most n <= q-1 addends below q each, and FieldParams keeps
         # (q-1)^2 < 2^63, so one reduction at the end is exact.
-        sums = (self.own_shares + shares.sum(axis=0)) % p.fp.q
+        sums = (self.own_shares + shares.sum(axis=0) + derived.sum(axis=0)) % p.fp.q
         self.phase_ns["sum"] = time.perf_counter_ns() - t0
 
         self.round = Round.DONE
@@ -292,39 +326,53 @@ class Server:
     def round1(self, uploads) -> dict:
         """Route the uploads; a faulty upload is left out of U2, not fatal.
 
-        An upload is faulty if it addresses a ciphertext to itself or to a
-        client outside U1, or lacks one for another uploader. Its sender is
-        treated as dropped before uploading, with the reason in `excluded`.
+        An upload is faulty if its index is not in U1 or is shared with
+        another upload (which cannot be pinned on one sender, so every upload
+        under it is left out), if it addresses a ciphertext to itself, to a
+        client outside U1 or to one of its designated peers D_v, or if it
+        lacks one for another uploader outside D_v. Its sender is treated as
+        dropped before uploading, with the reason in `excluded`. A delivery
+        to u carries (v, b"") for each v in U2 that designates u.
         """
         if self.round != 1:
             raise ProtocolOrderViolation("round1 out of order")
         p = self.params
         t0 = time.perf_counter_ns()
-        senders = [up.u for up in uploads]
-        if len(set(senders)) != len(senders):
-            raise InvalidArgument("duplicate upload in Round 1")
+        counts = Counter(up.u for up in uploads)
         u1set = set(self.u1)
+        by_sender = {}
         for up in uploads:
-            if up.u not in u1set:
-                raise InvalidArgument(f"upload from client {up.u} outside the roster")
-        by_sender = {up.u: dict(up.ciphertexts) for up in uploads}
+            if counts[up.u] > 1:
+                self.excluded[up.u] = f"{counts[up.u]} uploads under index {up.u}"
+            elif up.u not in u1set:
+                self.excluded[up.u] = f"upload from client {up.u} outside the roster"
+            else:
+                by_sender[up.u] = dict(up.ciphertexts)
         for v, cts in by_sender.items():
+            designated = set(designated_peers(v, self.u1, p.t - p.d))
             stray = sorted(cts.keys() - (u1set - {v}))
-            missing = sorted(by_sender.keys() - cts.keys() - {v})
+            to_designated = sorted(cts.keys() & designated)
+            missing = sorted(by_sender.keys() - cts.keys() - designated - {v})
             if stray:
                 self.excluded[v] = f"ciphertext addressed to unknown recipient {stray[0]}"
+            elif to_designated:
+                self.excluded[v] = f"ciphertext addressed to designated peer {to_designated[0]}"
             elif missing:
                 self.excluded[v] = f"client {v} sent no ciphertext for {missing[0]}"
         # Leaving a sender out only removes recipients, so every upload kept
-        # here still covers all of U2: one pass is already stable.
+        # here still covers all of U2 outside its designated peers, to whom
+        # it sent nothing: one pass is already stable.
         self.u2 = tuple(sorted(by_sender.keys() - self.excluded.keys()))
         if len(self.u2) < p.t:
-            left_out = f" ({len(self.excluded)} left out)" if self.excluded else ""
+            dropped = len(uploads) - len(self.u2)
+            left_out = f" ({dropped} left out)" if dropped else ""
             raise RoundAborted(
                 f"Round 1: only {len(self.u2)} uploads collected{left_out}, need {p.t}"
             )
         deliveries = {
-            u: ShareDelivery(ciphertexts=tuple((v, by_sender[v][u]) for v in self.u2 if v != u))
+            u: ShareDelivery(
+                ciphertexts=tuple((v, by_sender[v].get(u, b"")) for v in self.u2 if v != u)
+            )
             for u in self.u2
         }
         self.phase_ns["route"] = time.perf_counter_ns() - t0

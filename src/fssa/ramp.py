@@ -1,9 +1,20 @@
 """(t, d, n)-ramp secret sharing built on polynomial evaluation.
 
 A length-d secret becomes the low-order coefficients of a degree-(t-1)
-polynomial whose remaining t-d >= 1 coefficients are uniformly random; the
-share for party u is the evaluation at point u. Any t shares reconstruct the
-secret, and any t-d or fewer shares are distributed independently of it.
+polynomial whose remaining t-d >= 1 coefficients hide it; the share for
+party u is the evaluation at point u. Any t shares reconstruct the secret,
+and any t-d or fewer shares are distributed independently of it.
+
+`rss_share` draws the t-d high coefficients uniformly. `rss_share_batch`
+instead fixes the polynomial's values at t-d designated points and solves
+for the high coefficients, so that those shares can be derived by their
+holders rather than sent. Privacy is the same: given the secret, the map
+from the high coefficients h to the values at the designated points x_D is
+h -> s(x_D) + diag(x_D^d) V(x_D) h, with V a Vandermonde matrix on distinct
+nonzero points, which is a bijection. Uniform values at x_D therefore give
+exactly the distribution of polynomials that uniform high coefficients give.
+With the values drawn from a keystream (`aead.derive_elems`), privacy is
+computational in AES, as it already is for the AES-GCM ciphertexts.
 """
 
 from __future__ import annotations
@@ -93,24 +104,60 @@ def rss_share(rp: RampParams, secret, rng=None, coeffs=None, points=None) -> Sha
     return ShareBundle(rp=rp, shares=shares)
 
 
-def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, rng) -> np.ndarray:
-    """Share many length-d secrets at once; returns shape (num_secrets, num_points).
+def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, values) -> np.ndarray:
+    """Share many length-d secrets at once; returns shape (num_secrets, len(points)).
 
-    Row i of `secrets` is one secret. The random high coefficients, a
-    (num_secrets, t-d) block uniform in [0, q), are drawn from the numpy
-    generator `rng` in one `rng.integers` call. A point equal to 0 mod q is
-    refused: the share there is the secret's first element in the clear.
+    Row i of `secrets` is one secret; its polynomial takes the value
+    values[i, j] at designated[j], one of t-d designated points. The high
+    coefficients h are solved for: with f = s + x^d h, h takes the values
+    (values - s(x_D)) * x_D^-d at x_D, where s(x_D) is one `mod_matmul`
+    with the powers of x_D, and the inverse Vandermonde of x_D
+    (`build_recon_matrix`) turns those into h. Then Horner evaluates
+    [secrets | h] at `points`, which must not overlap `designated`. A point
+    equal to 0 mod q is refused: the share there is the secret's first
+    element in the clear.
     """
     secrets = np.asarray(secrets)
     if secrets.ndim != 2 or secrets.shape[1] != rp.d:
         raise InvalidArgument("secrets must be a (count, d) array")
     q = rp.fp.q
-    high = rng.integers(0, q, size=(secrets.shape[0], rp.t - rp.d), dtype=np.int64)
-    coeff_matrix = np.concatenate([secrets.astype(np.int64), high], axis=1)
-    xs = np.array([p % q for p in points], dtype=np.int64)
-    if not xs.all():
+    k = rp.t - rp.d
+    xs_list = [p % q for p in points]
+    xd_list = [p % q for p in designated]
+    if len(xd_list) != k:
+        raise InvalidArgument(f"need {k} designated points, got {len(xd_list)}")
+    if 0 in xs_list or 0 in xd_list:
         raise InvalidArgument("share points must be nonzero mod q")
-    return poly_eval_batch(coeff_matrix, xs, rp.fp)
+    if not set(xd_list).isdisjoint(xs_list):
+        raise InvalidArgument("share points must not overlap the designated points")
+    xs = np.array(xs_list, dtype=np.int64)
+    xd = np.array(xd_list, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    if values.shape != (secrets.shape[0], k):
+        raise InvalidArgument(f"values must be a ({secrets.shape[0]}, {k}) array")
+    if values.min(initial=0) < 0 or values.max(initial=0) >= q:
+        raise InvalidArgument(f"designated values must lie in [0, {q})")
+    secrets = secrets.astype(np.int64)
+    if secrets.min(initial=0) < 0 or secrets.max(initial=0) >= q:
+        raise InvalidArgument(f"secrets must lie in [0, {q})")
+    s_at_d = mod_matmul(secrets, _powers(xd, rp.d, q).T, q)
+    inv_xd_pow = np.array([pow(x, -rp.d, q) for x in xd_list], dtype=np.int64)
+    # |values - s(x_D)| < q, so its product with an element fits int64.
+    z = (values - s_at_d) * inv_xd_pow % q
+    high = mod_matmul(z, build_recon_matrix(xd_list, k, rp.fp).T, q)
+    return poly_eval_batch(np.concatenate([secrets, high], axis=1), xs, rp.fp)
+
+
+def _powers(xs: np.ndarray, count: int, q: int) -> np.ndarray:
+    """The (len(xs), count) matrix of xs^0 .. xs^(count-1) mod q, by doubling."""
+    out = np.ones((xs.shape[0], count), dtype=np.int64)
+    step, filled = xs % q, 1
+    while filled < count:
+        width = min(filled, count - filled)
+        out[:, filled : filled + width] = out[:, :width] * step[:, None] % q
+        step = step * step % q
+        filled += width
+    return out
 
 
 def rss_recon(rp: RampParams, shares: dict) -> list[int]:
@@ -184,12 +231,14 @@ def naive_aggregate_oracle(inputs, t: int, fp: FieldParams, rng=None) -> list[in
     return out
 
 
-def share_view_histogram(rp: RampParams, secret, view_points) -> Counter:
-    """Exact distribution of a small view's share tuples over all random coefficients.
+def share_view_histogram(rp: RampParams, secret, view_points, designated=None) -> Counter:
+    """Exact distribution of a small view's share tuples over all designated values.
 
-    Enumerates every assignment of the t-d random coefficients; for any two
-    secrets the resulting histograms must be identical when the view has at
-    most t-d points.
+    Enumerates every vector of values at the t-d `designated` points (by
+    default the last t-d parties), solves each polynomial with
+    `rss_share_batch` as the protocol does, and counts the share tuples at
+    the view, whose points may be designated or not. For any two secrets the
+    histograms must be identical when the view has at most t-d points.
     """
     view = tuple(view_points)
     n_random = rp.t - rp.d
@@ -198,9 +247,16 @@ def share_view_histogram(rp: RampParams, secret, view_points) -> Counter:
     if rp.fp.q**n_random > _ENUMERATION_CAP:
         raise InvalidArgument("enumeration cap exceeded")
     q = rp.fp.q
+    if designated is None:
+        designated = rp.default_points()[-n_random:]
+    designated = list(designated)
     padded = [s % q for s in secret] + [0] * (rp.d - len(secret))
-    hist: Counter = Counter()
-    for high in itertools.product(range(q), repeat=n_random):
-        poly = padded + list(high)
-        hist[tuple(poly_eval(poly, p % q, rp.fp) for p in view)] += 1
-    return hist
+    values = np.array(list(itertools.product(range(q), repeat=n_random)), dtype=np.int64)
+    secrets = np.tile(np.array(padded, dtype=np.int64), (len(values), 1))
+    sent = [p for p in view if p not in designated]
+    shares = dict(zip(sent, rss_share_batch(rp, secrets, sent, designated, values).T))
+    shares.update(zip(designated, values.T))
+    table = np.empty((len(values), len(view)), dtype=np.int64)
+    for j, p in enumerate(view):
+        table[:, j] = shares[p]
+    return Counter(map(tuple, table.tolist()))

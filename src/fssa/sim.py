@@ -192,7 +192,6 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     cfg.validate(params)
     fp = params.fp
     rng = random.Random(cfg.seed)
-    np_seed_root = np.random.SeedSequence(cfg.seed)
 
     # Row u-1 is client u's input vector.
     if cfg.inputs is not None:
@@ -202,7 +201,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
                 f"fixed inputs must be integers that fit int64, got {inputs.dtype} entries"
             )
     else:
-        gen = np.random.default_rng(np_seed_root.spawn(1)[0])
+        gen = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
         inputs = np.stack([gen.integers(0, cfg.B, size=cfg.m) for _ in range(cfg.n)])
 
     clients = {u: Client(u, params) for u in range(1, cfg.n + 1)}
@@ -239,17 +238,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND0, live)
 
         # Round 1: surviving clients chunk, share, and encrypt.
-        np_rngs = {
-            u: np.random.default_rng(s)
-            for u, s in zip(sorted(clients), np_seed_root.spawn(len(clients)))
-        }
-
         def do_round1(u):
-            return clients[u].round1(
-                messages.deserialize(broadcast_wire, fp),
-                inputs[u - 1],
-                np_rng=np_rngs[u],
-            )
+            return clients[u].round1(messages.deserialize(broadcast_wire, fp), inputs[u - 1])
 
         order = sorted(live)
         if cfg.parallel:

@@ -279,33 +279,34 @@ def test_criterion_9_abort_conformance():
     # Roster below t at Round 1.
     clients, _, broadcast = fresh()
     with pytest.raises(ClientAborted):
-        clients[1].round1(KeyBroadcast(keys=broadcast.keys[: p.t - 1]), [1, 2], rng=rng)
+        clients[1].round1(KeyBroadcast(keys=broadcast.keys[: p.t - 1]), [1, 2])
 
     # Duplicate public keys.
     clients, _, broadcast = fresh()
     keys = list(broadcast.keys)
     keys[1] = (keys[1][0], keys[0][1])
     with pytest.raises(ClientAborted):
-        clients[1].round1(KeyBroadcast(keys=tuple(keys)), [1, 2], rng=rng)
+        clients[1].round1(KeyBroadcast(keys=tuple(keys)), [1, 2])
 
     # Tampered ciphertext.
     clients, server, broadcast = fresh()
-    uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+    uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
     dv = server.round1(uploads)[1]
     v, ct = dv.ciphertexts[0]
     bad = bytes([ct[0] ^ 1]) + ct[1:]
     with pytest.raises(ClientAborted):
         clients[1].round2(ShareDelivery(ciphertexts=((v, bad),) + dv.ciphertexts[1:]))
 
-    # Misrouted: a ciphertext client 2 sealed for client 3 (key and associated
-    # data of the pair 2, 3) delivered to client 1 fails authentication.
+    # Misrouted: a ciphertext client 2 sealed for client 4 (key and associated
+    # data of the pair 2, 4) delivered to client 1 fails authentication.
+    # Client 2 seals nothing for client 3, the one peer it designates.
     clients, server, broadcast = fresh()
-    uploads = {up.u: up for up in (c.round1(broadcast, [1, 2], rng=rng)
+    uploads = {up.u: up for up in (c.round1(broadcast, [1, 2])
                                    for c in clients.values())}
-    for_three = dict(uploads[2].ciphertexts)[3]
+    for_four = dict(uploads[2].ciphertexts)[4]
     dv = server.round1(list(uploads.values()))[1]
     forged = ShareDelivery(ciphertexts=tuple(
-        (v, for_three if v == 2 else ct) for v, ct in dv.ciphertexts
+        (v, for_four if v == 2 else ct) for v, ct in dv.ciphertexts
     ))
     with pytest.raises(ClientAborted):
         clients[1].round2(forged)

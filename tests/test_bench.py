@@ -53,6 +53,7 @@ class TestRunPoint:
         for phase in ("route", "precompute", "reconstruct"):
             assert row[f"server_{phase}_ns_mean"] > 0, phase
         assert row["bytes_per_client_mean"] > 0
+        assert row["bytes_received_per_client_mean"] > 0
         assert set(row) == set(CSV_COLUMNS)
 
     def test_infeasible_row(self):
@@ -98,7 +99,8 @@ class TestCsv:
             b"server_route_ns_mean,server_route_ns_std,"
             b"server_precompute_ns_mean,server_precompute_ns_std,"
             b"server_reconstruct_ns_mean,server_reconstruct_ns_std,"
-            b"bytes_per_client_mean,bytes_per_client_std\r\n"
+            b"bytes_per_client_mean,bytes_per_client_std,"
+            b"bytes_received_per_client_mean,bytes_received_per_client_std\r\n"
         )
 
     def test_unwritable_path(self):

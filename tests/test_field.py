@@ -192,6 +192,28 @@ def test_poly_eval_batch_property(data):
     assert batch_matches_scalar(coeffs, xs, fp)
 
 
+def python_recon_matrix(points, d, q):
+    """Oracle: the coefficient-extraction matrix built one Python int at a time."""
+    t = len(points)
+    master = [1]  # P(x) = prod (x - p_k), ascending coefficients
+    for p in points:
+        nxt = [0] * (len(master) + 1)
+        for i, c in enumerate(master):
+            nxt[i] = (nxt[i] - c * p) % q
+            nxt[i + 1] = (nxt[i + 1] + c) % q
+        master = nxt
+    cols = []
+    for p in points:
+        quot = [0] * t  # Q(x) = P(x) / (x - p) by synthetic division
+        carry = master[t]
+        for i in range(t - 1, -1, -1):
+            quot[i] = carry
+            carry = (master[i] + carry * p) % q
+        scale = pow(sum(c * pow(p, i, q) for i, c in enumerate(quot)) % q, -1, q)
+        cols.append([(c * scale) % q for c in quot[:d]])
+    return [list(row) for row in zip(*cols)]
+
+
 def apply(matrix, shares, q):
     """Recover the first d coefficients from shares at the matrix's points."""
     return mod_matmul(matrix, np.array(shares, dtype=np.int64).reshape(-1, 1), q)[:, 0].tolist()
@@ -239,6 +261,30 @@ class TestReconMatrix:
                 m = build_recon_matrix(points, d, fp)
                 assert apply(m, shares, q) == interpolate_coeffs(points, shares, q)[:d]
                 assert apply(m, shares, q) == coeffs[:d]
+
+
+    @pytest.mark.parametrize("n, t, d", [(10, 7, 4), (50, 35, 20), (100, 70, 40), (200, 140, 80)])
+    def test_matches_python_build(self, n, t, d):
+        # The planned shapes at B = 2^16, rho = gamma = 0.3: the server's
+        # (d, t) matrix and a sender's square one on its t-d designated
+        # points, on shuffled points.
+        fp = find_field_modulus(n, 2**16)
+        rng = random.Random(n)
+        for size, rows in [(t, d), (t - d, t - d)]:
+            points = rng.sample(range(1, n + 1), size)
+            m = build_recon_matrix(points, rows, fp)
+            assert m.shape == (rows, size) and m.dtype == np.int64 and m.flags.c_contiguous
+            assert m.tolist() == python_recon_matrix(points, rows, fp.q)
+
+
+    def test_points_near_q_match_python_build(self):
+        # The largest admitted modulus with points near it: every lazy
+        # reduction step in the build must still fit int64.
+        fp = FieldParams(3037000493)
+        assert (fp.q + 7) ** 2 > 2**63  # no larger prime is admitted
+        points = [fp.q - 1, fp.q - 2, 5, fp.q - 7, 11, 2**31]
+        m = build_recon_matrix(points, 4, fp)
+        assert m.tolist() == python_recon_matrix(points, 4, fp.q)
 
 
 def object_matmul_mod(a, b, q):

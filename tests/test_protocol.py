@@ -1,6 +1,8 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fssa.protocol
 from fssa.aead import ae_enc
 from fssa.errors import (
     ClientAborted,
@@ -19,42 +22,54 @@ from fssa.errors import (
 from fssa.field import FieldParams, poly_eval
 from fssa.keyagree import ka_gen
 from fssa.messages import KeyBroadcast, ShareDelivery, ShareUpload, SumShares, share_ad
-from fssa.protocol import Client, Params, Round, Server, chunk_vector, plan_parameters
+from fssa.protocol import (
+    Client,
+    Params,
+    Round,
+    Server,
+    chunk_vector,
+    designated_peers,
+    plan_parameters,
+)
 
 
-class PinnedCoeffs:
-    """Stands in for a numpy Generator whose one draw is a fixed coefficient block."""
+def pinned_designated(values):
+    """Stands in for derive_elems: (sender, recipient) draws values[sender, recipient].
 
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
+    Sender and recipient both look the values up by the stream's associated
+    data, so the pinned shares reach both ends as the keystream's would.
+    """
+    by_ad = {share_ad(u, v): row for (u, v), row in values.items()}
 
-    def integers(self, lo, hi, size, dtype):
-        high = np.asarray(self.coeffs, dtype=dtype)
-        assert high.shape == size and ((lo <= high) & (high < hi)).all()
-        return high
+    def derive(streams, count, q):
+        rows = [by_ad[ad] for _, ad in streams]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), count)
+
+    return derive
 
 
-def run_full(params, inputs, seed=0, drop_after_round1=(), coeffs=None):
+def run_full(params, inputs, seed=0, drop_after_round1=(), designated=None):
     """Drive the state machines directly; returns (aggregate, sums, server).
 
-    `sums` maps each Round-2 client to its SumShares message. `coeffs[u-1]`,
-    if given, pins client u's (chunk count, t-d) random coefficients.
+    `sums` maps each Round-2 client to its SumShares message. `designated`,
+    if given, pins the chunk shares of every (sender, designated peer) pair.
     """
     rng = random.Random(seed)
     clients = {u: Client(u, params) for u in range(1, params.n + 1)}
     server = Server(params)
-    broadcast = server.round0([c.round0(rng) for c in clients.values()])
-    uploads = [
-        c.round1(broadcast, inputs[c.u - 1], rng=rng,
-                 np_rng=PinnedCoeffs(coeffs[c.u - 1]) if coeffs else None)
-        for c in clients.values()
-    ]
-    deliveries = server.round1(uploads)
-    sums = {
-        u: clients[u].round2(dv)
-        for u, dv in deliveries.items()
-        if u not in drop_after_round1
-    }
+    with contextlib.ExitStack() as stack:
+        if designated is not None:
+            stack.enter_context(
+                mock.patch.object(fssa.protocol, "derive_elems", pinned_designated(designated))
+            )
+        broadcast = server.round0([c.round0(rng) for c in clients.values()])
+        uploads = [c.round1(broadcast, inputs[c.u - 1]) for c in clients.values()]
+        deliveries = server.round1(uploads)
+        sums = {
+            u: clients[u].round2(dv)
+            for u, dv in deliveries.items()
+            if u not in drop_after_round1
+        }
     return server.round2(list(sums.values())), sums, server
 
 
@@ -158,6 +173,22 @@ class TestChunkVector:
             chunk_vector(x, 2, 10)
 
 
+class TestDesignatedPeers:
+    def test_follow_cyclically(self):
+        roster = (2, 3, 5, 8, 9)
+        assert designated_peers(3, roster, 2) == (5, 8)
+        assert designated_peers(8, roster, 3) == (9, 2, 3)
+        assert designated_peers(9, roster, 4) == (2, 3, 5, 8)
+
+    def test_every_member_designated_k_times(self):
+        # Each member is designated by exactly the k members before it.
+        roster = tuple(range(1, 11))
+        for k in range(1, 10):
+            seen = [w for u in roster for w in designated_peers(u, roster, k)]
+            assert all(u not in designated_peers(u, roster, k) for u in roster)
+            assert sorted(seen) == sorted(roster * k)
+
+
 class TestEndToEnd:
     def test_exact_aggregate_no_dropout(self):
         p = plan_parameters(5, 7, B=16, rho=0.2, gamma=0.2)
@@ -175,11 +206,14 @@ class TestEndToEnd:
         assert server.u3 == (1, 3, 4, 5)
 
     def test_hand_trace_three_clients(self):
-        # n=3, t=2, d=1, q=11, B=4: inputs 1, 2, 3, all coefficients pinned.
+        # n=3, t=2, d=1, q=11, B=4: inputs 1, 2, 3, every designated share
+        # pinned. Client u uses f_u(x) = x_u + u*x, fixed by its value at the
+        # one peer it designates: f_1(2) = 3, f_2(3) = 8, f_3(1) = 6.
         p = Params(n=3, t=2, d=1, B=4, m=1, fp=FieldParams(11))
         assert p.chunk_count == 1
-        coeffs = [[[1]], [[2]], [[3]]]  # client u uses f_u(x) = x_u + c_u * x
-        agg, sums, _ = run_full(p, [[1], [2], [3]], coeffs=coeffs)
+        assert [designated_peers(u, (1, 2, 3), 1) for u in (1, 2, 3)] == [(2,), (3,), (1,)]
+        designated = {(1, 2): [3], (2, 3): [8], (3, 1): [6]}
+        agg, sums, _ = run_full(p, [[1], [2], [3]], designated=designated)
         assert agg == [6]
         # Each client's Round-2 sum is F(u) for F(x) = 6 + 6x (the sum poly).
         for u in (1, 2, 3):
@@ -205,7 +239,7 @@ class TestClientAborts:
         p, rng, clients, _, broadcast = self._setup()
         short = KeyBroadcast(keys=broadcast.keys[: p.t - 1])
         with pytest.raises(ClientAborted):
-            clients[1].round1(short, [1, 2], rng=rng)
+            clients[1].round1(short, [1, 2])
         assert clients[1].round is Round.ABORTED
 
     def test_duplicate_public_keys_abort(self):
@@ -213,20 +247,20 @@ class TestClientAborts:
         keys = list(broadcast.keys)
         keys[1] = (keys[1][0], keys[0][1])  # clone client 1's key onto client 2
         with pytest.raises(ClientAborted):
-            clients[1].round1(KeyBroadcast(keys=tuple(keys)), [1, 2], rng=rng)
+            clients[1].round1(KeyBroadcast(keys=tuple(keys)), [1, 2])
 
     def test_own_key_mismatch_aborts(self):
         p, rng, clients, _, broadcast = self._setup()
         keys = [(u, pk if u != 1 else b"\x07") for u, pk in broadcast.keys]
         with pytest.raises(ClientAborted):
-            clients[1].round1(KeyBroadcast(keys=tuple(keys)), [1, 2], rng=rng)
+            clients[1].round1(KeyBroadcast(keys=tuple(keys)), [1, 2])
 
     def test_malformed_peer_key_aborts(self):
         p, rng, clients, _, broadcast = self._setup()
         # u = 0 is a low-order point: its shared secret is all zero.
         keys = [(u, pk if u != 3 else bytes(32)) for u, pk in broadcast.keys]
         with pytest.raises(ClientAborted, match="peer 3"):
-            clients[1].round1(KeyBroadcast(keys=tuple(keys)), [1, 2], rng=rng)
+            clients[1].round1(KeyBroadcast(keys=tuple(keys)), [1, 2])
         assert clients[1].round is Round.ABORTED
 
     def test_aliased_peer_key_aborts(self):
@@ -237,7 +271,7 @@ class TestClientAborts:
         keys[2] = keys[1][:-1] + bytes([keys[1][-1] | 0x80])
         assert keys[2] != keys[1]
         with pytest.raises(ClientAborted, match="peer 2"):
-            clients[1].round1(KeyBroadcast(keys=tuple(keys.items())), [1, 2], rng=rng)
+            clients[1].round1(KeyBroadcast(keys=tuple(keys.items())), [1, 2])
         assert clients[1].round is Round.ABORTED
 
     @pytest.mark.parametrize("index", [0, 9])
@@ -246,25 +280,25 @@ class TestClientAborts:
         p, rng, clients, _, broadcast = self._setup()
         extra = (index, ka_gen(random.Random(5)).public)
         with pytest.raises(ClientAborted, match=f"roster index {index}"):
-            clients[1].round1(KeyBroadcast(keys=broadcast.keys + (extra,)), [1, 2], rng=rng)
+            clients[1].round1(KeyBroadcast(keys=broadcast.keys + (extra,)), [1, 2])
         assert clients[1].round is Round.ABORTED
 
-    def test_sharing_seed_draws_256_bits(self):
-        # Without an np_rng, the sharing generator's seed is one 256-bit draw.
-        widths = []
-
-        class Recording(random.Random):
-            def getrandbits(self, k):
-                widths.append(k)
-                return super().getrandbits(k)
-
-        p, _, clients, _, broadcast = self._setup()
-        clients[1].round1(broadcast, [1, 2], rng=Recording(2))
-        assert widths == [256]  # the only draw: AEAD nonces are derived
+    def test_round1_draws_no_randomness(self):
+        # The pair keys are the sharing's only randomness: from the same
+        # Round-0 keys and input, Round 1 uploads the same bytes, and it
+        # takes no random source at all.
+        uploads = []
+        for _ in range(2):
+            p, rng, clients, _, broadcast = self._setup()
+            uploads.append(clients[1].round1(broadcast, [1, 2]))
+        assert uploads[0] == uploads[1]
+        p, rng, clients, _, broadcast = self._setup()
+        with pytest.raises(TypeError):
+            clients[1].round1(broadcast, [1, 2], rng=rng)
 
     def test_tampered_ciphertext_aborts(self):
         p, rng, clients, server, broadcast = self._setup()
-        uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
         deliveries = server.round1(uploads)
         dv = deliveries[1]
         v, ct = dv.ciphertexts[0]
@@ -278,7 +312,7 @@ class TestClientAborts:
         # Deliver client 3's ciphertext labeled as coming from client 2:
         # client 1 opens it under the key it shares with 2, so the tag fails.
         p, rng, clients, server, broadcast = self._setup()
-        uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
         deliveries = server.round1(uploads)
         dv = deliveries[1]
         cts = dict(dv.ciphertexts)
@@ -291,37 +325,37 @@ class TestClientAborts:
             clients[1].round2(forged)
 
     def test_misrouted_own_ciphertext_header_mismatch(self):
-        # A ciphertext client 2 made for client 3, delivered to client 1 under
-        # the correct sender label: it was sealed under the key of 2 and 3 with
-        # share_ad(2, 3), so it fails authentication on both counts.
+        # A ciphertext client 2 made for client 4, delivered to client 1 under
+        # the correct sender label: it was sealed under the key of 2 and 4 with
+        # share_ad(2, 4), so it fails authentication on both counts.
         p, rng, clients, server, broadcast = self._setup()
-        uploads = {up.u: up for up in (c.round1(broadcast, [1, 2], rng=rng)
+        uploads = {up.u: up for up in (c.round1(broadcast, [1, 2])
                                        for c in clients.values())}
-        for_three = dict(uploads[2].ciphertexts)[3]
+        for_four = dict(uploads[2].ciphertexts)[4]
         dv = server.round1(list(uploads.values()))[1]
         forged = ShareDelivery(
             ciphertexts=tuple(
-                (v, for_three if v == 2 else ct) for v, ct in dv.ciphertexts
+                (v, for_four if v == 2 else ct) for v, ct in dv.ciphertexts
             )
         )
         with pytest.raises(ClientAborted, match="from 2 failed authentication"):
             clients[1].round2(forged)
 
     def test_reflected_own_ciphertext_aborts(self):
-        # Client 1's own ciphertext for client 2, delivered back to client 1
-        # labeled as from 2. The pairwise key is symmetric, so only the
-        # direction bound into the ciphertext tells it apart from 2's.
+        # Client 1's own ciphertext for client 3, delivered back to client 1
+        # labeled as from 3. The pairwise key is symmetric, so only the
+        # direction bound into the ciphertext tells it apart from 3's.
         p, rng, clients, server, broadcast = self._setup()
-        uploads = {up.u: up for up in (c.round1(broadcast, [1, 2], rng=rng)
+        uploads = {up.u: up for up in (c.round1(broadcast, [1, 2])
                                        for c in clients.values())}
-        reflected = dict(uploads[1].ciphertexts)[2]
+        reflected = dict(uploads[1].ciphertexts)[3]
         dv = server.round1(list(uploads.values()))[1]
         forged = ShareDelivery(
             ciphertexts=tuple(
-                (v, reflected if v == 2 else ct) for v, ct in dv.ciphertexts
+                (v, reflected if v == 3 else ct) for v, ct in dv.ciphertexts
             )
         )
-        with pytest.raises(ClientAborted, match="from 2"):
+        with pytest.raises(ClientAborted, match="from 3"):
             clients[1].round2(forged)
         assert clients[1].round is Round.ABORTED
 
@@ -333,7 +367,7 @@ class TestClientAborts:
         # A plaintext sealed correctly under the pair key of 1 and 3 but not
         # holding chunk_count elements below q; the batched decode names 3.
         p, rng, clients, server, broadcast = self._setup()
-        uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
         dv = server.round1(uploads)[1]
         bad = ae_enc(clients[1].pair_keys[3], payload, share_ad(3, 1))
         forged = ShareDelivery(
@@ -344,10 +378,46 @@ class TestClientAborts:
             clients[1].round2(forged)
         assert clients[1].round is Round.ABORTED
 
+    def test_delivery_marks_designating_senders(self):
+        # n=4, t-d=1: client 4 designates client 1, so 1's delivery carries
+        # an empty entry for 4 and ciphertexts from 2 and 3.
+        p, rng, clients, server, broadcast = self._setup()
+        assert designated_peers(4, (1, 2, 3, 4), p.t - p.d) == (1,)
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
+        assert all(len(up.ciphertexts) == 2 for up in uploads)
+        dv = server.round1(uploads)[1]
+        assert [(v, len(ct) > 0) for v, ct in dv.ciphertexts] == [(2, True), (3, True), (4, False)]
+
+    def test_ciphertext_from_designating_sender_aborts(self):
+        # Client 4 designates client 1: a ciphertext in its place, even one
+        # that opens, would replace the share client 1 derives itself.
+        p, rng, clients, server, broadcast = self._setup()
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
+        dv = server.round1(uploads)[1]
+        sealed = ae_enc(clients[1].pair_keys[4], b"\0" * p.fp.byte_width, share_ad(4, 1))
+        forged = ShareDelivery(
+            ciphertexts=tuple((v, sealed if v == 4 else ct) for v, ct in dv.ciphertexts)
+        )
+        with pytest.raises(ClientAborted, match="sender 4 designates this client"):
+            clients[1].round2(forged)
+        assert clients[1].round is Round.ABORTED
+
+    def test_empty_entry_from_other_sender_aborts(self):
+        # Client 2 does not designate client 1, so its entry must hold a ciphertext.
+        p, rng, clients, server, broadcast = self._setup()
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
+        dv = server.round1(uploads)[1]
+        forged = ShareDelivery(
+            ciphertexts=tuple((v, b"" if v == 2 else ct) for v, ct in dv.ciphertexts)
+        )
+        with pytest.raises(ClientAborted, match="empty payload from 2"):
+            clients[1].round2(forged)
+        assert clients[1].round is Round.ABORTED
+
     def test_repeated_sender_aborts(self):
         # Summing one sender's shares twice would make the aggregate wrong.
         p, rng, clients, server, broadcast = self._setup()
-        uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
         dv = server.round1(uploads)[1]
         doubled = ShareDelivery(ciphertexts=dv.ciphertexts + dv.ciphertexts[:1])
         with pytest.raises(ClientAborted, match=f"repeats sender {dv.ciphertexts[0][0]}"):
@@ -356,7 +426,7 @@ class TestClientAborts:
 
     def test_small_delivery_aborts(self):
         p, rng, clients, server, broadcast = self._setup()
-        uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
         dv = server.round1(uploads)[1]
         short = ShareDelivery(ciphertexts=dv.ciphertexts[: p.t - 2])
         with pytest.raises(ClientAborted):
@@ -369,7 +439,7 @@ class TestClientAborts:
             c.round0(rng)  # already advertised
         fresh = Client(1, p)
         with pytest.raises(ProtocolOrderViolation):
-            fresh.round1(broadcast, [1, 2], rng=rng)
+            fresh.round1(broadcast, [1, 2])
         with pytest.raises(ProtocolOrderViolation):
             fresh.round2(ShareDelivery(ciphertexts=()))
 
@@ -377,9 +447,9 @@ class TestClientAborts:
         p, rng, clients, _, broadcast = self._setup()
         short = KeyBroadcast(keys=broadcast.keys[: p.t - 1])
         with pytest.raises(ClientAborted):
-            clients[1].round1(short, [1, 2], rng=rng)
+            clients[1].round1(short, [1, 2])
         with pytest.raises(ProtocolOrderViolation):
-            clients[1].round1(broadcast, [1, 2], rng=rng)
+            clients[1].round1(broadcast, [1, 2])
 
 
 class TestServerChecks:
@@ -412,23 +482,26 @@ class TestServerChecks:
         clients, hellos = self._hellos(p, rng)
         server = Server(p)
         broadcast = server.round0(hellos)
-        uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
         with pytest.raises(RoundAborted):
             server.round1(uploads[: p.t - 1])
 
-    @pytest.mark.parametrize("fault", ["to-self", "outside-roster", "missing"])
+    @pytest.mark.parametrize("fault", ["to-self", "outside-roster", "missing", "to-designated"])
     def test_round1_faulty_upload_left_out(self, fault):
         p = plan_parameters(5, 2, B=16, rho=0.2)
         rng = random.Random(0)
         clients, hellos = self._hellos(p, rng)
         server = Server(p)
         broadcast = server.round0(hellos)
-        uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
-        cts = uploads[2].ciphertexts  # client 3's, for 1, 2, 4, 5
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
+        # Client 3's, for 1, 2 and 5: it designates 4 and sends it nothing.
+        cts = uploads[2].ciphertexts
+        assert [v for v, _ in cts] == [1, 2, 5]
         cts, why = {
             "to-self": (cts + ((3, b"x" * 16),), "unknown recipient 3"),
             "outside-roster": (cts + ((9, b"x" * 16),), "unknown recipient 9"),
             "missing": (cts[1:], "client 3 sent no ciphertext for 1"),
+            "to-designated": (cts + ((4, b"x" * 16),), "designated peer 4"),
         }[fault]
         uploads[2] = ShareUpload(u=3, ciphertexts=cts)
         deliveries = server.round1(uploads)
@@ -438,13 +511,34 @@ class TestServerChecks:
         sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
         assert server.round2(sums) == [4, 8]
 
+    @pytest.mark.parametrize("fault", ["duplicate", "outside-roster"])
+    def test_round1_misindexed_upload_left_out(self, fault):
+        # Client 2 uploads under index 3 (or 9): a duplicate cannot be pinned
+        # on one sender, so both uploads under 3 go; an index outside U1 goes.
+        p = plan_parameters(6, 2, B=16, rho=0.34)
+        rng = random.Random(0)
+        clients, hellos = self._hellos(p, rng)
+        server = Server(p)
+        broadcast = server.round0(hellos)
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
+        index, why, u2 = {
+            "duplicate": (3, "2 uploads under index 3", (1, 4, 5, 6)),
+            "outside-roster": (9, "upload from client 9 outside the roster", (1, 3, 4, 5, 6)),
+        }[fault]
+        uploads[1] = ShareUpload(u=index, ciphertexts=uploads[1].ciphertexts)
+        deliveries = server.round1(uploads)
+        assert server.excluded == {index: why}
+        assert server.u2 == u2 and tuple(deliveries) == u2
+        sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
+        assert server.round2(sums) == [len(u2), 2 * len(u2)]
+
     def test_round1_too_few_after_leaving_out(self):
         p = plan_parameters(4, 2, B=16, rho=0.25)
         rng = random.Random(0)
         clients, hellos = self._hellos(p, rng)
         server = Server(p)
         broadcast = server.round0(hellos)
-        uploads = [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
         for i in (0, 1):
             up = uploads[i]
             uploads[i] = ShareUpload(u=up.u, ciphertexts=up.ciphertexts[1:])
@@ -458,7 +552,7 @@ class TestServerChecks:
         server = Server(p)
         broadcast = server.round0(hellos)
         deliveries = server.round1(
-            [c.round1(broadcast, [1, 2], rng=rng) for c in clients.values()]
+            [c.round1(broadcast, [1, 2]) for c in clients.values()]
         )
         sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
         with pytest.raises(InsufficientShares):
@@ -473,7 +567,7 @@ class TestServerChecks:
         server = Server(p)
         broadcast = server.round0(hellos)
         deliveries = server.round1(
-            [c.round1(broadcast, [1] * p.m, rng=rng) for c in clients.values()]
+            [c.round1(broadcast, [1] * p.m) for c in clients.values()]
         )
         sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
         for shift in (p.fp.q << 30, -p.fp.q):

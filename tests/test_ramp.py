@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fssa.errors import InsufficientShares, InvalidArgument
-from fssa.field import FieldParams, find_field_modulus, poly_eval
+from fssa.field import FieldParams, build_recon_matrix, find_field_modulus, mod_matmul, poly_eval
 from fssa.ramp import (
     RampParams,
     ShareBundle,
@@ -80,25 +80,26 @@ class TestShare:
     def test_batch_agrees_with_scalar(self):
         rp = RampParams(t=4, d=2, n=6, fp=F11)
         secrets = np.array([[1, 2], [3, 4], [0, 10]])
-        mat = rss_share_batch(rp, secrets, rp.default_points(), np.random.default_rng(0))
+        designated, points = [5, 6], [1, 2, 3, 4]
+        values = np.random.default_rng(0).integers(0, 11, size=(3, 2))
+        mat = rss_share_batch(rp, secrets, points, designated, values)
         for i, secret in enumerate(secrets):
-            shares = {p: int(mat[i, j]) for j, p in enumerate(rp.default_points())}
+            shares = {p: int(mat[i, j]) for j, p in enumerate(points)}
             assert rss_recon(rp, shares) == list(secret)
+            shares.update({p: int(values[i, j]) for j, p in enumerate(designated)})
+            assert rss_recon(rp, {p: shares[p] for p in (1, 2, 5, 6)}) == list(secret)
 
     def test_batch_pinned_coeffs(self):
+        # Designated values pinned to those of known high coefficients: the
+        # solve recovers exactly that polynomial.
         rp = RampParams(t=4, d=2, n=6, fp=F11)
         secrets = np.array([[1, 2], [3, 4]])
-        points = rp.default_points()
         pinned = [[5, 6], [7, 8]]
-
-        class PinnedCoeffs:
-            def integers(self, lo, hi, size, dtype):
-                assert (lo, hi, size) == (0, 11, (2, 2))
-                return np.array(pinned, dtype=dtype)
-
-        mat = rss_share_batch(rp, secrets, points, PinnedCoeffs())
-        for i, high in enumerate(pinned):
-            poly = secrets[i].tolist() + high
+        designated, points = [2, 5], [1, 3, 4, 6]
+        polys = [secrets[i].tolist() + high for i, high in enumerate(pinned)]
+        values = [[poly_eval(poly, x, F11) for x in designated] for poly in polys]
+        mat = rss_share_batch(rp, secrets, points, designated, values)
+        for i, poly in enumerate(polys):
             assert mat[i].tolist() == [poly_eval(poly, x, F11) for x in points]
 
     @pytest.mark.parametrize("bad", [0, 11, -22])
@@ -106,24 +107,60 @@ class TestShare:
         # The share at point 0 is the chunk's first secret element in the clear.
         rp = RampParams(t=3, d=2, n=4, fp=F11)
         with pytest.raises(InvalidArgument, match="nonzero"):
-            rss_share_batch(rp, np.array([[7, 8]]), [1, 2, bad], np.random.default_rng(0))
+            rss_share_batch(rp, np.array([[7, 8]]), [1, 2, bad], [4], [[3]])
+        with pytest.raises(InvalidArgument, match="nonzero"):
+            rss_share_batch(rp, np.array([[7, 8]]), [1, 2], [bad], [[3]])
+
+    @pytest.mark.parametrize("points, designated, values, why", [
+        ([1, 2, 4], [4], [[3]], "overlap"),
+        ([1, 2, 3], [4, 15], [[3, 3]], "1 designated points"),
+        ([1, 2, 3], [4], [[3, 3]], r"\(1, 1\) array"),
+        ([1, 2, 3], [4], [[11]], r"lie in \[0, 11\)"),
+    ], ids=["overlap", "designated-count", "values-shape", "values-range"])
+    def test_batch_bad_designated_rejected(self, points, designated, values, why):
+        rp = RampParams(t=3, d=2, n=4, fp=F11)
+        with pytest.raises(InvalidArgument, match=why):
+            rss_share_batch(rp, np.array([[7, 8]]), points, designated, values)
 
     def test_batch_matches_poly_eval_at_desk_shape(self):
-        # The n=100, rho=gamma=0.3, B=2^16 plan: t=70, d=40.
+        # The n=100, rho=gamma=0.3, B=2^16 plan: t=70, d=40, t-d=30 designated.
         fp = find_field_modulus(100, 2**16)
         rp = RampParams(t=70, d=40, n=100, fp=fp)
-        secrets = np.random.default_rng(5).integers(0, 2**16, size=(250, rp.d))
-        points = rp.default_points()
-        mat = rss_share_batch(rp, secrets, points, np.random.default_rng(6))
-        # Replay the generator to recover the random high coefficients.
-        high = np.random.default_rng(6).integers(
-            0, fp.q, size=(250, rp.t - rp.d), dtype=np.int64
-        )
+        rng = np.random.default_rng(5)
+        secrets = rng.integers(0, 2**16, size=(250, rp.d))
+        high = rng.integers(0, fp.q, size=(250, rp.t - rp.d))
+        designated = list(range(31, 61))
+        points = [p for p in rp.default_points() if p not in designated]
+        polys = [secrets[i].tolist() + high[i].tolist() for i in range(250)]
+        values = [[poly_eval(poly, x, fp) for x in designated] for poly in polys]
+        mat = rss_share_batch(rp, secrets, points, designated, values)
         pick = random.Random(7)
         for _ in range(300):
             i, j = pick.randrange(250), pick.randrange(len(points))
-            poly = secrets[i].tolist() + high[i].tolist()
-            assert int(mat[i, j]) == poly_eval(poly, points[j], fp)
+            assert int(mat[i, j]) == poly_eval(polys[i], points[j], fp)
+
+    def test_designated_plus_any_sent_points_reconstruct(self):
+        # The t-d designated shares and any d sent ones fix the polynomial:
+        # its secret is the input, and it evaluates bit-exactly to every share.
+        fp = find_field_modulus(20, 2**16)
+        rp = RampParams(t=14, d=8, n=20, fp=fp)
+        rng = np.random.default_rng(9)
+        secrets = rng.integers(0, 2**16, size=(12, rp.d))
+        values = rng.integers(0, fp.q, size=(12, rp.t - rp.d))
+        designated = [6, 7, 8, 9, 10, 11]
+        points = [p for p in rp.default_points() if p not in designated]
+        mat = rss_share_batch(rp, secrets, points, designated, values)
+        pick = random.Random(3)
+        for i in range(12):
+            sent = pick.sample(range(len(points)), rp.t - len(designated))
+            pts = designated + [points[j] for j in sent]
+            shares = values[i].tolist() + [int(mat[i, j]) for j in sent]
+            coeffs = mod_matmul(
+                build_recon_matrix(pts, rp.t, fp), np.array(shares).reshape(-1, 1), fp.q
+            )[:, 0].tolist()
+            assert coeffs[: rp.d] == secrets[i].tolist()
+            assert [poly_eval(coeffs, p, fp) for p in points] == mat[i].tolist()
+            assert [poly_eval(coeffs, p, fp) for p in designated] == values[i].tolist()
 
 
 class TestRecon:
@@ -292,6 +329,26 @@ class TestPerfectSecurity:
         rp = RampParams(t=5, d=1, n=6, fp=fp)
         with pytest.raises(InvalidArgument):
             share_view_histogram(rp, [0], [1])  # 101^4 > 1e6
+
+    def test_designated_views_identical_across_secrets(self):
+        # Every vector of designated values is enumerated; every view of at
+        # most t-d points, designated or not, sees the same distribution
+        # for two secrets.
+        rng = random.Random(4)
+        for q in (5, 7):
+            fp = FieldParams(q)
+            n = q - 1
+            for t in range(2, min(4, n) + 1):
+                for d in range(1, t):
+                    k = t - d
+                    rp = RampParams(t=t, d=d, n=n, fp=fp)
+                    for designated in itertools.combinations(rp.default_points(), k):
+                        for size in range(1, k + 1):
+                            for view in itertools.combinations(rp.default_points(), size):
+                                s1, s2 = ([rng.randrange(q) for _ in range(d)] for _ in range(2))
+                                h1 = share_view_histogram(rp, s1, view, designated)
+                                assert h1 == share_view_histogram(rp, s2, view, designated)
+                                assert sum(h1.values()) == q**k
 
     def test_histograms_identical_across_secrets(self):
         rng = random.Random(3)

@@ -25,14 +25,22 @@ def cfg(**kw):
 
 
 def expected_wire_bytes(report, pk_len):
-    """Closed-form per-message byte counts for the fixed wire layout."""
-    bw = (report.params.fp.q.bit_length() + 7) // 8
-    chunk_count = report.params.chunk_count
-    ct_len = chunk_count * bw + 16  # shares + tag; the nonce is derived, not sent
+    """Closed-form per-message byte counts for the fixed wire layout.
+
+    A sender seals for every other member of U1 but its t-d designated
+    peers. The delivery size assumes every member of U1 uploaded: it holds
+    |U1|-1-(t-d) ciphertexts and t-d empty 8-byte entries.
+    """
+    params = report.params
+    bw = (params.fp.q.bit_length() + 7) // 8
+    k = params.t - params.d
+    ct_len = params.chunk_count * bw + 16  # shares + tag; the nonce is derived, not sent
+    sealed = report.roster_sizes["u1"] - 1 - k
     hello = 1 + 4 + 4 + pk_len
-    upload = 1 + 4 + 4 + (report.roster_sizes["u1"] - 1) * (4 + 4 + ct_len)
-    sums = 1 + 4 + 4 + chunk_count * bw
-    return hello, upload, sums
+    upload = 1 + 4 + 4 + sealed * (4 + 4 + ct_len)
+    delivery = 1 + 4 + sealed * (4 + 4 + ct_len) + k * (4 + 4)
+    sums = 1 + 4 + 4 + params.chunk_count * bw
+    return hello, upload, delivery, sums
 
 
 class TestBasicRuns:
@@ -136,7 +144,7 @@ class TestDeterminism:
             h.update(f"{stage}:{sender}:{recipient}:{len(payload)}:".encode())
             h.update(payload)
         assert h.hexdigest() == (
-            "b1d6fd22d1df33aeb807d091d339ca256e03b3aa4749cfc9475635deee33dea0"
+            "9b51ed16dacea05ac084883c5159dfb0cfd85088e32542037289b9eada515e9b"
         )
 
 
@@ -177,7 +185,9 @@ class TestScheduleValidation:
 class TestNonces:
     def test_no_key_and_nonce_seals_twice(self, monkeypatch):
         # Every ciphertext of a run is sealed under its own (pair key,
-        # nonce), although each pair key seals one message per direction.
+        # nonce), although a pair key seals up to one message per direction.
+        # Each sender seals for 7 - (t-d) = 6 peers; every pair still seals
+        # at least once, since t-d = 1 designates only the next client.
         sealed = []
         seal = fssa.protocol.ae_enc
 
@@ -190,7 +200,8 @@ class TestNonces:
             n=8, m=30, rho=0.25, seed=3, dropout_schedule={4: DropPoint.AFTER_ROUND1_SEND},
         ))
         assert report.status == "ok"
-        assert len(sealed) == 8 * 7
+        assert report.params.t - report.params.d == 1
+        assert len(sealed) == 8 * 6
         assert len(set(sealed)) == len(sealed)
         assert len({key for key, _ in sealed}) == 8 * 7 // 2
 
@@ -201,12 +212,13 @@ class TestByteAccounting:
         pk_len = len(
             next(p for st, s, r, p in report.transcript if st == "round0")
         ) - 9  # strip tag, index, length prefix
-        hello, upload, sums = expected_wire_bytes(report, pk_len)
+        hello, upload, delivery, sums = expected_wire_bytes(report, pk_len)
         by_stage = {}
         for stage, sender, recipient, payload in report.transcript:
             by_stage.setdefault(stage, []).append(len(payload))
         assert set(by_stage["round0"]) == {hello}
         assert set(by_stage["round1"]) == {upload}
+        assert set(by_stage["delivery"]) == {delivery}
         assert set(by_stage["round2"]) == {sums}
         # per-client totals match the transcript
         for u, total in report.bytes_sent.items():
@@ -291,6 +303,25 @@ class TestFailureReporting:
         }
         assert (report.aborted, report.failure) == ({}, None)
         assert json.loads(report.to_json())["excluded"] == {"2": report.excluded[2]}
+
+    def test_duplicate_upload_index_reported(self, monkeypatch):
+        # Client 2 uploads under index 3. A duplicate cannot be pinned on
+        # one sender, so both uploads under 3 are left out; with 1, 4 and 5
+        # left, fewer than t = 4, the run fails with a report saying why.
+        share = fssa.protocol.Client.round1
+
+        def misindexed(self, *args, **kwargs):
+            upload = share(self, *args, **kwargs)
+            return ShareUpload(u=3, ciphertexts=upload.ciphertexts) if self.u == 2 else upload
+
+        monkeypatch.setattr(fssa.protocol.Client, "round1", misindexed)
+        report = run_simulation(cfg(seed=4))
+        assert report.status == "aggregation_failed"
+        assert report.excluded == {3: "2 uploads under index 3"}
+        assert report.failure == "Round 1: only 3 uploads collected (2 left out), need 4"
+        assert report.rosters == {"u1": (1, 2, 3, 4, 5), "u2": (1, 4, 5), "u3": ()}
+        doc = json.loads(report.to_json())
+        assert (doc["excluded"], doc["failure"]) == ({"3": report.excluded[3]}, report.failure)
 
     def test_round2_abort_reported(self, monkeypatch):
         # The server flips one tag bit of client 2's ciphertext for client 1:
