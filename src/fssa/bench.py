@@ -170,14 +170,11 @@ def run_experiment_grid(spec: SweepSpec) -> list[dict]:
 
 
 def emit_csv(rows, path):
-    try:
-        with open(path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-    except OSError as e:
-        raise IOError(f"cannot write {path}: {e}") from e
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(row)
 
 
 def _parse_list(text, cast):

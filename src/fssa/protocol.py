@@ -33,7 +33,7 @@ from .errors import (
     Rejected,
     RoundAborted,
 )
-from .field import FieldParams, build_recon_matrix, find_field_modulus, mod_matmul, split_bit
+from .field import build_recon_matrix, find_field_modulus, mod_matmul, split_bit
 from .keyagree import ka_agree, ka_gen
 from .messages import (
     ClientHello,
@@ -53,18 +53,14 @@ _EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class Params:
-    """Public protocol parameters shared by every party."""
+class Params(RampParams):
+    """Public protocol parameters: the sharing's RampParams, the input bound B and length m."""
 
-    n: int
-    t: int
-    d: int
     B: int
     m: int
-    fp: FieldParams
 
     def __post_init__(self):
-        self.ramp()  # RampParams checks 0 < d < t <= n <= q-1
+        super().__post_init__()
         if self.n * (self.B - 1) + 1 > self.fp.q:
             raise InvalidArgument("modulus too small: sums could wrap")
         # Reconstruction is an inner-length-t product mod q.
@@ -74,9 +70,6 @@ class Params:
     def chunk_count(self) -> int:
         """How many length-d chunks a length-m input splits into."""
         return math.ceil(self.m / self.d)
-
-    def ramp(self) -> RampParams:
-        return RampParams(t=self.t, d=self.d, n=self.n, fp=self.fp)
 
 
 def plan_parameters(
@@ -215,13 +208,13 @@ class Client:
 
         t0 = time.perf_counter_ns()
         chunks = chunk_vector(x, p.d, p.B)
-        designated = designated_peers(self.u, self.u1, p.t - p.d)
+        designated = designated_peers(self.u, self.u1, p.k)
         values = derive_elems(
             [(self.pair_keys[v], share_ad(self.u, v)) for v in designated], p.chunk_count, p.fp.q
         )
         skip = set(designated)
         points = [v for v in self.u1 if v not in skip]
-        share_matrix = rss_share_batch(p.ramp(), chunks, points, designated, values.T)
+        share_matrix = rss_share_batch(p, chunks, points, designated, values.T)
         self.phase_ns["share"] = time.perf_counter_ns() - t0
         self.own_shares = share_matrix[:, points.index(self.u)].copy()
 
@@ -261,7 +254,7 @@ class Client:
         t0 = time.perf_counter_ns()
         # v designates this client when it is among the t-d members before
         # it, cyclically: exactly when it is not among the others after it.
-        not_designating = set(designated_peers(self.u, self.u1, len(self.u1) - 1 - (p.t - p.d)))
+        not_designating = set(designated_peers(self.u, self.u1, len(self.u1) - 1 - p.k))
         plaintexts, sealed, streams = [], [], []
         for v, ct_bytes in delivery.ciphertexts:
             if v not in self.pair_keys:
@@ -294,6 +287,12 @@ class Client:
         return SumShares(u=self.u, sums=sums)
 
 
+def _too_few(label: str, noun: str, kept: int, received: int, t: int) -> RoundAborted:
+    """The abort of a round that kept fewer than t of the messages it received."""
+    left_out = f" ({received - kept} left out)" if received > kept else ""
+    return RoundAborted(f"{label}: only {kept} {noun} collected{left_out}, need {t}")
+
+
 class Server:
     """The aggregation server: collects, routes, and reconstructs."""
 
@@ -303,23 +302,31 @@ class Server:
         self.u1: tuple = ()
         self.u2: tuple = ()
         self.u3: tuple = ()
-        self.excluded: dict = {}  # v -> why client v's upload was left out of U2
+        self.excluded: dict = {}  # v -> why client v's hello or upload was left out
         self.phase_ns = {}
 
     def round0(self, hellos) -> KeyBroadcast:
+        """Broadcast the keys; a misindexed hello is left out of U1, not fatal.
+
+        A hello is left out if its index is outside [1, n] or shared with
+        another hello (which cannot be pinned on one sender, so every hello
+        under it is left out), with the reason in `excluded`.
+        """
         if self.round != 0:
             raise ProtocolOrderViolation("round0 already closed")
         p = self.params
-        indices = [h.u for h in hellos]
-        if len(set(indices)) != len(indices):
-            raise InvalidArgument("duplicate client index in Round 0")
+        counts = Counter(h.u for h in hellos)
+        public_keys = {}
         for h in hellos:
-            if not 1 <= h.u <= p.n:
-                raise InvalidArgument(f"unknown client index {h.u}")
-        if len(indices) < p.t:
-            raise RoundAborted(f"Round 0: only {len(indices)} keys collected, need {p.t}")
-        self.u1 = tuple(sorted(indices))
-        public_keys = {h.u: h.public_key for h in hellos}
+            if counts[h.u] > 1:
+                self.excluded[h.u] = f"{counts[h.u]} hellos under index {h.u}"
+            elif not 1 <= h.u <= p.n:
+                self.excluded[h.u] = f"hello from client {h.u} outside [1, {p.n}]"
+            else:
+                public_keys[h.u] = h.public_key
+        self.u1 = tuple(sorted(public_keys))
+        if len(self.u1) < p.t:
+            raise _too_few("Round 0", "keys", len(self.u1), len(hellos), p.t)
         self.round = 1
         return KeyBroadcast(keys=tuple((u, public_keys[u]) for u in self.u1))
 
@@ -349,7 +356,7 @@ class Server:
             else:
                 by_sender[up.u] = dict(up.ciphertexts)
         for v, cts in by_sender.items():
-            designated = set(designated_peers(v, self.u1, p.t - p.d))
+            designated = set(designated_peers(v, self.u1, p.k))
             stray = sorted(cts.keys() - (u1set - {v}))
             to_designated = sorted(cts.keys() & designated)
             missing = sorted(by_sender.keys() - cts.keys() - designated - {v})
@@ -364,11 +371,7 @@ class Server:
         # it sent nothing: one pass is already stable.
         self.u2 = tuple(sorted(by_sender.keys() - self.excluded.keys()))
         if len(self.u2) < p.t:
-            dropped = len(uploads) - len(self.u2)
-            left_out = f" ({dropped} left out)" if dropped else ""
-            raise RoundAborted(
-                f"Round 1: only {len(self.u2)} uploads collected{left_out}, need {p.t}"
-            )
+            raise _too_few("Round 1", "uploads", len(self.u2), len(uploads), p.t)
         deliveries = {
             u: ShareDelivery(
                 ciphertexts=tuple((v, by_sender[v].get(u, b"")) for v in self.u2 if v != u)
@@ -394,11 +397,11 @@ class Server:
                 raise InvalidArgument("sum-share vector has wrong chunk count")
             if s.sums.min() < 0 or s.sums.max() >= p.fp.q:
                 raise InvalidArgument(f"sum shares from client {s.u} outside [0, {p.fp.q})")
+        self.u3 = tuple(sorted(senders))
         if len(senders) < p.t:
             raise InsufficientShares(
                 f"Round 2: only {len(senders)} sum-share messages collected, need {p.t}"
             )
-        self.u3 = tuple(sorted(senders))
 
         pts = self.u3[: p.t]
         t0 = time.perf_counter_ns()

@@ -57,6 +57,11 @@ class RampParams:
                 f"n={self.n}, q={self.fp.q}"
             )
 
+    @property
+    def k(self) -> int:
+        """t - d: the random coefficients of a sharing, and the designated peers of a sender."""
+        return self.t - self.d
+
     def default_points(self) -> tuple:
         return tuple(range(1, self.n + 1))
 
@@ -79,15 +84,14 @@ def _sharing_coeffs(rp: RampParams, secret, rng, coeffs) -> list[int]:
     if not 1 <= len(secret) <= rp.d:
         raise InvalidArgument(f"secret length must be in [1, {rp.d}], got {len(secret)}")
     padded = [s % q for s in secret] + [0] * (rp.d - len(secret))
-    n_random = rp.t - rp.d
     if coeffs is not None:
-        if len(coeffs) != n_random:
-            raise InvalidArgument(f"expected {n_random} explicit coefficients, got {len(coeffs)}")
+        if len(coeffs) != rp.k:
+            raise InvalidArgument(f"expected {rp.k} explicit coefficients, got {len(coeffs)}")
         high = [c % q for c in coeffs]
     else:
         if rng is None:
             rng = random.SystemRandom()
-        high = [rng.randrange(q) for _ in range(n_random)]
+        high = [rng.randrange(q) for _ in range(rp.k)]
     return padded + high
 
 
@@ -121,11 +125,10 @@ def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, val
     if secrets.ndim != 2 or secrets.shape[1] != rp.d:
         raise InvalidArgument("secrets must be a (count, d) array")
     q = rp.fp.q
-    k = rp.t - rp.d
     xs_list = [p % q for p in points]
     xd_list = [p % q for p in designated]
-    if len(xd_list) != k:
-        raise InvalidArgument(f"need {k} designated points, got {len(xd_list)}")
+    if len(xd_list) != rp.k:
+        raise InvalidArgument(f"need {rp.k} designated points, got {len(xd_list)}")
     if 0 in xs_list or 0 in xd_list:
         raise InvalidArgument("share points must be nonzero mod q")
     if not set(xd_list).isdisjoint(xs_list):
@@ -133,8 +136,8 @@ def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, val
     xs = np.array(xs_list, dtype=np.int64)
     xd = np.array(xd_list, dtype=np.int64)
     values = np.asarray(values, dtype=np.int64)
-    if values.shape != (secrets.shape[0], k):
-        raise InvalidArgument(f"values must be a ({secrets.shape[0]}, {k}) array")
+    if values.shape != (secrets.shape[0], rp.k):
+        raise InvalidArgument(f"values must be a ({secrets.shape[0]}, {rp.k}) array")
     if values.min(initial=0) < 0 or values.max(initial=0) >= q:
         raise InvalidArgument(f"designated values must lie in [0, {q})")
     secrets = secrets.astype(np.int64)
@@ -144,7 +147,7 @@ def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, val
     inv_xd_pow = np.array([pow(x, -rp.d, q) for x in xd_list], dtype=np.int64)
     # |values - s(x_D)| < q, so its product with an element fits int64.
     z = (values - s_at_d) * inv_xd_pow % q
-    high = mod_matmul(z, build_recon_matrix(xd_list, k, rp.fp).T, q)
+    high = mod_matmul(z, build_recon_matrix(xd_list, rp.k, rp.fp).T, q)
     return poly_eval_batch(np.concatenate([secrets, high], axis=1), xs, rp.fp)
 
 
@@ -241,17 +244,16 @@ def share_view_histogram(rp: RampParams, secret, view_points, designated=None) -
     histograms must be identical when the view has at most t-d points.
     """
     view = tuple(view_points)
-    n_random = rp.t - rp.d
-    if len(view) > n_random:
+    if len(view) > rp.k:
         raise InvalidArgument("view larger than t-d is outside the perfect-security regime")
-    if rp.fp.q**n_random > _ENUMERATION_CAP:
+    if rp.fp.q**rp.k > _ENUMERATION_CAP:
         raise InvalidArgument("enumeration cap exceeded")
     q = rp.fp.q
     if designated is None:
-        designated = rp.default_points()[-n_random:]
+        designated = rp.default_points()[-rp.k:]
     designated = list(designated)
     padded = [s % q for s in secret] + [0] * (rp.d - len(secret))
-    values = np.array(list(itertools.product(range(q), repeat=n_random)), dtype=np.int64)
+    values = np.array(list(itertools.product(range(q), repeat=rp.k)), dtype=np.int64)
     secrets = np.tile(np.array(padded, dtype=np.int64), (len(values), 1))
     sent = [p for p in view if p not in designated]
     shares = dict(zip(sent, rss_share_batch(rp, secrets, sent, designated, values).T))

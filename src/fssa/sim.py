@@ -13,7 +13,7 @@ import enum
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -55,10 +55,9 @@ class SimConfig:
             raise InvalidArgument(
                 f"{len(dropping)} scheduled dropouts exceed the budget {self.n - params.t}"
             )
-        if len(self.corrupted) > params.t - params.d:
+        if len(self.corrupted) > params.k:
             raise InvalidArgument(
-                f"{len(self.corrupted)} corrupted clients exceed the budget "
-                f"{params.t - params.d}"
+                f"{len(self.corrupted)} corrupted clients exceed the budget {params.k}"
             )
         for u in list(self.dropout_schedule) + list(self.corrupted):
             if not 1 <= u <= self.n:
@@ -72,15 +71,14 @@ class SimConfig:
 class SimReport:
     params: Params
     aggregate: list | None
-    rosters: dict                  # {"u1", "u2", "u3"} -> sorted senders of each round's messages
-                                   # ("u2" leaves out the uploads in `excluded`)
+    rosters: dict                  # {"u1", "u2", "u3"} -> the server's sorted roster of each round
     expected_sum_over_u2: list | None
     client_phase_ns: dict          # u -> {"keygen", "share", "agree", "encrypt", "sum"} in ns
     server_phase_ns: dict          # {"route", "precompute", "reconstruct"} in ns
     transcript: list               # (stage, sender, recipient, payload bytes)
     corrupted: frozenset           # the clients whose received payloads are their views
     aborted: dict                  # u -> the reason client u aborted, in client order
-    excluded: dict                 # v -> why the server left v's upload out of U2
+    excluded: dict                 # v -> why the server left v's hello or upload out
     failure: str | None            # the server's reason for aborting the run, or None
 
     @property
@@ -91,31 +89,35 @@ class SimReport:
     def roster_sizes(self) -> dict:
         return {k: len(r) for k, r in self.rosters.items()}
 
-    @property
-    def bytes_sent(self) -> dict:
-        """u -> total bytes this client put on the wire."""
+    def _tally(self, end: int, size) -> dict:
+        """u -> size(payload) summed over the messages u sent (end 1) or received (end 2).
+
+        The server is the other end of every message, so its totals are sums of these.
+        """
         out: dict = {}
-        for _, sender, _, payload in self.transcript:
-            if sender != "server":
-                out[sender] = out.get(sender, 0) + len(payload)
+        for message in self.transcript:
+            u = message[end]
+            if u != "server":
+                out[u] = out.get(u, 0) + size(message[3])
         return out
 
     @property
+    def bytes_sent(self) -> dict:
+        """u -> total bytes this client put on the wire."""
+        return self._tally(1, len)
+
+    @property
     def server_bytes_sent(self) -> int:
-        return sum(len(p) for _, sender, _, p in self.transcript if sender == "server")
+        return sum(self.bytes_received.values())
 
     @property
     def bytes_received(self) -> dict:
         """u -> total bytes the server put on the wire for this client."""
-        out: dict = {}
-        for _, _, recipient, payload in self.transcript:
-            if recipient != "server":
-                out[recipient] = out.get(recipient, 0) + len(payload)
-        return out
+        return self._tally(2, len)
 
     @property
     def server_bytes_received(self) -> int:
-        return sum(len(p) for _, _, recipient, p in self.transcript if recipient == "server")
+        return sum(self.bytes_sent.values())
 
     @property
     def corrupted_views(self) -> dict:
@@ -127,18 +129,10 @@ class SimReport:
         return views
 
     def sent_counts(self) -> dict:
-        out: dict = {}
-        for _, sender, _, payload in self.transcript:
-            if sender != "server":
-                out[sender] = out.get(sender, 0) + 1
-        return out
+        return self._tally(1, lambda payload: 1)
 
     def received_counts(self) -> dict:
-        out: dict = {}
-        for _, sender, recipient, payload in self.transcript:
-            if recipient != "server":
-                out[recipient] = out.get(recipient, 0) + 1
-        return out
+        return self._tally(2, lambda payload: 1)
 
     def to_json(self) -> str:
         params = self.params
@@ -185,7 +179,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     Too many dropouts is a legitimate outcome: the report comes back with
     status "aggregation_failed" and the server's reason in `failure` rather
     than an exception. A client that aborts leaves the run, and its reason
-    goes into `aborted`; an upload the server leaves out of U2 goes into
+    goes into `aborted`; a hello or upload the server leaves out goes into
     `excluded`.
     """
     params = cfg.plan()
@@ -208,7 +202,6 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     server = Server(params)
     transcript: list = []
     schedule = cfg.dropout_schedule
-    hellos, uploads, sums = [], [], []
     aggregate = expected = failure = None
     live = set(clients)
     aborted: dict = {}
@@ -221,17 +214,18 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             aborted[u] = str(e)
             return None
 
+    def post(stage, sender, msg):
+        """Carry one client message to the server: the server's decoded copy."""
+        wire = messages.serialize(msg, fp)
+        transcript.append((stage, sender, "server", wire))
+        return messages.deserialize(wire, fp)
+
     # A round the server aborts (too few keys, uploads or sums) ends the run
-    # with no aggregate; the rosters list the senders of the messages each
-    # round got, less the uploads the server left out.
+    # with no aggregate; the report still holds the rosters the server kept.
     try:
         # Round 0: every live client advertises a key.
-        for u in sorted(live):
-            wire = messages.serialize(clients[u].round0(rng), fp)
-            transcript.append(("round0", u, "server", wire))
-            hellos.append(messages.deserialize(wire, fp))
-        broadcast = server.round0(hellos)
-        broadcast_wire = messages.serialize(broadcast, fp)
+        hellos = [post("round0", u, clients[u].round0(rng)) for u in sorted(live)]
+        broadcast_wire = messages.serialize(server.round0(hellos), fp)
         for u in sorted(live):
             transcript.append(("broadcast", "server", u, broadcast_wire))
 
@@ -247,13 +241,12 @@ def run_simulation(cfg: SimConfig) -> SimReport:
                 results = list(pool.map(lambda u: attempt(u, do_round1), order))
         else:
             results = [attempt(u, do_round1) for u in order]
+        uploads = []
         for u, res in zip(order, results):
             if res is None:
                 live.discard(u)
-                continue
-            wire = messages.serialize(res, fp)
-            transcript.append(("round1", u, "server", wire))
-            uploads.append(messages.deserialize(wire, fp))
+            else:
+                uploads.append(post("round1", u, res))
 
         deliveries = server.round1(uploads)
 
@@ -261,9 +254,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
 
         # Round 2: deliveries go out, survivors respond with summed shares.
         delivery_wires = {}
-        for u in sorted(live):
-            if u not in deliveries:
-                continue
+        for u in sorted(live & deliveries.keys()):
             delivery_wires[u] = messages.serialize(deliveries[u], fp)
             transcript.append(("delivery", "server", u, delivery_wires[u]))
         live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND1_RECEIVE, live)
@@ -271,15 +262,11 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         def do_round2(u):
             return clients[u].round2(messages.deserialize(delivery_wires[u], fp))
 
-        for u in sorted(live):
-            if u not in delivery_wires:
-                continue
+        sums = []
+        for u in sorted(live & delivery_wires.keys()):
             msg = attempt(u, do_round2)
-            if msg is None:
-                continue
-            wire = messages.serialize(msg, fp)
-            transcript.append(("round2", u, "server", wire))
-            sums.append(messages.deserialize(wire, fp))
+            if msg is not None:
+                sums.append(post("round2", u, msg))
 
         aggregate = server.round2(sums)
         # Every U2 input passed chunk_vector's [0, B) check, and n(B-1) < q < 2^32
@@ -291,11 +278,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     return SimReport(
         params=params,
         aggregate=aggregate,
-        rosters={
-            "u1": tuple(sorted(h.u for h in hellos)),
-            "u2": tuple(sorted(up.u for up in uploads if up.u not in server.excluded)),
-            "u3": tuple(sorted(s.u for s in sums)),
-        },
+        rosters={"u1": server.u1, "u2": server.u2, "u3": server.u3},
         expected_sum_over_u2=expected,
         client_phase_ns={u: dict(c.phase_ns) for u, c in clients.items() if c.phase_ns},
         server_phase_ns=dict(server.phase_ns),
@@ -327,6 +310,21 @@ def _boolean(v) -> bool:
     return v
 
 
+# SimConfig field -> the converter its YAML value goes through.
+_CONVERTERS = {
+    "n": _integer,
+    "m": _integer,
+    "rho": _number,
+    "gamma": _number,
+    "B": _integer,
+    "seed": _integer,
+    "dropout_schedule": lambda s: {_integer(u): DropPoint(p) for u, p in (s or {}).items()},
+    "corrupted": lambda c: frozenset(_integer(u) for u in c),
+    "inputs": lambda rows: [[_integer(x) for x in r] for r in rows],
+    "parallel": _boolean,
+}
+
+
 def load_sim_config(path) -> SimConfig:
     """Read a SimConfig from a YAML key-value file.
 
@@ -334,40 +332,24 @@ def load_sim_config(path) -> SimConfig:
     convert to its field's type raises InvalidArgument naming the key. An
     integer field or input entry takes a YAML integer (or an integral float),
     a rate takes a YAML number and a flag takes only a YAML boolean; a bool, a
-    string or a fraction is refused, not converted.
+    string or a fraction is refused, not converted. An absent key takes
+    SimConfig's default.
     """
     with open(path) as f:
         doc = yaml.safe_load(f) or {}
-    unknown = sorted(set(map(str, doc)) - {f.name for f in fields(SimConfig)})
+    if not isinstance(doc, dict):
+        raise InvalidArgument(f"not a mapping of keys to values in {path}: {doc!r}")
+    unknown = sorted(set(map(str, doc)) - _CONVERTERS.keys())
     if unknown:
         raise InvalidArgument(f"unknown key(s) in {path}: {', '.join(unknown)}")
     missing = [k for k in ("n", "m") if k not in doc]
     if missing:
         raise InvalidArgument(f"missing key(s) in {path}: {', '.join(missing)}")
-
-    def value(key, convert, default=None):
-        if key not in doc:
-            return default
-        try:
-            return convert(doc[key])
-        except (AttributeError, TypeError, ValueError) as e:
-            raise InvalidArgument(f"bad value for {key} in {path}: {doc[key]!r} ({e})") from e
-
-    return SimConfig(
-        n=value("n", _integer),
-        m=value("m", _integer),
-        rho=value("rho", _number, 0.0),
-        gamma=value("gamma", _number, 0.0),
-        B=value("B", _integer, 2**16),
-        seed=value("seed", _integer, 0),
-        dropout_schedule=value(
-            "dropout_schedule",
-            lambda s: {_integer(u): DropPoint(p) for u, p in (s or {}).items()},
-            {},
-        ),
-        corrupted=value(
-            "corrupted", lambda c: frozenset(_integer(u) for u in c), frozenset()
-        ),
-        inputs=value("inputs", lambda rows: [[_integer(x) for x in r] for r in rows]),
-        parallel=value("parallel", _boolean, False),
-    )
+    converted = {}
+    for key, convert in _CONVERTERS.items():
+        if key in doc:
+            try:
+                converted[key] = convert(doc[key])
+            except (AttributeError, TypeError, ValueError) as e:
+                raise InvalidArgument(f"bad value for {key} in {path}: {doc[key]!r} ({e})") from e
+    return SimConfig(**converted)

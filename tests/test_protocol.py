@@ -464,17 +464,26 @@ class TestServerChecks:
             Server(p).round0(hellos[: p.t - 1])
 
     def test_round0_duplicate_index(self):
-        p = plan_parameters(4, 2, B=16)
+        # Two hellos under one index cannot be pinned on one sender: both go.
+        p = plan_parameters(5, 2, B=16, rho=0.2)
         _, hellos = self._hellos(p, random.Random(0))
-        with pytest.raises(InvalidArgument):
-            Server(p).round0(hellos + [hellos[0]])
+        server = Server(p)
+        broadcast = server.round0(hellos + [hellos[0]])
+        assert server.excluded == {1: "2 hellos under index 1"}
+        assert server.u1 == (2, 3, 4, 5) and [u for u, _ in broadcast.keys] == [2, 3, 4, 5]
+        server = Server(p)
+        with pytest.raises(RoundAborted, match=r"only 3 keys collected \(2 left out\), need 4"):
+            server.round0(hellos[1:] + [hellos[1]])
+        assert server.u1 == (3, 4, 5)
 
     def test_round0_unknown_index(self):
         p = plan_parameters(4, 2, B=16, rho=0.25)
         _, hellos = self._hellos(p, random.Random(0))
         bad = type(hellos[0])(u=99, public_key=hellos[0].public_key)
-        with pytest.raises(InvalidArgument):
-            Server(p).round0(hellos[:-1] + [bad])
+        server = Server(p)
+        broadcast = server.round0(hellos[:-1] + [bad])
+        assert server.excluded == {99: "hello from client 99 outside [1, 4]"}
+        assert server.u1 == (1, 2, 3) and [u for u, _ in broadcast.keys] == [1, 2, 3]
 
     def test_round1_below_threshold(self):
         p = plan_parameters(4, 2, B=16, rho=0.25)

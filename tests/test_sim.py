@@ -1,14 +1,17 @@
+import dataclasses
 import hashlib
 import json
 import random
 
 import pytest
 
+import fssa.messages
 import fssa.protocol
+import fssa.sim
 from fssa.aead import _nonce
 from fssa.errors import InvalidArgument
 from fssa.keyagree import ka_gen
-from fssa.messages import ShareDelivery, ShareUpload
+from fssa.messages import ClientHello, ShareDelivery, ShareUpload
 from fssa.sim import (
     DropPoint,
     SimConfig,
@@ -238,6 +241,30 @@ class TestByteAccounting:
         assert report.sent_counts() == {u: 3 for u in range(1, 6)}
         assert report.received_counts() == {u: 2 for u in range(1, 6)}
 
+    def test_every_message_goes_through_the_codec(self, monkeypatch):
+        # The simulator looks serialize and deserialize up on fssa.messages
+        # at each call, so a wrapper installed there (as the benchmark's
+        # tracer does) sees every message; a direct import would bypass it.
+        serialize, deserialize = fssa.messages.serialize, fssa.messages.deserialize
+        encoded, decoded = [], []
+
+        def counting_serialize(msg, fp):
+            encoded.append(serialize(msg, fp))
+            return encoded[-1]
+
+        def counting_deserialize(wire, fp):
+            decoded.append(wire)
+            return deserialize(wire, fp)
+
+        monkeypatch.setattr(fssa.messages, "serialize", counting_serialize)
+        monkeypatch.setattr(fssa.messages, "deserialize", counting_deserialize)
+        report = run_simulation(cfg(seed=1))
+        assert set(encoded) == set(decoded) == {p for *_, p in report.transcript}
+        # Each message is decoded once where it lands; the broadcast is
+        # encoded once for all five clients.
+        assert len(decoded) == len(report.transcript)
+        assert len(encoded) == len(report.transcript) - (5 - 1)
+
 
 class TestCorruptedViews:
     def test_views_recorded(self):
@@ -322,6 +349,33 @@ class TestFailureReporting:
         assert report.rosters == {"u1": (1, 2, 3, 4, 5), "u2": (1, 4, 5), "u3": ()}
         doc = json.loads(report.to_json())
         assert (doc["excluded"], doc["failure"]) == ({"3": report.excluded[3]}, report.failure)
+
+    @pytest.mark.parametrize("n, rho, status", [(6, 0.34, "ok"), (5, 0.2, "aggregation_failed")])
+    def test_misindexed_hello_excluded(self, monkeypatch, n, rho, status):
+        # Client 2 advertises under index 3. Both hellos under 3 are left out
+        # of U1, so clients 2 and 3 find their keys missing and abort; the
+        # rest aggregate if t of them remain.
+        advertise = fssa.protocol.Client.round0
+
+        def misindexed(self, *args, **kwargs):
+            hello = advertise(self, *args, **kwargs)
+            return ClientHello(u=3, public_key=hello.public_key) if self.u == 2 else hello
+
+        monkeypatch.setattr(fssa.protocol.Client, "round0", misindexed)
+        report = run_simulation(cfg(n=n, rho=rho, inputs=[[u, 1, 2, 3] for u in range(1, n + 1)]))
+        assert report.status == status
+        assert report.excluded == {3: "2 hellos under index 3"}
+        doc = json.loads(report.to_json())
+        assert doc["excluded"] == {"3": "2 hellos under index 3"}
+        if status == "ok":
+            assert report.rosters == {"u1": (1, 4, 5, 6), "u2": (1, 4, 5, 6), "u3": (1, 4, 5, 6)}
+            assert report.aborted == {
+                u: f"client {u}: own public key missing or mismatched in broadcast" for u in (2, 3)
+            }
+            assert report.aggregate == report.expected_sum_over_u2 == [16, 4, 8, 12]
+        else:
+            assert report.failure == "Round 0: only 3 keys collected (2 left out), need 4"
+            assert report.rosters == {"u1": (1, 4, 5), "u2": (), "u3": ()}
 
     def test_round2_abort_reported(self, monkeypatch):
         # The server flips one tag bit of client 2's ciphertext for client 1:
@@ -427,14 +481,24 @@ class TestConfigFile:
         ("n: 3\nm: 2\nB: 4\ninputs: [[1, 2.9], [1, 1], [0, 3]]\n",
          r"bad value for inputs in .*: \[\[1, 2.9\], .* \(expected an integer\)"),
         ('n: 3\nm: 1\nrho: "0.34"\n', r"bad value for rho in .*: '0.34' \(expected a number\)"),
+        ("5\n", r"not a mapping of keys to values in .*sim.yaml: 5$"),
+        ("[n, m]\n", r"not a mapping of keys to values in .*sim.yaml: \['n', 'm'\]$"),
+        ("abc\n", r"not a mapping of keys to values in .*sim.yaml: 'abc'$"),
     ], ids=["missing-n", "unknown-drop-point", "scalar-corrupted", "degenerate-flag",
             "string-parallel", "fractional-seed", "bool-m", "bool-input",
-            "fractional-input", "string-rho"])
+            "fractional-input", "string-rho", "scalar-document", "list-document",
+            "string-document"])
     def test_bad_value_refused(self, tmp_path, text, pattern):
         path = tmp_path / "sim.yaml"
         path.write_text(text)
         with pytest.raises(InvalidArgument, match=pattern):
             load_sim_config(path)
+
+    def test_every_field_has_a_converter(self):
+        # A field without one would be refused as an unknown key; a key
+        # without a field would pass that check and break SimConfig(**...).
+        names = {f.name for f in dataclasses.fields(SimConfig)}
+        assert fssa.sim._CONVERTERS.keys() == names
 
     def test_unknown_key_refused(self, tmp_path):
         path = tmp_path / "sim.yaml"
