@@ -61,14 +61,6 @@ class FieldParams:
         object.__setattr__(self, "byte_width", (self.q.bit_length() + 7) // 8)
 
 
-def fe_inv(a: int, fp: FieldParams) -> int:
-    """Multiplicative inverse of a modulo q."""
-    a %= fp.q
-    if a == 0:
-        raise InvalidArgument("zero has no multiplicative inverse")
-    return pow(a, -1, fp.q)
-
-
 def poly_eval(coeffs, x: int, fp: FieldParams) -> int:
     """Evaluate a polynomial (ascending-degree coefficients) at x by Horner's rule."""
     if len(coeffs) == 0:

@@ -60,8 +60,8 @@ class SumShares:
 
     def __post_init__(self):
         sums = np.asarray(self.sums)
-        # A non-integer entry is refused, not truncated; Server.round2 refuses
-        # any entry outside [0, q).
+        # A non-integer entry is refused, not truncated; Server.round2 leaves
+        # out a message with any entry outside [0, q).
         if sums.size and sums.dtype.kind not in "iu":
             raise InvalidArgument(f"sum shares must be integers, got {sums.dtype}")
         object.__setattr__(self, "sums", sums.astype(np.int64, copy=False))

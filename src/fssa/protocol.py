@@ -9,7 +9,9 @@ ciphertext per other peer, holding all of that peer's chunk shares, and
 nothing for D_u. The server routes them. Round 2: every client derives the
 shares of the senders that designate it, decrypts the others, sums them
 with its own per chunk and sends the sums; the server reconstructs each
-chunk and concatenates the results.
+chunk and concatenates the results. In every round the server leaves out a
+faulty message, as if its sender had dropped, and aborts only if fewer than
+t remain.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from .aead import ae_dec, ae_enc, derive_elems
 from .errors import (
     ClientAborted,
-    InsufficientShares,
     InvalidArgument,
     MalformedPlaintext,
     ProtocolOrderViolation,
@@ -287,10 +288,12 @@ class Client:
         return SumShares(u=self.u, sums=sums)
 
 
-def _too_few(label: str, noun: str, kept: int, received: int, t: int) -> RoundAborted:
-    """The abort of a round that kept fewer than t of the messages it received."""
-    left_out = f" ({received - kept} left out)" if received > kept else ""
-    return RoundAborted(f"{label}: only {kept} {noun} collected{left_out}, need {t}")
+# Per roster: the round that fills it, one of its messages, and what it collects.
+_ROUNDS = {
+    "u1": ("Round 0", "hello", "keys"),
+    "u2": ("Round 1", "upload", "uploads"),
+    "u3": ("Round 2", "sum-share message", "sum-share messages"),
+}
 
 
 class Server:
@@ -302,76 +305,75 @@ class Server:
         self.u1: tuple = ()
         self.u2: tuple = ()
         self.u3: tuple = ()
-        self.excluded: dict = {}  # v -> why client v's hello or upload was left out
+        self.excluded: dict = {r: {} for r in _ROUNDS}  # roster -> {v: why v was left out}
         self.phase_ns = {}
 
-    def round0(self, hellos) -> KeyBroadcast:
-        """Broadcast the keys; a misindexed hello is left out of U1, not fatal.
+    def _admit(self, roster: str, msgs, allowed, where: str, check=lambda msg, senders: None):
+        """One round's admission rule: the messages kept, by index, which form `roster`.
 
-        A hello is left out if its index is outside [1, n] or shared with
-        another hello (which cannot be pinned on one sender, so every hello
-        under it is left out), with the reason in `excluded`.
+        A message is left out if its index is shared (it cannot be pinned on
+        one sender) or not in `allowed`, or if check(msg, senders) gives a
+        reason, `senders` being the indices that pass the first two tests.
+        Reasons go into excluded[roster]; one already there (a message that
+        did not decode) counts as received. Fewer than t kept abort the round.
         """
+        label, noun, kept_noun = _ROUNDS[roster]
+        left_out = self.excluded[roster]
+        received = len(msgs) + len(left_out)
+        for u, k in Counter(msg.u for msg in msgs).items():
+            if k > 1:
+                left_out[u] = f"{k} {noun}s under index {u}"
+            elif u not in allowed:
+                left_out[u] = f"{noun} from client {u} outside {where}"
+        kept = {msg.u: msg for msg in msgs if msg.u not in left_out}
+        for u, msg in kept.items():
+            if why := check(msg, kept.keys()):
+                left_out[u] = why
+        kept = {u: msg for u, msg in kept.items() if u not in left_out}
+        setattr(self, roster, tuple(sorted(kept)))
+        if len(kept) < self.params.t:
+            dropped = f" ({received - len(kept)} left out)" if received > len(kept) else ""
+            raise RoundAborted(
+                f"{label}: only {len(kept)} {kept_noun} collected{dropped}, need {self.params.t}"
+            )
+        return kept
+
+    def round0(self, hellos) -> KeyBroadcast:
+        """Broadcast the keys of U1; a hello is left out if its index is outside [1, n]."""
         if self.round != 0:
             raise ProtocolOrderViolation("round0 already closed")
-        p = self.params
-        counts = Counter(h.u for h in hellos)
-        public_keys = {}
-        for h in hellos:
-            if counts[h.u] > 1:
-                self.excluded[h.u] = f"{counts[h.u]} hellos under index {h.u}"
-            elif not 1 <= h.u <= p.n:
-                self.excluded[h.u] = f"hello from client {h.u} outside [1, {p.n}]"
-            else:
-                public_keys[h.u] = h.public_key
-        self.u1 = tuple(sorted(public_keys))
-        if len(self.u1) < p.t:
-            raise _too_few("Round 0", "keys", len(self.u1), len(hellos), p.t)
+        kept = self._admit("u1", hellos, range(1, self.params.n + 1), f"[1, {self.params.n}]")
         self.round = 1
-        return KeyBroadcast(keys=tuple((u, public_keys[u]) for u in self.u1))
+        return KeyBroadcast(keys=tuple((u, kept[u].public_key) for u in self.u1))
 
     def round1(self, uploads) -> dict:
-        """Route the uploads; a faulty upload is left out of U2, not fatal.
+        """Route the uploads of U2, the senders in U1 whose uploads `_admit` keeps.
 
-        An upload is faulty if its index is not in U1 or is shared with
-        another upload (which cannot be pinned on one sender, so every upload
-        under it is left out), if it addresses a ciphertext to itself, to a
+        An upload is faulty if it addresses a ciphertext to itself, to a
         client outside U1 or to one of its designated peers D_v, or if it
-        lacks one for another uploader outside D_v. Its sender is treated as
-        dropped before uploading, with the reason in `excluded`. A delivery
-        to u carries (v, b"") for each v in U2 that designates u.
+        lacks one for another uploader outside D_v. Leaving a sender out only
+        removes recipients, so one pass is stable. A delivery to u carries
+        (v, b"") for each v in U2 that designates u.
         """
         if self.round != 1:
             raise ProtocolOrderViolation("round1 out of order")
         p = self.params
         t0 = time.perf_counter_ns()
-        counts = Counter(up.u for up in uploads)
         u1set = set(self.u1)
-        by_sender = {}
-        for up in uploads:
-            if counts[up.u] > 1:
-                self.excluded[up.u] = f"{counts[up.u]} uploads under index {up.u}"
-            elif up.u not in u1set:
-                self.excluded[up.u] = f"upload from client {up.u} outside the roster"
-            else:
-                by_sender[up.u] = dict(up.ciphertexts)
-        for v, cts in by_sender.items():
+
+        def faulty(up, senders):
+            v = up.u
+            recipients = {w for w, _ in up.ciphertexts}
             designated = set(designated_peers(v, self.u1, p.k))
-            stray = sorted(cts.keys() - (u1set - {v}))
-            to_designated = sorted(cts.keys() & designated)
-            missing = sorted(by_sender.keys() - cts.keys() - designated - {v})
-            if stray:
-                self.excluded[v] = f"ciphertext addressed to unknown recipient {stray[0]}"
-            elif to_designated:
-                self.excluded[v] = f"ciphertext addressed to designated peer {to_designated[0]}"
-            elif missing:
-                self.excluded[v] = f"client {v} sent no ciphertext for {missing[0]}"
-        # Leaving a sender out only removes recipients, so every upload kept
-        # here still covers all of U2 outside its designated peers, to whom
-        # it sent nothing: one pass is already stable.
-        self.u2 = tuple(sorted(by_sender.keys() - self.excluded.keys()))
-        if len(self.u2) < p.t:
-            raise _too_few("Round 1", "uploads", len(self.u2), len(uploads), p.t)
+            if stray := recipients - (u1set - {v}):
+                return f"ciphertext addressed to unknown recipient {min(stray)}"
+            if to_designated := recipients & designated:
+                return f"ciphertext addressed to designated peer {min(to_designated)}"
+            if missing := senders - recipients - designated - {v}:
+                return f"client {v} sent no ciphertext for {min(missing)}"
+
+        kept = self._admit("u2", uploads, u1set, "the roster", faulty)
+        by_sender = {v: dict(up.ciphertexts) for v, up in kept.items()}
         deliveries = {
             u: ShareDelivery(
                 ciphertexts=tuple((v, by_sender[v].get(u, b"")) for v in self.u2 if v != u)
@@ -383,26 +385,23 @@ class Server:
         return deliveries
 
     def round2(self, sums) -> list[int]:
+        """Reconstruct the aggregate from the sums of U3, the senders in U2 that `_admit` keeps.
+
+        A message is faulty if it holds the wrong number of chunks or an entry
+        outside [0, q), since the same residues shifted by a multiple of q
+        would reconstruct a wrong aggregate.
+        """
         if self.round != 2:
             raise ProtocolOrderViolation("round2 out of order")
         p = self.params
-        senders = [s.u for s in sums]
-        if len(set(senders)) != len(senders):
-            raise InvalidArgument("duplicate sum-share message in Round 2")
-        u2set = set(self.u2)
-        for s in sums:
-            if s.u not in u2set:
-                raise InvalidArgument(f"sum shares from client {s.u} outside U2")
-            if len(s.sums) != p.chunk_count:
-                raise InvalidArgument("sum-share vector has wrong chunk count")
-            if s.sums.min() < 0 or s.sums.max() >= p.fp.q:
-                raise InvalidArgument(f"sum shares from client {s.u} outside [0, {p.fp.q})")
-        self.u3 = tuple(sorted(senders))
-        if len(senders) < p.t:
-            raise InsufficientShares(
-                f"Round 2: only {len(senders)} sum-share messages collected, need {p.t}"
-            )
 
+        def faulty(s, senders):
+            if len(s.sums) != p.chunk_count:
+                return f"client {s.u} sent {len(s.sums)} sum shares, not {p.chunk_count}"
+            if s.sums.min() < 0 or s.sums.max() >= p.fp.q:
+                return f"sum shares from client {s.u} outside [0, {p.fp.q})"
+
+        kept = self._admit("u3", sums, set(self.u2), "U2", faulty)
         pts = self.u3[: p.t]
         t0 = time.perf_counter_ns()
         matrix = build_recon_matrix(pts, p.d, p.fp)
@@ -412,8 +411,7 @@ class Server:
         # applying the precomputed matrix to the summed shares. Unpacking the
         # received share vectors into matrix form and converting the result
         # back to Python ints are message marshaling, not reconstruction.
-        by_u = {s.u: s.sums for s in sums}
-        sum_matrix = np.stack([by_u[u] for u in pts])
+        sum_matrix = np.stack([kept[u].sums for u in pts])
         t0 = time.perf_counter_ns()
         # One product over all chunks: matrix (d x t) @ sums (t x chunks).
         coeff = mod_matmul(matrix, sum_matrix, p.fp.q)

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import messages
-from .errors import ClientAborted, InsufficientShares, InvalidArgument, RoundAborted
+from .errors import ClientAborted, InvalidArgument, RoundAborted
 from .protocol import Client, Params, Server, plan_parameters
 
 
@@ -78,7 +78,7 @@ class SimReport:
     transcript: list               # (stage, sender, recipient, payload bytes)
     corrupted: frozenset           # the clients whose received payloads are their views
     aborted: dict                  # u -> the reason client u aborted, in client order
-    excluded: dict                 # v -> why the server left v's hello or upload out
+    excluded: dict                 # {"u1", "u2", "u3"} -> {v: why the server left v's message out}
     failure: str | None            # the server's reason for aborting the run, or None
 
     @property
@@ -148,7 +148,9 @@ class SimReport:
             "rosters": {k: list(r) for k, r in self.rosters.items()},
             "roster_sizes": self.roster_sizes,
             "aborted": {str(u): why for u, why in self.aborted.items()},
-            "excluded": {str(v): why for v, why in self.excluded.items()},
+            "excluded": {
+                r: {str(v): why for v, why in e.items()} for r, e in self.excluded.items()
+            },
             "failure": self.failure,
             "expected_sum_over_u2": self.expected_sum_over_u2,
             "client_phase_ns": {str(k): v for k, v in self.client_phase_ns.items()},
@@ -179,8 +181,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     Too many dropouts is a legitimate outcome: the report comes back with
     status "aggregation_failed" and the server's reason in `failure` rather
     than an exception. A client that aborts leaves the run, and its reason
-    goes into `aborted`; a hello or upload the server leaves out goes into
-    `excluded`.
+    goes into `aborted`; a message the server leaves out, or one that does
+    not decode, goes into `excluded` under the roster of its round.
     """
     params = cfg.plan()
     cfg.validate(params)
@@ -214,17 +216,24 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             aborted[u] = str(e)
             return None
 
-    def post(stage, sender, msg):
-        """Carry one client message to the server: the server's decoded copy."""
+    roster_of = {"round0": "u1", "round1": "u2", "round2": "u3"}
+
+    def post(stage, sender, msg, inbox):
+        """Carry one client message to the server: its decoded copy goes into `inbox`."""
         wire = messages.serialize(msg, fp)
         transcript.append((stage, sender, "server", wire))
-        return messages.deserialize(wire, fp)
+        try:
+            inbox.append(messages.deserialize(wire, fp))
+        except InvalidArgument as e:
+            server.excluded[roster_of[stage]][sender] = f"message does not decode: {e}"
 
     # A round the server aborts (too few keys, uploads or sums) ends the run
     # with no aggregate; the report still holds the rosters the server kept.
     try:
         # Round 0: every live client advertises a key.
-        hellos = [post("round0", u, clients[u].round0(rng)) for u in sorted(live)]
+        hellos = []
+        for u in sorted(live):
+            post("round0", u, clients[u].round0(rng), hellos)
         broadcast_wire = messages.serialize(server.round0(hellos), fp)
         for u in sorted(live):
             transcript.append(("broadcast", "server", u, broadcast_wire))
@@ -246,7 +255,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             if res is None:
                 live.discard(u)
             else:
-                uploads.append(post("round1", u, res))
+                post("round1", u, res, uploads)
 
         deliveries = server.round1(uploads)
 
@@ -266,13 +275,13 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         for u in sorted(live & delivery_wires.keys()):
             msg = attempt(u, do_round2)
             if msg is not None:
-                sums.append(post("round2", u, msg))
+                post("round2", u, msg, sums)
 
         aggregate = server.round2(sums)
         # Every U2 input passed chunk_vector's [0, B) check, and n(B-1) < q < 2^32
         # under the kernel's range, so the int64 sum is exact.
         expected = (inputs[[u - 1 for u in server.u2]].sum(axis=0) % fp.q).tolist()
-    except (InsufficientShares, RoundAborted) as e:
+    except RoundAborted as e:
         failure = str(e)
 
     return SimReport(
@@ -285,7 +294,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         transcript=transcript,
         corrupted=frozenset(cfg.corrupted),
         aborted=dict(sorted(aborted.items())),
-        excluded=dict(sorted(server.excluded.items())),
+        excluded={r: dict(sorted(e.items())) for r, e in server.excluded.items()},
         failure=failure,
     )
 

@@ -11,7 +11,6 @@ from fssa.errors import InvalidArgument
 from fssa.field import (
     FieldParams,
     build_recon_matrix,
-    fe_inv,
     find_field_modulus,
     mod_matmul,
     poly_eval,
@@ -76,24 +75,6 @@ class TestFieldParams:
         top = [3037000493, p * p, p * sympy.prevprime(p)]
         for q in [*range(20001), *top]:
             assert accepted(q) == sympy.isprime(q), q
-
-
-class TestInverse:
-    def test_identity(self):
-        assert fe_inv(1, F11) == 1
-
-    def test_two(self):
-        assert fe_inv(2, F11) == 6  # 2*6 = 12 = 1 mod 11
-
-    def test_zero_rejected(self):
-        with pytest.raises(InvalidArgument):
-            fe_inv(0, F11)
-
-    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 97, 101])
-    def test_exhaustive_small_fields(self, q):
-        fp = FieldParams(q)
-        for a in range(1, q):
-            assert fe_inv(a, fp) * a % q == 1
 
 
 class TestPolyEval:

@@ -14,14 +14,20 @@ import fssa.protocol
 from fssa.aead import ae_enc
 from fssa.errors import (
     ClientAborted,
-    InsufficientShares,
     InvalidArgument,
     ProtocolOrderViolation,
     RoundAborted,
 )
 from fssa.field import FieldParams, poly_eval
 from fssa.keyagree import ka_gen
-from fssa.messages import KeyBroadcast, ShareDelivery, ShareUpload, SumShares, share_ad
+from fssa.messages import (
+    ClientHello,
+    KeyBroadcast,
+    ShareDelivery,
+    ShareUpload,
+    SumShares,
+    share_ad,
+)
 from fssa.protocol import (
     Client,
     Params,
@@ -222,7 +228,7 @@ class TestEndToEnd:
     def test_too_many_dropouts_fails(self):
         p = plan_parameters(5, 3, B=16, rho=0.2)
         inputs = [[1, 2, 3]] * 5
-        with pytest.raises(InsufficientShares):
+        with pytest.raises(RoundAborted, match="only 3 sum-share messages collected, need 4"):
             run_full(p, inputs, drop_after_round1={1, 4})  # only 3 < t=4 remain
 
 
@@ -469,7 +475,7 @@ class TestServerChecks:
         _, hellos = self._hellos(p, random.Random(0))
         server = Server(p)
         broadcast = server.round0(hellos + [hellos[0]])
-        assert server.excluded == {1: "2 hellos under index 1"}
+        assert server.excluded == {"u1": {1: "2 hellos under index 1"}, "u2": {}, "u3": {}}
         assert server.u1 == (2, 3, 4, 5) and [u for u, _ in broadcast.keys] == [2, 3, 4, 5]
         server = Server(p)
         with pytest.raises(RoundAborted, match=r"only 3 keys collected \(2 left out\), need 4"):
@@ -482,7 +488,7 @@ class TestServerChecks:
         bad = type(hellos[0])(u=99, public_key=hellos[0].public_key)
         server = Server(p)
         broadcast = server.round0(hellos[:-1] + [bad])
-        assert server.excluded == {99: "hello from client 99 outside [1, 4]"}
+        assert server.excluded["u1"] == {99: "hello from client 99 outside [1, 4]"}
         assert server.u1 == (1, 2, 3) and [u for u, _ in broadcast.keys] == [1, 2, 3]
 
     def test_round1_below_threshold(self):
@@ -515,7 +521,7 @@ class TestServerChecks:
         uploads[2] = ShareUpload(u=3, ciphertexts=cts)
         deliveries = server.round1(uploads)
         assert server.u2 == (1, 2, 4, 5) and sorted(deliveries) == [1, 2, 4, 5]
-        assert list(server.excluded) == [3] and why in server.excluded[3]
+        assert list(server.excluded["u2"]) == [3] and why in server.excluded["u2"][3]
         assert all(3 not in dict(dv.ciphertexts) for dv in deliveries.values())
         sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
         assert server.round2(sums) == [4, 8]
@@ -536,7 +542,7 @@ class TestServerChecks:
         }[fault]
         uploads[1] = ShareUpload(u=index, ciphertexts=uploads[1].ciphertexts)
         deliveries = server.round1(uploads)
-        assert server.excluded == {index: why}
+        assert server.excluded == {"u1": {}, "u2": {index: why}, "u3": {}}
         assert server.u2 == u2 and tuple(deliveries) == u2
         sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
         assert server.round2(sums) == [len(u2), 2 * len(u2)]
@@ -554,6 +560,22 @@ class TestServerChecks:
         with pytest.raises(RoundAborted, match=r"only 2 uploads collected \(2 left out\), need 3"):
             server.round1(uploads)
 
+    def test_misindexed_hello_and_upload_recorded_per_round(self):
+        # Client 2's hello under index 3 leaves 3 out of U1; an upload under 3
+        # is then outside the roster. Each reason stays under its own round.
+        p = plan_parameters(6, 2, B=16, rho=0.34)
+        rng = random.Random(0)
+        clients, hellos = self._hellos(p, rng)
+        hellos[1] = ClientHello(u=3, public_key=hellos[1].public_key)
+        server = Server(p)
+        broadcast = server.round0(hellos)
+        assert server.u1 == (1, 4, 5, 6)
+        uploads = [clients[u].round1(broadcast, [1, 2]) for u in server.u1]
+        server.round1(uploads + [ShareUpload(u=3, ciphertexts=())])
+        assert server.excluded["u1"][3] == "2 hellos under index 3"
+        assert server.excluded["u2"][3] == "upload from client 3 outside the roster"
+        assert server.u2 == (1, 4, 5, 6)
+
     def test_round2_below_threshold(self):
         p = plan_parameters(4, 2, B=16, rho=0.25)
         rng = random.Random(0)
@@ -564,12 +586,19 @@ class TestServerChecks:
             [c.round1(broadcast, [1, 2]) for c in clients.values()]
         )
         sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
-        with pytest.raises(InsufficientShares):
+        with pytest.raises(RoundAborted, match="only 2 sum-share messages collected, need 3"):
             server.round2(sums[: p.t - 1])
+        assert server.u3 == (1, 2)
 
-    def test_round2_unreduced_sum_shares(self):
-        # The same residues shifted by a multiple of q would reconstruct a
-        # wrong aggregate, so any entry outside [0, q) is refused.
+    @pytest.mark.parametrize("enough", [True, False], ids=["kept-t", "below-t"])
+    @pytest.mark.parametrize(
+        "fault", ["duplicate", "outside-u2", "chunk-count", "above-q", "below-zero"]
+    )
+    def test_round2_faulty_sums_left_out(self, fault, enough):
+        # Client 1's message is faulty. Under index 2 it cannot be pinned on
+        # one sender, so both messages under 2 go. The same residues shifted
+        # by a multiple of q would reconstruct a wrong aggregate, so an entry
+        # outside [0, q) is refused like the other faults.
         p = plan_parameters(10, 20, rho=0.3)
         rng = random.Random(0)
         clients, hellos = self._hellos(p, rng)
@@ -579,11 +608,29 @@ class TestServerChecks:
             [c.round1(broadcast, [1] * p.m) for c in clients.values()]
         )
         sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
-        for shift in (p.fp.q << 30, -p.fp.q):
-            bad = SumShares(u=sums[0].u, sums=sums[0].sums + shift)
-            with pytest.raises(InvalidArgument, match=f"client {bad.u} outside"):
-                server.round2([bad] + sums[1:])
-        assert server.round2(sums) == [p.n] * p.m
+        first, q, c = sums[0].sums, p.fp.q, p.chunk_count
+        out_of_range = f"sum shares from client 1 outside [0, {q})"
+        sums[0], index, why = {
+            "duplicate": (SumShares(u=2, sums=first), 2, "2 sum-share messages under index 2"),
+            "outside-u2": (
+                SumShares(u=11, sums=first), 11, "sum-share message from client 11 outside U2"
+            ),
+            "chunk-count": (
+                SumShares(u=1, sums=first[:-1]), 1, f"client 1 sent {c - 1} sum shares, not {c}"
+            ),
+            "above-q": (SumShares(u=1, sums=first + (q << 30)), 1, out_of_range),
+            "below-zero": (SumShares(u=1, sums=first - q), 1, out_of_range),
+        }[fault]
+        left_out = 2 if fault == "duplicate" else 1
+        if enough:
+            assert server.round2(sums) == [p.n] * p.m
+            assert len(server.u3) == p.n - left_out
+        else:
+            kept = p.t - left_out
+            collected = rf"{kept} sum-share messages collected \({left_out} left out\)"
+            with pytest.raises(RoundAborted, match=rf"Round 2: only {collected}, need {p.t}"):
+                server.round2(sums[: p.t])
+        assert server.excluded == {"u1": {}, "u2": {}, "u3": {index: why}}
 
     def test_round_order_enforced(self):
         p = plan_parameters(4, 2, B=16)

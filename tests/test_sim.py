@@ -11,7 +11,7 @@ import fssa.sim
 from fssa.aead import _nonce
 from fssa.errors import InvalidArgument
 from fssa.keyagree import ka_gen
-from fssa.messages import ClientHello, ShareDelivery, ShareUpload
+from fssa.messages import ClientHello, ShareDelivery, ShareUpload, SumShares
 from fssa.sim import (
     DropPoint,
     SimConfig,
@@ -324,12 +324,13 @@ class TestFailureReporting:
         assert report.status == "ok"
         assert report.aggregate == [1 + 3 + 4 + 5, 4, 8, 12]
         assert report.aggregate == report.expected_sum_over_u2
-        assert report.excluded == {2: "client 2 sent no ciphertext for 1"}
+        why = "client 2 sent no ciphertext for 1"
+        assert report.excluded == {"u1": {}, "u2": {2: why}, "u3": {}}
         assert report.rosters == {
             "u1": (1, 2, 3, 4, 5), "u2": (1, 3, 4, 5), "u3": (1, 3, 4, 5),
         }
         assert (report.aborted, report.failure) == ({}, None)
-        assert json.loads(report.to_json())["excluded"] == {"2": report.excluded[2]}
+        assert json.loads(report.to_json())["excluded"]["u2"] == {"2": why}
 
     def test_duplicate_upload_index_reported(self, monkeypatch):
         # Client 2 uploads under index 3. A duplicate cannot be pinned on
@@ -344,11 +345,12 @@ class TestFailureReporting:
         monkeypatch.setattr(fssa.protocol.Client, "round1", misindexed)
         report = run_simulation(cfg(seed=4))
         assert report.status == "aggregation_failed"
-        assert report.excluded == {3: "2 uploads under index 3"}
+        assert report.excluded == {"u1": {}, "u2": {3: "2 uploads under index 3"}, "u3": {}}
         assert report.failure == "Round 1: only 3 uploads collected (2 left out), need 4"
         assert report.rosters == {"u1": (1, 2, 3, 4, 5), "u2": (1, 4, 5), "u3": ()}
         doc = json.loads(report.to_json())
-        assert (doc["excluded"], doc["failure"]) == ({"3": report.excluded[3]}, report.failure)
+        assert doc["excluded"] == {"u1": {}, "u2": {"3": "2 uploads under index 3"}, "u3": {}}
+        assert doc["failure"] == report.failure
 
     @pytest.mark.parametrize("n, rho, status", [(6, 0.34, "ok"), (5, 0.2, "aggregation_failed")])
     def test_misindexed_hello_excluded(self, monkeypatch, n, rho, status):
@@ -364,9 +366,9 @@ class TestFailureReporting:
         monkeypatch.setattr(fssa.protocol.Client, "round0", misindexed)
         report = run_simulation(cfg(n=n, rho=rho, inputs=[[u, 1, 2, 3] for u in range(1, n + 1)]))
         assert report.status == status
-        assert report.excluded == {3: "2 hellos under index 3"}
+        assert report.excluded == {"u1": {3: "2 hellos under index 3"}, "u2": {}, "u3": {}}
         doc = json.loads(report.to_json())
-        assert doc["excluded"] == {"3": "2 hellos under index 3"}
+        assert doc["excluded"] == {"u1": {"3": "2 hellos under index 3"}, "u2": {}, "u3": {}}
         if status == "ok":
             assert report.rosters == {"u1": (1, 4, 5, 6), "u2": (1, 4, 5, 6), "u3": (1, 4, 5, 6)}
             assert report.aborted == {
@@ -376,6 +378,51 @@ class TestFailureReporting:
         else:
             assert report.failure == "Round 0: only 3 keys collected (2 left out), need 4"
             assert report.rosters == {"u1": (1, 4, 5), "u2": (), "u3": ()}
+
+    def test_undecodable_sum_shares_excluded(self, monkeypatch):
+        # Client 2's sum shares are shifted by q, so they fail to decode at
+        # the server. That leaves 2 out of U3, as if it had dropped before
+        # sending; its input is in U2, and the other nine reconstruct it.
+        summing = fssa.protocol.Client.round2
+
+        def shifted(self, delivery):
+            msg = summing(self, delivery)
+            return SumShares(u=2, sums=msg.sums + self.params.fp.q) if self.u == 2 else msg
+
+        monkeypatch.setattr(fssa.protocol.Client, "round2", shifted)
+        report = run_simulation(cfg(n=10, rho=0.3, B=2**16, seed=5))
+        assert report.status == "ok"
+        assert report.aggregate == report.expected_sum_over_u2
+        assert report.rosters["u2"] == tuple(range(1, 11))
+        assert report.rosters["u3"] == (1, *range(3, 11))
+        why = "message does not decode: element encoding out of range"
+        assert report.excluded == {"u1": {}, "u2": {}, "u3": {2: why}}
+        assert json.loads(report.to_json())["excluded"]["u3"] == {"2": why}
+
+    @pytest.mark.parametrize("bad, status", [({2}, "ok"), ({2, 4}, "aggregation_failed")])
+    def test_undecodable_hello_excluded(self, monkeypatch, bad, status):
+        # A trailing byte on a client's hello fails its decode: the hello is
+        # left out of U1, and counts among the messages left out when fewer
+        # than t keys remain.
+        encode = fssa.messages.serialize
+
+        def padded(msg, fp):
+            wire = encode(msg, fp)
+            return wire + b"\0" if isinstance(msg, ClientHello) and msg.u in bad else wire
+
+        monkeypatch.setattr(fssa.messages, "serialize", padded)
+        report = run_simulation(cfg(inputs=[[u, 1, 2, 3] for u in range(1, 6)]))
+        why = "message does not decode: trailing bytes after message"
+        assert report.status == status
+        assert report.excluded == {"u1": {u: why for u in sorted(bad)}, "u2": {}, "u3": {}}
+        assert report.rosters["u1"] == tuple(u for u in range(1, 6) if u not in bad)
+        if status == "ok":
+            assert report.aborted == {
+                2: "client 2: own public key missing or mismatched in broadcast"
+            }
+            assert report.aggregate == report.expected_sum_over_u2 == [13, 4, 8, 12]
+        else:
+            assert report.failure == "Round 0: only 3 keys collected (2 left out), need 4"
 
     def test_round2_abort_reported(self, monkeypatch):
         # The server flips one tag bit of client 2's ciphertext for client 1:
@@ -425,7 +472,7 @@ class TestFailureReporting:
                 received[str(r)] = received.get(str(r), 0) + len(p)
         assert doc["bytes_received"] == received
         assert doc["server_bytes_received"] == sum(sent.values())
-        assert doc["excluded"] == {}
+        assert doc["excluded"] == {"u1": {}, "u2": {}, "u3": {}}
         # Client 3 received the broadcast and its delivery.
         received = [p.hex() for _, _, r, p in report.transcript if r == 3]
         assert doc["corrupted_views"] == {"3": received}
