@@ -35,11 +35,8 @@ from .messages import (
 from .protocol import Client, Params, Server, chunk_vector, plan_parameters
 from .ramp import (
     RampParams,
-    ShareBundle,
     naive_aggregate_oracle,
     rss_recon,
-    rss_share,
-    share_sum,
     share_view_histogram,
 )
 from .sim import DropPoint, SimConfig, SimReport, load_sim_config, run_simulation
@@ -55,7 +52,6 @@ __all__ = [
     "ClientHello", "KeyBroadcast", "ShareDelivery", "ShareUpload", "SumShares",
     "deserialize", "serialize",
     "Client", "Params", "Server", "chunk_vector", "plan_parameters",
-    "RampParams", "ShareBundle", "naive_aggregate_oracle", "rss_recon",
-    "rss_share", "share_sum", "share_view_histogram",
+    "RampParams", "naive_aggregate_oracle", "rss_recon", "share_view_histogram",
     "DropPoint", "SimConfig", "SimReport", "load_sim_config", "run_simulation",
 ]

@@ -172,8 +172,12 @@ def deserialize(data: bytes, fp: FieldParams):
 
 
 def encode_elems(values, fp: FieldParams) -> bytes:
-    """Pack many field elements as fixed-width little-endian, vectorized."""
-    a = np.ascontiguousarray(values, dtype="<u8")
+    """Pack many field elements, each in [0, q), as fixed-width little-endian, vectorized."""
+    a = np.asarray(values, dtype=np.int64)
+    # Truncating to byte_width bytes would send another value than the one given.
+    if a.size and (a.min() < 0 or a.max() >= fp.q):
+        raise InvalidArgument(f"field element outside [0, {fp.q})")
+    a = np.ascontiguousarray(a, dtype="<u8")
     return a.view(np.uint8).reshape(-1, 8)[:, : fp.byte_width].tobytes()
 
 

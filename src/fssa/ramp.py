@@ -5,16 +5,16 @@ polynomial whose remaining t-d >= 1 coefficients hide it; the share for
 party u is the evaluation at point u. Any t shares reconstruct the secret,
 and any t-d or fewer shares are distributed independently of it.
 
-`rss_share` draws the t-d high coefficients uniformly. `rss_share_batch`
-instead fixes the polynomial's values at t-d designated points and solves
-for the high coefficients, so that those shares can be derived by their
-holders rather than sent. Privacy is the same: given the secret, the map
-from the high coefficients h to the values at the designated points x_D is
-h -> s(x_D) + diag(x_D^d) V(x_D) h, with V a Vandermonde matrix on distinct
-nonzero points, which is a bijection. Uniform values at x_D therefore give
-exactly the distribution of polynomials that uniform high coefficients give.
-With the values drawn from a keystream (`aead.derive_elems`), privacy is
-computational in AES, as it already is for the AES-GCM ciphertexts.
+`rss_share_batch` fixes the polynomial's values at t-d designated points
+and solves for the high coefficients, so that those shares can be derived
+by their holders rather than sent. Its privacy is that of uniform high
+coefficients: given the secret, the map from the high coefficients h to
+the values at the designated points x_D is h -> s(x_D) + diag(x_D^d) V(x_D) h,
+with V a Vandermonde matrix on distinct nonzero points, which is a
+bijection. Uniform values at x_D therefore give exactly the distribution of
+polynomials that uniform high coefficients give. With the values drawn
+from a keystream (`aead.derive_elems`), privacy is computational in AES,
+as it already is for the AES-GCM ciphertexts.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientShares, InvalidArgument
-from .field import FieldParams, build_recon_matrix, mod_matmul, poly_eval, poly_eval_batch
+from .field import FieldParams, build_recon_matrix, mod_matmul, poly_eval_batch
 
 _ENUMERATION_CAP = 10**6
 
@@ -64,48 +64,6 @@ class RampParams:
 
     def default_points(self) -> tuple:
         return tuple(range(1, self.n + 1))
-
-
-@dataclass(frozen=True)
-class ShareBundle:
-    """One share per recipient point for a single length-d secret."""
-
-    rp: RampParams
-    shares: dict  # point -> element
-
-    def __post_init__(self):
-        for p in self.shares:
-            if p % self.rp.fp.q == 0:
-                raise InvalidArgument("share points must be nonzero mod q")
-
-
-def _sharing_coeffs(rp: RampParams, secret, rng, coeffs) -> list[int]:
-    q = rp.fp.q
-    if not 1 <= len(secret) <= rp.d:
-        raise InvalidArgument(f"secret length must be in [1, {rp.d}], got {len(secret)}")
-    padded = [s % q for s in secret] + [0] * (rp.d - len(secret))
-    if coeffs is not None:
-        if len(coeffs) != rp.k:
-            raise InvalidArgument(f"expected {rp.k} explicit coefficients, got {len(coeffs)}")
-        high = [c % q for c in coeffs]
-    else:
-        if rng is None:
-            rng = random.SystemRandom()
-        high = [rng.randrange(q) for _ in range(rp.k)]
-    return padded + high
-
-
-def rss_share(rp: RampParams, secret, rng=None, coeffs=None, points=None) -> ShareBundle:
-    """Share a secret vector of length <= d (zero-padded to d) among the points.
-
-    `coeffs` fixes the t-d random coefficients explicitly for deterministic
-    tests; otherwise they are drawn from `rng` (or a system source).
-    """
-    if points is None:
-        points = rp.default_points()
-    poly = _sharing_coeffs(rp, secret, rng, coeffs)
-    shares = {p: poly_eval(poly, p % rp.fp.q, rp.fp) for p in points}
-    return ShareBundle(rp=rp, shares=shares)
 
 
 def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, values) -> np.ndarray:
@@ -174,21 +132,6 @@ def rss_recon(rp: RampParams, shares: dict) -> list[int]:
     q = rp.fp.q
     col = np.array([[shares[p] % q] for p in pts], dtype=np.int64)
     return mod_matmul(build_recon_matrix(pts, rp.d, rp.fp), col, q)[:, 0].tolist()
-
-
-def share_sum(bundles, u: int) -> int:
-    """Field sum of several bundles' shares at one common point u."""
-    if not bundles:
-        raise InvalidArgument("no bundles to sum")
-    rp = bundles[0].rp
-    total = 0
-    for b in bundles:
-        if b.rp != rp:
-            raise InvalidArgument("bundles were produced under different parameters")
-        if u not in b.shares:
-            raise InvalidArgument(f"point {u} missing from a bundle")
-        total += b.shares[u]
-    return total % rp.fp.q
 
 
 def naive_aggregate_oracle(inputs, t: int, fp: FieldParams, rng=None) -> list[int]:

@@ -22,16 +22,11 @@ from fssa.messages import (
     deserialize,
     serialize,
 )
-from fssa.protocol import Client, Server, plan_parameters
-from fssa.ramp import (
-    RampParams,
-    naive_aggregate_oracle,
-    rss_recon,
-    rss_share,
-    share_sum,
-    share_view_histogram,
-)
+from fssa.protocol import Client, Server, chunk_vector, designated_peers, plan_parameters
+from fssa.ramp import RampParams, naive_aggregate_oracle, rss_recon, share_view_histogram
 from fssa.sim import DropPoint, SimConfig, run_simulation
+
+from _sharing import share_everywhere
 
 F11 = FieldParams(11)
 
@@ -89,7 +84,12 @@ def test_criterion_1_and_5_exactness_and_round_shape():
 
 
 def test_criterion_2_oracle_equivalence():
-    """Chunked ramp pipeline equals the naive per-element oracle exactly."""
+    """Chunked ramp pipeline equals the naive per-element oracle exactly.
+
+    Each client shares its `chunk_vector` chunks as `Client.round1` does,
+    with the values at its designated peers D_u drawn; the shares are summed
+    per point and a random t-subset reconstructs every chunk.
+    """
     import sympy
 
     rng = random.Random(7)
@@ -103,14 +103,16 @@ def test_criterion_2_oracle_equivalence():
         d = rng.randrange(1, t)
         rp = RampParams(t=t, d=d, n=n, fp=fp)
         inputs = [[rng.randrange(B) for _ in range(m)] for _ in range(n)]
+        roster = rp.default_points()
+        summed = dict.fromkeys(roster, 0)
+        for u, v in zip(roster, inputs):
+            designated = designated_peers(u, roster, rp.k)
+            shares = share_everywhere(rp, chunk_vector(v, d, B), designated, rng)
+            summed = {p: (summed[p] + shares[p]) % fp.q for p in roster}
+        subset = rng.sample(roster, t)
         out = []
-        for i in range(-(-m // d)):
-            bundles = []
-            for v in inputs:
-                chunk = v[i * d : (i + 1) * d]
-                bundles.append(rss_share(rp, chunk + [0] * (d - len(chunk)), rng=rng))
-            summed = {u: share_sum(bundles, u) for u in rp.default_points()}
-            out.extend(rss_recon(rp, summed))
+        for c in range(-(-m // d)):
+            out.extend(rss_recon(rp, {p: summed[p][c] for p in subset}))
         assert out[:m] == naive_aggregate_oracle(inputs, t, fp)
     _verdict(2, "200 chunked-pipeline runs equal the naive oracle exactly",
              True, f"{time.monotonic() - t0:.1f}s")
@@ -151,6 +153,11 @@ def test_criterion_4_parameter_reproduction():
 
 
 def test_criterion_6_linearity_and_threshold():
+    """Linearity and t-subset reconstruction of the designated-peer sharing.
+
+    Every sharing fixes its values at t-d random designated points, so the
+    reconstructing subsets include designated points.
+    """
     rng = random.Random(99)
     t0 = time.monotonic()
     fp = FieldParams(101)
@@ -159,18 +166,19 @@ def test_criterion_6_linearity_and_threshold():
         s1 = [rng.randrange(101) for _ in range(2)]
         s2 = [rng.randrange(101) for _ in range(2)]
         a, b = rng.randrange(101), rng.randrange(101)
-        b1, b2 = rss_share(rp, s1, rng=rng), rss_share(rp, s2, rng=rng)
-        combo = {p: (a * b1.shares[p] + b * b2.shares[p]) % 101 for p in b1.shares}
+        b1, b2 = (share_everywhere(rp, [s], rng.sample(rp.default_points(), rp.k), rng)
+                  for s in (s1, s2))
+        combo = {p: (a * b1[p][0] + b * b2[p][0]) % 101 for p in b1}
         assert rss_recon(rp, combo) == [(a * x + b * y) % 101 for x, y in zip(s1, s2)]
     for n in range(2, 7):
         for t in range(2, n + 1):
             for d in range(1, t):
                 rp = RampParams(t=t, d=d, n=n, fp=F11)
                 secret = [rng.randrange(11) for _ in range(d)]
-                bundle = rss_share(rp, secret, rng=rng)
-                for subset in itertools.combinations(bundle.shares, t):
-                    sub = {p: bundle.shares[p] for p in subset}
-                    assert rss_recon(rp, sub) == secret
+                designated = rng.sample(rp.default_points(), rp.k)
+                shares = share_everywhere(rp, [secret], designated, rng)
+                for subset in itertools.combinations(rp.default_points(), t):
+                    assert rss_recon(rp, {p: shares[p][0] for p in subset}) == secret
     _verdict(6, "1000 linearity instances and exhaustive t-subset reconstruction",
              True, f"{time.monotonic() - t0:.1f}s")
 

@@ -184,6 +184,15 @@ class TestValidation:
                 SumShares(u=1, sums=sums)
         assert SumShares(u=1, sums=[]).sums.dtype == np.int64
 
+    def test_encode_refuses_element_outside_field(self):
+        # At width 1, 261 = 256 + 5 and an int64 -251 would both go out as 5.
+        for sums in ([261, 3], np.array([-251, 3], dtype=np.int64), [11, 3], [-1, 3]):
+            with pytest.raises(InvalidArgument, match=r"outside \[0, 11\)"):
+                serialize(SumShares(u=1, sums=sums), F11)
+        with pytest.raises(InvalidArgument, match=r"outside \[0, 257\)"):
+            encode_share_plaintexts(np.array([[3, 0], [257, 1]]), F257)
+        assert deserialize(serialize(SumShares(u=1, sums=[10, 0]), F11), F11).sums.tolist() == [10, 0]
+
     def test_element_out_of_range(self):
         blob = serialize(SumShares(u=1, sums=(10,)), F11)
         bad = blob[:-1] + b"\x0b"  # 11 >= q

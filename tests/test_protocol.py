@@ -592,7 +592,8 @@ class TestServerChecks:
 
     @pytest.mark.parametrize("enough", [True, False], ids=["kept-t", "below-t"])
     @pytest.mark.parametrize(
-        "fault", ["duplicate", "outside-u2", "chunk-count", "above-q", "below-zero"]
+        "fault",
+        ["duplicate", "outside-u2", "chunk-count", "two-dimensional", "above-q", "below-zero"],
     )
     def test_round2_faulty_sums_left_out(self, fault, enough):
         # Client 1's message is faulty. Under index 2 it cannot be pinned on
@@ -616,7 +617,12 @@ class TestServerChecks:
                 SumShares(u=11, sums=first), 11, "sum-share message from client 11 outside U2"
             ),
             "chunk-count": (
-                SumShares(u=1, sums=first[:-1]), 1, f"client 1 sent {c - 1} sum shares, not {c}"
+                SumShares(u=1, sums=first[:-1]), 1,
+                f"client 1 sent sum shares of shape ({c - 1},), not ({c},)",
+            ),
+            "two-dimensional": (
+                SumShares(u=1, sums=np.stack([first, first], axis=1)), 1,
+                f"client 1 sent sum shares of shape ({c}, 2), not ({c},)",
             ),
             "above-q": (SumShares(u=1, sums=first + (q << 30)), 1, out_of_range),
             "below-zero": (SumShares(u=1, sums=first - q), 1, out_of_range),
@@ -631,6 +637,30 @@ class TestServerChecks:
             with pytest.raises(RoundAborted, match=rf"Round 2: only {collected}, need {p.t}"):
                 server.round2(sums[: p.t])
         assert server.excluded == {"u1": {}, "u2": {}, "u3": {index: why}}
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_round2_wrong_share_in_range_not_silent(self):
+        # Client 1's sum shares are off by one mod q, so they pass admission,
+        # and client 1 is among the first t members of U3 that reconstruct.
+        # The aggregate must be exact (client 1 may be left out), or the
+        # round refused naming client 1.
+        p = plan_parameters(10, 20, rho=0.3)
+        assert p.t == 7
+        rng = random.Random(0)
+        clients, hellos = self._hellos(p, rng)
+        server = Server(p)
+        broadcast = server.round0(hellos)
+        deliveries = server.round1(
+            [c.round1(broadcast, [1] * p.m) for c in clients.values()]
+        )
+        sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
+        sums[0] = SumShares(u=1, sums=(sums[0].sums + 1) % p.fp.q)
+        try:
+            aggregate = server.round2(sums)
+        except RoundAborted as e:
+            assert "client 1" in str(e)
+        else:
+            assert aggregate == [p.n] * p.m
 
     def test_round_order_enforced(self):
         p = plan_parameters(4, 2, B=16)

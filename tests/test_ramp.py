@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from fssa.errors import InsufficientShares, InvalidArgument
 from fssa.field import FieldParams, build_recon_matrix, find_field_modulus, mod_matmul, poly_eval
+from fssa.protocol import chunk_vector
 from fssa.ramp import (
     RampParams,
-    ShareBundle,
     naive_aggregate_oracle,
     rss_recon,
-    rss_share,
     rss_share_batch,
-    share_sum,
     share_view_histogram,
 )
+
+from _sharing import share_everywhere
 
 F5 = FieldParams(5)
 F11 = FieldParams(11)
@@ -48,34 +48,36 @@ class TestRampParams:
 
 class TestShare:
     def test_hand_polynomial(self):
+        # The value 2 pinned at point 3 makes f(x) = 5 + 7x + x^2.
         rp = RampParams(t=3, d=2, n=3, fp=F11)
-        b = rss_share(rp, [5, 7], coeffs=[1])  # f(x) = 5 + 7x + x^2
-        assert b.shares == {1: 2, 2: 1, 3: 2}
+        assert rss_share_batch(rp, [[5, 7]], [1, 2], [3], [[2]]).tolist() == [[2, 1]]
 
     def test_zero_polynomial(self):
         rp = RampParams(t=2, d=1, n=3, fp=F11)
-        b = rss_share(rp, [0], coeffs=[0])
-        assert all(s == 0 for s in b.shares.values())
+        assert rss_share_batch(rp, [[0]], [1, 2], [3], [[0]]).tolist() == [[0, 0]]
 
     def test_mod_five_line(self):
+        # f(x) = 3 + 2x mod 5, pinned by f(4) = 1 or by f(2) = 2.
         rp = RampParams(t=2, d=1, n=4, fp=F5)
-        b = rss_share(rp, [3], coeffs=[2])  # f(x) = 3 + 2x mod 5
-        assert b.shares == {1: 0, 2: 2, 3: 4, 4: 1}
+        assert rss_share_batch(rp, [[3]], [1, 2, 3], [4], [[1]]).tolist() == [[0, 2, 4]]
+        assert rss_share_batch(rp, [[3]], [1, 3, 4], [2], [[2]]).tolist() == [[0, 4, 1]]
 
     def test_secret_too_long(self):
         rp = RampParams(t=3, d=2, n=3, fp=F11)
-        with pytest.raises(InvalidArgument):
-            rss_share(rp, [1, 2, 3], coeffs=[0])
+        with pytest.raises(InvalidArgument, match="secrets must be a"):
+            rss_share_batch(rp, [[1, 2, 3]], [1, 2], [3], [[0]])
 
     def test_wrong_coefficient_count(self):
+        # One designated value per high coefficient: none for t - d = 1 is refused.
         rp = RampParams(t=3, d=2, n=3, fp=F11)
-        with pytest.raises(InvalidArgument):
-            rss_share(rp, [5, 7], coeffs=[])
+        with pytest.raises(InvalidArgument, match=r"\(1, 1\) array"):
+            rss_share_batch(rp, [[5, 7]], [1, 2], [3], [[]])
 
     def test_short_secret_zero_padded(self):
+        # chunk_vector pads the last chunk; the padding reconstructs as zeros.
         rp = RampParams(t=3, d=2, n=3, fp=F11)
-        b = rss_share(rp, [5], coeffs=[0])
-        assert rss_recon(rp, b.shares) == [5, 0]
+        shares = share_everywhere(rp, chunk_vector([5], rp.d, 11), [2], random.Random(1))
+        assert rss_recon(rp, {p: s[0] for p, s in shares.items()}) == [5, 0]
 
     def test_batch_agrees_with_scalar(self):
         rp = RampParams(t=4, d=2, n=6, fp=F11)
@@ -183,7 +185,8 @@ class TestRecon:
             rss_recon(rp, {1: 2, 12: 1, 3: 2})
 
     def test_threshold_exhaustive(self):
-        # Every t-subset of the n shares reconstructs the same secret.
+        # Every t-subset of the n shares, designated points included,
+        # reconstructs the same secret.
         rng = random.Random(7)
         for q in (11, 101):
             fp = FieldParams(q)
@@ -192,28 +195,15 @@ class TestRecon:
                     for d in range(1, t):
                         rp = RampParams(t=t, d=d, n=n, fp=fp)
                         secret = [rng.randrange(q) for _ in range(d)]
-                        b = rss_share(rp, secret, rng=rng)
-                        for subset in itertools.combinations(b.shares, t):
-                            sub = {p: b.shares[p] for p in subset}
-                            assert rss_recon(rp, sub) == secret
-
-    def test_linearity(self):
-        rng = random.Random(99)
-        fp = FieldParams(101)
-        rp = RampParams(t=4, d=2, n=5, fp=fp)
-        for _ in range(1000):
-            s1 = [rng.randrange(101) for _ in range(2)]
-            s2 = [rng.randrange(101) for _ in range(2)]
-            a, b = rng.randrange(101), rng.randrange(101)
-            b1 = rss_share(rp, s1, rng=rng)
-            b2 = rss_share(rp, s2, rng=rng)
-            combo = {p: (a * b1.shares[p] + b * b2.shares[p]) % 101 for p in b1.shares}
-            want = [(a * x + b * y) % 101 for x, y in zip(s1, s2)]
-            assert rss_recon(rp, combo) == want
+                        designated = rng.sample(rp.default_points(), rp.k)
+                        shares = share_everywhere(rp, [secret], designated, rng)
+                        for subset in itertools.combinations(rp.default_points(), t):
+                            assert rss_recon(rp, {p: shares[p][0] for p in subset}) == secret
 
     def test_shamir_embedding(self):
         # d = 1 ramp sharing is exactly threshold sharing; cross-check against
-        # an independently coded textbook implementation.
+        # an independently coded textbook implementation. The designated
+        # values are pinned to those of known high coefficients.
         rng = random.Random(5)
         fp = FieldParams(101)
         for _ in range(500):
@@ -222,46 +212,21 @@ class TestRecon:
             rp = RampParams(t=t, d=1, n=n, fp=fp)
             secret = rng.randrange(101)
             coeffs = [rng.randrange(101) for _ in range(t - 1)]
-            ours = rss_share(rp, [secret], coeffs=coeffs)
             ref = {
                 p: sum(
                     c * pow(p, i, 101) for i, c in enumerate([secret] + coeffs)
                 ) % 101
                 for p in rp.default_points()
             }
-            assert ours.shares == ref
-            pick = dict(rng.sample(sorted(ours.shares.items()), t))
+            designated = rng.sample(rp.default_points(), rp.k)
+            points = [p for p in rp.default_points() if p not in designated]
+            values = [ref[p] for p in designated]
+            sent = rss_share_batch(rp, [[secret]], points, designated, [values])[0].tolist()
+            ours = dict(zip(designated, values)) | dict(zip(points, sent))
+            assert ours == ref
+            pick = dict(rng.sample(sorted(ours.items()), t))
             assert rss_recon(rp, pick) == [secret]
             assert textbook_shamir_recon(pick, 101) == secret
-
-
-class TestShareSum:
-    def test_sum_then_recon_wraps(self):
-        rp = RampParams(t=3, d=2, n=3, fp=F11)
-        b1 = rss_share(rp, [5, 7], coeffs=[1])
-        b2 = rss_share(rp, [6, 4], coeffs=[3])
-        summed = {u: share_sum([b1, b2], u) for u in (1, 2, 3)}
-        assert rss_recon(rp, summed) == [0, 0]  # 5+6 = 7+4 = 11 = 0 mod 11
-        # direct polynomial-sum oracle
-        fsum = [(5 + 6) % 11, (7 + 4) % 11, (1 + 3) % 11]
-        assert summed == {u: poly_eval(fsum, u, F11) for u in (1, 2, 3)}
-
-    def test_single_bundle_identity(self):
-        rp = RampParams(t=2, d=1, n=3, fp=F11)
-        b = rss_share(rp, [4], coeffs=[2])
-        assert {u: share_sum([b], u) for u in b.shares} == b.shares
-
-    def test_zero_bundle_is_identity(self):
-        rp = RampParams(t=2, d=1, n=3, fp=F11)
-        b = rss_share(rp, [4], coeffs=[2])
-        z = rss_share(rp, [0], coeffs=[0])
-        assert {u: share_sum([b, z], u) for u in b.shares} == b.shares
-
-    def test_mismatched_params(self):
-        b1 = rss_share(RampParams(t=2, d=1, n=3, fp=F11), [1], coeffs=[0])
-        b2 = rss_share(RampParams(t=3, d=1, n=3, fp=F11), [1], coeffs=[0, 0])
-        with pytest.raises(InvalidArgument):
-            share_sum([b1, b2], 1)
 
 
 class TestNaiveOracle:
@@ -277,36 +242,6 @@ class TestNaiveOracle:
     def test_length_mismatch(self):
         with pytest.raises(InvalidArgument):
             naive_aggregate_oracle([[1, 2], [3]], t=1, fp=F11)
-
-    def test_chunked_pipeline_equivalence(self):
-        # share -> sum -> recon with any d equals the per-element oracle.
-        rng = random.Random(11)
-        for trial in range(30):
-            n = rng.randrange(2, 9)
-            m = rng.randrange(1, 11)
-            B = 8
-            import sympy
-
-            fp = FieldParams(int(sympy.nextprime(n * (B - 1))))
-            t = rng.randrange(2, n + 1)
-            d = rng.randrange(1, t)
-            rp = RampParams(t=t, d=d, n=n, fp=fp)
-            inputs = [[rng.randrange(B) for _ in range(m)] for _ in range(n)]
-            chunked_out = []
-            n_chunks = -(-m // d)
-            per_chunk_sums = []
-            for i in range(n_chunks):
-                bundles = []
-                for v in inputs:
-                    chunk = v[i * d : (i + 1) * d]
-                    bundles.append(rss_share(rp, chunk + [0] * (d - len(chunk)), rng=rng))
-                summed = {u: share_sum(bundles, u) for u in rp.default_points()}
-                per_chunk_sums.append(rss_recon(rp, summed))
-            for vals in per_chunk_sums:
-                chunked_out.extend(vals)
-            chunked_out = chunked_out[:m]
-            assert chunked_out == naive_aggregate_oracle(inputs, t, fp)
-
 
 class TestPerfectSecurity:
     def test_uniform_single_view(self):
@@ -372,6 +307,8 @@ class TestPerfectSecurity:
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_share_recon_roundtrip_property(data):
+    # Designated values pinned to those of drawn high coefficients: the shares
+    # at every point are that polynomial's, and all n reconstruct the secret.
     q = data.draw(st.sampled_from([11, 13, 101]))
     fp = FieldParams(q)
     n = data.draw(st.integers(2, 6))
@@ -380,5 +317,11 @@ def test_share_recon_roundtrip_property(data):
     secret = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
     coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=t - d, max_size=t - d))
     rp = RampParams(t=t, d=d, n=n, fp=fp)
-    bundle = rss_share(rp, secret, coeffs=coeffs)
-    assert rss_recon(rp, bundle.shares) == [s % q for s in secret]
+    order = data.draw(st.permutations(rp.default_points()))
+    designated, points = order[: rp.k], order[rp.k :]
+    poly = secret + coeffs
+    values = [[poly_eval(poly, x, fp) for x in designated]]
+    sent = rss_share_batch(rp, [secret], points, designated, values)[0].tolist()
+    assert sent == [poly_eval(poly, x, fp) for x in points]
+    shares = dict(zip(designated, values[0])) | dict(zip(points, sent))
+    assert rss_recon(rp, shares) == secret

@@ -380,16 +380,21 @@ class TestFailureReporting:
             assert report.rosters == {"u1": (1, 4, 5), "u2": (), "u3": ()}
 
     def test_undecodable_sum_shares_excluded(self, monkeypatch):
-        # Client 2's sum shares are shifted by q, so they fail to decode at
-        # the server. That leaves 2 out of U3, as if it had dropped before
-        # sending; its input is in U2, and the other nine reconstruct it.
-        summing = fssa.protocol.Client.round2
+        # Every sum share of client 2 arrives encoded as q, so its message
+        # fails to decode at the server. The codec refuses to encode an
+        # element outside [0, q), so the bytes are forged after encoding.
+        # That leaves 2 out of U3, as if it had dropped before sending; its
+        # input is in U2, and the other nine reconstruct it.
+        encode = fssa.messages.serialize
 
-        def shifted(self, delivery):
-            msg = summing(self, delivery)
-            return SumShares(u=2, sums=msg.sums + self.params.fp.q) if self.u == 2 else msg
+        def forged(msg, fp):
+            wire = encode(msg, fp)
+            if not (isinstance(msg, SumShares) and msg.u == 2):
+                return wire
+            block = fp.q.to_bytes(fp.byte_width, "little") * len(msg.sums)
+            return wire[: len(wire) - len(block)] + block
 
-        monkeypatch.setattr(fssa.protocol.Client, "round2", shifted)
+        monkeypatch.setattr(fssa.messages, "serialize", forged)
         report = run_simulation(cfg(n=10, rho=0.3, B=2**16, seed=5))
         assert report.status == "ok"
         assert report.aggregate == report.expected_sum_over_u2
