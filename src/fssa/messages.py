@@ -64,6 +64,8 @@ class SumShares:
         # out a message with any entry outside [0, q).
         if sums.size and sums.dtype.kind not in "iu":
             raise InvalidArgument(f"sum shares must be integers, got {sums.dtype}")
+        if sums.ndim != 1:
+            raise InvalidArgument(f"sum shares must be one per chunk, got shape {sums.shape}")
         object.__setattr__(self, "sums", sums.astype(np.int64, copy=False))
 
     def __eq__(self, other):

@@ -387,8 +387,8 @@ class Server:
     def round2(self, sums) -> list[int]:
         """Reconstruct the aggregate from the sums of U3, the senders in U2 that `_admit` keeps.
 
-        A message is faulty unless its sums are a vector of one entry per
-        chunk, each in [0, q): the same residues shifted by a multiple of q
+        A message is faulty if it holds the wrong number of chunks or an entry
+        outside [0, q), since the same residues shifted by a multiple of q
         would reconstruct a wrong aggregate.
         """
         if self.round != 2:
@@ -396,8 +396,8 @@ class Server:
         p = self.params
 
         def faulty(s, senders):
-            if (shape := s.sums.shape) != (p.chunk_count,):
-                return f"client {s.u} sent sum shares of shape {shape}, not ({p.chunk_count},)"
+            if len(s.sums) != p.chunk_count:
+                return f"client {s.u} sent {len(s.sums)} sum shares, not {p.chunk_count}"
             if s.sums.min() < 0 or s.sums.max() >= p.fp.q:
                 return f"sum shares from client {s.u} outside [0, {p.fp.q})"
 

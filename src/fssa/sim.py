@@ -219,8 +219,13 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     roster_of = {"round0": "u1", "round1": "u2", "round2": "u3"}
 
     def post(stage, sender, msg, inbox):
-        """Carry one client message to the server: its decoded copy goes into `inbox`."""
-        wire = messages.serialize(msg, fp)
+        """Carry one client message to the server: its decoded copy goes into
+        `inbox`, or the reason it does not encode or decode into `excluded`."""
+        try:
+            wire = messages.serialize(msg, fp)
+        except InvalidArgument as e:
+            server.excluded[roster_of[stage]][sender] = f"message does not encode: {e}"
+            return
         transcript.append((stage, sender, "server", wire))
         try:
             inbox.append(messages.deserialize(wire, fp))

@@ -380,11 +380,31 @@ class TestFailureReporting:
             assert report.rosters == {"u1": (1, 4, 5), "u2": (), "u3": ()}
 
     def test_undecodable_sum_shares_excluded(self, monkeypatch):
+        # Client 2's sum shares are shifted by q, so the codec refuses to
+        # encode them. That leaves 2 out of U3, as if it had dropped before
+        # sending; its input is in U2, and the other nine reconstruct it.
+        summing = fssa.protocol.Client.round2
+
+        def shifted(self, delivery):
+            msg = summing(self, delivery)
+            return SumShares(u=2, sums=msg.sums + self.params.fp.q) if self.u == 2 else msg
+
+        monkeypatch.setattr(fssa.protocol.Client, "round2", shifted)
+        report = run_simulation(cfg(n=10, rho=0.3, B=2**16, seed=5))
+        assert report.status == "ok"
+        assert report.aggregate == report.expected_sum_over_u2
+        assert report.rosters["u2"] == tuple(range(1, 11))
+        assert report.rosters["u3"] == (1, *range(3, 11))
+        q = report.params.fp.q
+        why = f"message does not encode: field element outside [0, {q})"
+        assert report.excluded == {"u1": {}, "u2": {}, "u3": {2: why}}
+        assert json.loads(report.to_json())["excluded"]["u3"] == {"2": why}
+        assert all(m[1] != 2 for m in report.transcript if m[0] == "round2")
+
+    def test_forged_sum_share_bytes_excluded(self, monkeypatch):
         # Every sum share of client 2 arrives encoded as q, so its message
-        # fails to decode at the server. The codec refuses to encode an
-        # element outside [0, q), so the bytes are forged after encoding.
-        # That leaves 2 out of U3, as if it had dropped before sending; its
-        # input is in U2, and the other nine reconstruct it.
+        # fails to decode at the server; the bytes are forged after encoding.
+        # 2 is left out of U3 and the other nine reconstruct the sum over U2.
         encode = fssa.messages.serialize
 
         def forged(msg, fp):
@@ -398,11 +418,9 @@ class TestFailureReporting:
         report = run_simulation(cfg(n=10, rho=0.3, B=2**16, seed=5))
         assert report.status == "ok"
         assert report.aggregate == report.expected_sum_over_u2
-        assert report.rosters["u2"] == tuple(range(1, 11))
         assert report.rosters["u3"] == (1, *range(3, 11))
         why = "message does not decode: element encoding out of range"
         assert report.excluded == {"u1": {}, "u2": {}, "u3": {2: why}}
-        assert json.loads(report.to_json())["excluded"]["u3"] == {"2": why}
 
     @pytest.mark.parametrize("bad, status", [({2}, "ok"), ({2, 4}, "aggregation_failed")])
     def test_undecodable_hello_excluded(self, monkeypatch, bad, status):
