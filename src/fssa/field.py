@@ -26,6 +26,7 @@ for any other.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,6 +168,14 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+def reduce_points(points, q: int) -> list[int]:
+    """Points as Python ints mod q: the lazy-step bounds wrap silently on numpy integers."""
+    try:
+        return [operator.index(p) % q for p in points]
+    except TypeError:
+        raise InvalidArgument("evaluation points must be integers") from None
+
+
 def build_recon_matrix(points, d: int, fp: FieldParams) -> np.ndarray:
     """The (d, t) int64 coefficient-extraction matrix for t evaluation points.
 
@@ -175,7 +184,7 @@ def build_recon_matrix(points, d: int, fp: FieldParams) -> np.ndarray:
     coefficient of x^j in f for any f of degree < t.
     """
     q = fp.q
-    pts = [p % q for p in points]
+    pts = reduce_points(points, q)
     t = len(pts)
     if not 0 < d <= t:
         raise InvalidArgument(f"need 0 < d <= t, got d={d}, t={t}")

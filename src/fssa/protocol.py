@@ -42,10 +42,8 @@ from .messages import (
     ShareDelivery,
     ShareUpload,
     SumShares,
-    decode_share_plaintext,  # noqa: F401  (looked up here by perfbench/tracing.py)
-    decode_share_plaintexts,
-    encode_share_plaintext,  # noqa: F401  (looked up here by perfbench/tracing.py)
-    encode_share_plaintexts,
+    decode_share_plaintext,
+    encode_share_plaintext,
     share_ad,
 )
 from .ramp import RampParams, rss_share_batch
@@ -223,7 +221,7 @@ class Client:
         cts = []
         # Encoding every column in one pass (own column included, then
         # skipped) is cheaper than first gathering the peers' columns.
-        plaintexts = encode_share_plaintexts(share_matrix, p.fp)
+        plaintexts = encode_share_plaintext(share_matrix, p.fp)
         for v, pt in zip(points, plaintexts):
             if v != self.u:
                 cts.append((v, ae_enc(self.pair_keys[v], pt, share_ad(self.u, v))))
@@ -275,7 +273,7 @@ class Client:
                 self._abort(f"malformed share payload from {v}: {e}")
             sealed.append(v)
         try:
-            shares = decode_share_plaintexts(plaintexts, p.chunk_count, p.fp)
+            shares = decode_share_plaintext(plaintexts, p.chunk_count, p.fp)
         except MalformedPlaintext as e:
             self._abort(f"malformed share payload from {sealed[e.index]}: {e}")
         derived = derive_elems(streams, p.chunk_count, p.fp.q)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientShares, InvalidArgument
-from .field import FieldParams, build_recon_matrix, mod_matmul, poly_eval_batch
+from .field import FieldParams, build_recon_matrix, mod_matmul, poly_eval_batch, reduce_points
 
 _ENUMERATION_CAP = 10**6
 
@@ -83,8 +83,8 @@ def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, val
     if secrets.ndim != 2 or secrets.shape[1] != rp.d:
         raise InvalidArgument("secrets must be a (count, d) array")
     q = rp.fp.q
-    xs_list = [p % q for p in points]
-    xd_list = [p % q for p in designated]
+    xs_list = reduce_points(points, q)
+    xd_list = reduce_points(designated, q)
     if len(xd_list) != rp.k:
         raise InvalidArgument(f"need {rp.k} designated points, got {len(xd_list)}")
     if 0 in xs_list or 0 in xd_list:

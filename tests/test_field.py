@@ -248,7 +248,8 @@ class TestReconMatrix:
     def test_matches_python_build(self, n, t, d):
         # The planned shapes at B = 2^16, rho = gamma = 0.3: the server's
         # (d, t) matrix and a sender's square one on its t-d designated
-        # points, on shuffled points.
+        # points, on shuffled points. Points given as numpy integers build
+        # the same matrix: the lazy-step bounds must not wrap on them.
         fp = find_field_modulus(n, 2**16)
         rng = random.Random(n)
         for size, rows in [(t, d), (t - d, t - d)]:
@@ -256,7 +257,16 @@ class TestReconMatrix:
             m = build_recon_matrix(points, rows, fp)
             assert m.shape == (rows, size) and m.dtype == np.int64 and m.flags.c_contiguous
             assert m.tolist() == python_recon_matrix(points, rows, fp.q)
+            for pts in (np.array(points), [np.int64(p) for p in points], np.uint16(points)):
+                assert np.array_equal(build_recon_matrix(pts, rows, fp), m)
 
+
+    @pytest.mark.parametrize(
+        "bad", [2.0, np.float64(2), "2", None], ids=["float", "float64", "str", "None"]
+    )
+    def test_non_integer_point_rejected(self, bad):
+        with pytest.raises(InvalidArgument, match="points must be integers"):
+            build_recon_matrix([1, bad], 1, F11)
 
     def test_points_near_q_match_python_build(self):
         # The largest admitted modulus with points near it: every lazy

@@ -13,11 +13,9 @@ from fssa.messages import (
     SumShares,
     decode_elems,
     decode_share_plaintext,
-    decode_share_plaintexts,
     deserialize,
     encode_elems,
     encode_share_plaintext,
-    encode_share_plaintexts,
     serialize,
     share_ad,
 )
@@ -59,9 +57,8 @@ class TestGoldenBytes:
 
     def test_share_plaintext(self):
         # The chunk shares alone; sender and recipient travel as AEAD data.
-        blob = encode_share_plaintext([10, 0], F11)
-        assert blob == b"\x0a\x00"
-        assert decode_share_plaintext(blob, 2, F11).tolist() == [10, 0]
+        assert encode_share_plaintext([[10], [0]], F11) == [b"\x0a\x00"]
+        assert decode_share_plaintext([b"\x0a\x00"], 2, F11).tolist() == [[10, 0]]
 
     def test_share_ad(self):
         assert share_ad(1, 2) == b"\x01\0\0\0\x02\0\0\0"
@@ -120,13 +117,12 @@ class TestRoundtrip:
             shares = np.array(
                 [[rng.randrange(257) for _ in range(k)] for _ in range(count)], dtype=np.int64
             ).reshape(count, k)
-            blobs = encode_share_plaintexts(shares, F257)
+            blobs = encode_share_plaintext(shares, F257)
             assert len(blobs) == k
             for col, blob in zip(shares.T, blobs):
                 assert len(blob) == count * F257.byte_width
-                assert blob == encode_share_plaintext(col, F257)
-                assert decode_share_plaintext(blob, count, F257).tolist() == col.tolist()
-            assert decode_share_plaintexts(blobs, count, F257).tolist() == shares.T.tolist()
+                assert blob == encode_elems(col, F257)
+            assert decode_share_plaintext(blobs, count, F257).tolist() == shares.T.tolist()
 
 
 class TestValidation:
@@ -162,20 +158,20 @@ class TestValidation:
             deserialize(bad, F11)
 
     def test_share_plaintext_truncated_or_trailing(self):
-        blob = encode_share_plaintext([10, 0], F11)
+        blob = encode_elems([10, 0], F11)
         for bad in (blob[:-1], blob + b"\x00", b""):
             with pytest.raises(InvalidArgument, match="wrong length"):
-                decode_share_plaintext(bad, 2, F11)
+                decode_share_plaintext([bad], 2, F11)
         with pytest.raises(InvalidArgument, match="out of range"):
-            decode_share_plaintext(b"\x0a\x0b", 2, F11)  # 11 >= q
+            decode_share_plaintext([b"\x0a\x0b"], 2, F11)  # 11 >= q
 
     def test_share_plaintexts_name_the_bad_one(self):
-        good = encode_share_plaintext([10, 0], F11)
-        assert decode_share_plaintexts([], 2, F11).shape == (0, 2)
+        good = encode_elems([10, 0], F11)
+        assert decode_share_plaintext([], 2, F11).shape == (0, 2)
         for bad, why in ((good[:-1], "wrong length"), (good + b"\x00", "wrong length"),
                          (b"\x0a\x0b", "out of range")):
             with pytest.raises(MalformedPlaintext, match=why) as caught:
-                decode_share_plaintexts([good, good, bad, good], 2, F11)
+                decode_share_plaintext([good, good, bad, good], 2, F11)
             assert caught.value.index == 2
 
     def test_sum_shares_must_be_integers(self):
@@ -190,13 +186,13 @@ class TestValidation:
             with pytest.raises(InvalidArgument, match=r"outside \[0, 11\)"):
                 serialize(SumShares(u=1, sums=sums), F11)
         with pytest.raises(InvalidArgument, match=r"outside \[0, 257\)"):
-            encode_share_plaintexts(np.array([[3, 0], [257, 1]]), F257)
+            encode_share_plaintext(np.array([[3, 0], [257, 1]]), F257)
         assert deserialize(serialize(SumShares(u=1, sums=[10, 0]), F11), F11).sums.tolist() == [10, 0]
 
     def test_element_out_of_range(self):
         blob = serialize(SumShares(u=1, sums=(10,)), F11)
         bad = blob[:-1] + b"\x0b"  # 11 >= q
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match="^element encoding out of range$"):
             deserialize(bad, F11)
 
 
@@ -208,12 +204,13 @@ class TestElementBlocks:
             vals = [rng.randrange(q) for _ in range(100)] + [0, q - 1]
             blob = encode_elems(vals, fp)
             assert len(blob) == len(vals) * fp.byte_width
-            assert decode_elems(blob, len(vals), fp).tolist() == vals
+            assert decode_elems([blob], len(vals), fp).tolist() == [vals]
 
     def test_empty(self):
         assert encode_elems([], F11) == b""
-        assert decode_elems(b"", 0, F11).tolist() == []
+        assert decode_elems([b""], 0, F11).tolist() == [[]]
+        assert decode_elems([], 0, F11).shape == (0, 0)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidArgument):
-            decode_elems(b"\x01\x02", 3, F11)
+            decode_elems([b"\x01\x02"], 3, F11)

@@ -118,7 +118,10 @@ class TestShare:
         ([1, 2, 3], [4, 15], [[3, 3]], "1 designated points"),
         ([1, 2, 3], [4], [[3, 3]], r"\(1, 1\) array"),
         ([1, 2, 3], [4], [[11]], r"lie in \[0, 11\)"),
-    ], ids=["overlap", "designated-count", "values-shape", "values-range"])
+        ([1, 2, 3.0], [4], [[3]], "points must be integers"),
+        ([1, 2, 3], [np.float64(4)], [[3]], "points must be integers"),
+    ], ids=["overlap", "designated-count", "values-shape", "values-range", "float-point",
+            "float-designated"])
     def test_batch_bad_designated_rejected(self, points, designated, values, why):
         rp = RampParams(t=3, d=2, n=4, fp=F11)
         with pytest.raises(InvalidArgument, match=why):
@@ -140,6 +143,9 @@ class TestShare:
         for _ in range(300):
             i, j = pick.randrange(250), pick.randrange(len(points))
             assert int(mat[i, j]) == poly_eval(polys[i], points[j], fp)
+        # Points given as numpy integers share exactly as the same Python ints.
+        as_arrays = rss_share_batch(rp, secrets, np.array(points), np.array(designated), values)
+        assert np.array_equal(as_arrays, mat)
 
     def test_designated_plus_any_sent_points_reconstruct(self):
         # The t-d designated shares and any d sent ones fix the polynomial:
@@ -178,6 +184,14 @@ class TestRecon:
         rp = RampParams(t=3, d=2, n=3, fp=F11)
         with pytest.raises(InsufficientShares):
             rss_recon(rp, {1: 2, 2: 1})
+
+    def test_numpy_integer_keys(self):
+        # Shares keyed by numpy integers, at the n=200 plan's t = 140.
+        rp = RampParams(t=140, d=80, n=200, fp=find_field_modulus(200, 2**16))
+        rng = random.Random(8)
+        secret = [rng.randrange(rp.fp.q) for _ in range(rp.d)]
+        shares = share_everywhere(rp, [secret], rp.default_points()[-rp.k:], rng)
+        assert rss_recon(rp, {np.int64(p): int(s[0]) for p, s in shares.items()}) == secret
 
     def test_points_equal_mod_q_rejected(self):
         rp = RampParams(t=3, d=2, n=10, fp=F11)

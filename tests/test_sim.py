@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 import fssa.messages
@@ -55,10 +56,15 @@ class TestBasicRuns:
         assert report.aggregate == report.expected_sum_over_u2
         assert report.roster_sizes == {"u1": 5, "u2": 5, "u3": 5}
 
-    def test_fractional_inputs_refused(self):
-        inputs = [[u, 0, 3, 15] for u in range(1, 6)]
-        inputs[0][1] = 1.7
-        with pytest.raises(InvalidArgument, match="integers .* float64 entries"):
+    @pytest.mark.parametrize("inputs, why", [
+        ([[u, 1.7 if u == 1 else 0, 3, 15] for u in range(1, 6)], "integers .* float64 entries"),
+        ([1, 2, 3, 4, 5], "n vectors of length m"),
+        (np.arange(5), "n vectors of length m"),
+        ([[u, 0, 3] for u in range(1, 6)], "n vectors of length m"),
+        ([[u, 0, 3, 15] for u in range(1, 5)] + [[5, 0, 3]], "n vectors of length m"),
+    ], ids=["fractional", "flat-list", "flat-array", "short-rows", "ragged"])
+    def test_fractional_inputs_refused(self, inputs, why):
+        with pytest.raises(InvalidArgument, match=why):
             run_simulation(cfg(inputs=inputs))
 
     def test_random_inputs_match_expectation(self):
