@@ -142,21 +142,31 @@ def _read_list(r: _Reader, what) -> tuple:
 
 
 def serialize(msg, fp: FieldParams) -> bytes:
-    if isinstance(msg, ClientHello):
-        parts = [struct.pack("<BII", TAG_CLIENT_HELLO, msg.u, len(msg.public_key)), msg.public_key]
-    elif isinstance(msg, KeyBroadcast):
-        parts = [bytes([TAG_KEY_BROADCAST]), *_pack_list(msg.keys, "KeyBroadcast")]
-    elif isinstance(msg, ShareUpload):
-        head = struct.pack("<BI", TAG_SHARE_UPLOAD, msg.u)
-        parts = [head, *_pack_list(msg.ciphertexts, "ShareUpload")]
-    elif isinstance(msg, ShareDelivery):
-        parts = [bytes([TAG_SHARE_DELIVERY]), *_pack_list(msg.ciphertexts, "ShareDelivery")]
-    elif isinstance(msg, SumShares):
-        head = struct.pack("<BII", TAG_SUM_SHARES, msg.u, len(msg.sums))
-        parts = [head, encode_elems(msg.sums, fp)]
-    else:
-        raise InvalidArgument(f"unknown message type {type(msg).__name__}")
-    return b"".join(parts)
+    """The wire bytes of `msg`. InvalidArgument refuses what does not fit the
+    layout: an index that is not a u32, a key or ciphertext that is not
+    bytes, a list entry that is not an (index, bytes) pair (these three
+    named with the message type), a repeated index, or an element outside
+    [0, q)."""
+    try:
+        if isinstance(msg, ClientHello):
+            parts = [struct.pack("<BII", TAG_CLIENT_HELLO, msg.u, len(msg.public_key)), msg.public_key]
+        elif isinstance(msg, KeyBroadcast):
+            parts = [bytes([TAG_KEY_BROADCAST]), *_pack_list(msg.keys, "KeyBroadcast")]
+        elif isinstance(msg, ShareUpload):
+            head = struct.pack("<BI", TAG_SHARE_UPLOAD, msg.u)
+            parts = [head, *_pack_list(msg.ciphertexts, "ShareUpload")]
+        elif isinstance(msg, ShareDelivery):
+            parts = [bytes([TAG_SHARE_DELIVERY]), *_pack_list(msg.ciphertexts, "ShareDelivery")]
+        elif isinstance(msg, SumShares):
+            head = struct.pack("<BII", TAG_SUM_SHARES, msg.u, len(msg.sums))
+            parts = [head, encode_elems(msg.sums, fp)]
+        else:
+            raise InvalidArgument(f"unknown message type {type(msg).__name__}")
+        return b"".join(parts)
+    except InvalidArgument:
+        raise
+    except (struct.error, TypeError, ValueError) as e:
+        raise InvalidArgument(f"{type(msg).__name__} does not fit the wire layout: {e}") from None
 
 
 def deserialize(data: bytes, fp: FieldParams):

@@ -306,14 +306,14 @@ class Server:
         self.excluded: dict = {r: {} for r in _ROUNDS}  # roster -> {v: why v was left out}
         self.phase_ns = {}
 
-    def _admit(self, roster: str, msgs, allowed, where: str, check=lambda msg, senders: None):
+    def _admit(self, roster: str, msgs, allowed, where: str, check=lambda msg: None):
         """One round's admission rule: the messages kept, by index, which form `roster`.
 
         A message is left out if its index is shared (it cannot be pinned on
-        one sender) or not in `allowed`, or if check(msg, senders) gives a
-        reason, `senders` being the indices that pass the first two tests.
-        Reasons go into excluded[roster]; one already there (a message that
-        did not decode) counts as received. Fewer than t kept abort the round.
+        one sender) or not in `allowed`, or if check(msg) gives a reason,
+        which reads that message alone. Reasons go into excluded[roster]; one
+        already there (a message that did not decode) counts as received.
+        Fewer than t kept abort the round.
         """
         label, noun, kept_noun = _ROUNDS[roster]
         left_out = self.excluded[roster]
@@ -323,11 +323,10 @@ class Server:
                 left_out[u] = f"{k} {noun}s under index {u}"
             elif u not in allowed:
                 left_out[u] = f"{noun} from client {u} outside {where}"
+        for msg in msgs:
+            if msg.u not in left_out and (why := check(msg)):
+                left_out[msg.u] = why
         kept = {msg.u: msg for msg in msgs if msg.u not in left_out}
-        for u, msg in kept.items():
-            if why := check(msg, kept.keys()):
-                left_out[u] = why
-        kept = {u: msg for u, msg in kept.items() if u not in left_out}
         setattr(self, roster, tuple(sorted(kept)))
         if len(kept) < self.params.t:
             dropped = f" ({received - len(kept)} left out)" if received > len(kept) else ""
@@ -347,11 +346,9 @@ class Server:
     def round1(self, uploads) -> dict:
         """Route the uploads of U2, the senders in U1 whose uploads `_admit` keeps.
 
-        An upload is faulty if it addresses a ciphertext to itself, to a
-        client outside U1 or to one of its designated peers D_v, or if it
-        lacks one for another uploader outside D_v. Leaving a sender out only
-        removes recipients, so one pass is stable. A delivery to u carries
-        (v, b"") for each v in U2 that designates u.
+        An upload from v is faulty unless it addresses exactly U1 - D_v - {v},
+        the peers `Client.round1` seals for. A delivery to u carries (v, b"")
+        for each v in U2 that designates u.
         """
         if self.round != 1:
             raise ProtocolOrderViolation("round1 out of order")
@@ -359,16 +356,14 @@ class Server:
         t0 = time.perf_counter_ns()
         u1set = set(self.u1)
 
-        def faulty(up, senders):
+        def faulty(up):
             v = up.u
             recipients = {w for w, _ in up.ciphertexts}
-            designated = set(designated_peers(v, self.u1, p.k))
-            if stray := recipients - (u1set - {v}):
-                return f"ciphertext addressed to unknown recipient {min(stray)}"
-            if to_designated := recipients & designated:
-                return f"ciphertext addressed to designated peer {min(to_designated)}"
-            if missing := senders - recipients - designated - {v}:
+            sealed_for = u1set - {v} - set(designated_peers(v, self.u1, p.k))
+            if missing := sealed_for - recipients:
                 return f"client {v} sent no ciphertext for {min(missing)}"
+            if stray := recipients - sealed_for:
+                return f"client {v} sent a ciphertext to {min(stray)}, which it does not seal for"
 
         kept = self._admit("u2", uploads, u1set, "the roster", faulty)
         by_sender = {v: dict(up.ciphertexts) for v, up in kept.items()}
@@ -393,7 +388,7 @@ class Server:
             raise ProtocolOrderViolation("round2 out of order")
         p = self.params
 
-        def faulty(s, senders):
+        def faulty(s):
             if len(s.sums) != p.chunk_count:
                 return f"client {s.u} sent {len(s.sums)} sum shares, not {p.chunk_count}"
             if s.sums.min() < 0 or s.sums.max() >= p.fp.q:

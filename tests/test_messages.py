@@ -140,6 +140,30 @@ class TestValidation:
         with pytest.raises(InvalidArgument):
             deserialize(blob + b"\x00", F11)
 
+    @pytest.mark.parametrize("msg", [
+        ClientHello(u=1.5, public_key=b"k"),
+        ClientHello(u=-1, public_key=b"k"),
+        ClientHello(u=2**32, public_key=b"k"),
+        ClientHello(u=1, public_key="k"),
+        KeyBroadcast(keys=((-1, b"k"),)),
+        ShareUpload(u=1, ciphertexts=((2.5, b"c"),)),
+        ShareUpload(u=1, ciphertexts=((2, "c"),)),
+        ShareUpload(u=1, ciphertexts=((2, b"c", 3),)),
+        ShareDelivery(ciphertexts=((1, None),)),
+        SumShares(u=2**32, sums=[1]),
+    ], ids=[
+        "hello-float-index", "hello-negative-index", "hello-index-over-u32", "hello-str-key",
+        "broadcast-negative-index", "upload-float-entry", "upload-str-ciphertext", "upload-triple",
+        "delivery-none-ciphertext", "sums-index-over-u32",
+    ])
+    def test_field_that_does_not_fit_refused(self, msg):
+        # An index outside u32, a payload that is not bytes or an entry that
+        # is not a pair is refused as InvalidArgument, never a bare
+        # struct.error, TypeError or ValueError.
+        why = f"{type(msg).__name__} does not fit the wire layout"
+        with pytest.raises(InvalidArgument, match=why):
+            serialize(msg, F11)
+
     def test_duplicate_recipient_rejected(self):
         msg = ShareUpload(u=1, ciphertexts=((2, b"a"), (2, b"b")))
         with pytest.raises(InvalidArgument):

@@ -197,6 +197,20 @@ class TestDesignatedPeers:
             assert all(u not in designated_peers(u, roster, k) for u in roster)
             assert sorted(seen) == sorted(roster * k)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=2, max_size=12, unique=True))
+    def test_recipient_side_matches_sender_side(self, members):
+        # Client.round2 finds the senders that seal for u as the
+        # |U1| - 1 - k members after it; they must be exactly the v with
+        # u outside D_v, the peers Server.round1 expects v to seal for.
+        roster = tuple(sorted(members))
+        for k in range(1, len(roster)):
+            for u in roster:
+                sealing = designated_peers(u, roster, len(roster) - 1 - k)
+                for v in roster:
+                    if v != u:
+                        assert (v in sealing) == (u not in designated_peers(v, roster, k))
+
 
 class TestEndToEnd:
     def test_exact_aggregate_no_dropout(self):
@@ -516,16 +530,37 @@ class TestServerChecks:
         cts = uploads[2].ciphertexts
         assert [v for v, _ in cts] == [1, 2, 5]
         cts, why = {
-            "to-self": (cts + ((3, b"x" * 16),), "unknown recipient 3"),
-            "outside-roster": (cts + ((9, b"x" * 16),), "unknown recipient 9"),
+            "to-self": (cts + ((3, b"x" * 16),), "to 3, which it does not seal for"),
+            "outside-roster": (cts + ((9, b"x" * 16),), "to 9, which it does not seal for"),
             "missing": (cts[1:], "client 3 sent no ciphertext for 1"),
-            "to-designated": (cts + ((4, b"x" * 16),), "designated peer 4"),
+            "to-designated": (cts + ((4, b"x" * 16),), "to 4, which it does not seal for"),
         }[fault]
         uploads[2] = ShareUpload(u=3, ciphertexts=cts)
         deliveries = server.round1(uploads)
         assert server.u2 == (1, 2, 4, 5) and sorted(deliveries) == [1, 2, 4, 5]
         assert list(server.excluded["u2"]) == [3] and why in server.excluded["u2"][3]
         assert all(3 not in dict(dv.ciphertexts) for dv in deliveries.values())
+        sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
+        assert server.round2(sums) == [4, 8]
+
+    def test_round1_upload_missing_a_silent_member_left_out(self):
+        # n=6, t=4, k=1: client 6 is in U1 but never uploads, and client 3
+        # (which designates 4) omits its ciphertext for 6. The rule is what
+        # the sender follows, one ciphertext for each of U1 - D_3 - {3},
+        # whoever else uploads, so 3's upload is left out.
+        p = plan_parameters(6, 2, B=16, rho=0.34)
+        assert (p.t, p.k) == (4, 1)
+        rng = random.Random(0)
+        clients, hellos = self._hellos(p, rng)
+        server = Server(p)
+        broadcast = server.round0(hellos)
+        uploads = [clients[u].round1(broadcast, [1, 2]) for u in range(1, 6)]
+        cts = uploads[2].ciphertexts
+        assert [v for v, _ in cts] == [1, 2, 5, 6]
+        uploads[2] = ShareUpload(u=3, ciphertexts=cts[:-1])
+        deliveries = server.round1(uploads)
+        assert server.excluded["u2"] == {3: "client 3 sent no ciphertext for 6"}
+        assert server.u2 == (1, 2, 4, 5)
         sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
         assert server.round2(sums) == [4, 8]
 

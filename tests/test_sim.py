@@ -407,6 +407,26 @@ class TestFailureReporting:
         assert json.loads(report.to_json())["excluded"]["u3"] == {"2": why}
         assert all(m[1] != 2 for m in report.transcript if m[0] == "round2")
 
+    def test_sum_shares_index_outside_u32_excluded(self, monkeypatch):
+        # Client 2 sends its sums under index 2**32, which the u32 header
+        # cannot carry: the codec refuses it, and 2 is left out of U3
+        # instead of the run ending with a struct.error.
+        summing = fssa.protocol.Client.round2
+
+        def misindexed(self, delivery):
+            msg = summing(self, delivery)
+            return SumShares(u=2**32, sums=msg.sums) if self.u == 2 else msg
+
+        monkeypatch.setattr(fssa.protocol.Client, "round2", misindexed)
+        report = run_simulation(cfg(n=10, rho=0.3, B=2**16, seed=5))
+        assert report.status == "ok"
+        assert report.aggregate == report.expected_sum_over_u2
+        assert report.rosters["u3"] == (1, *range(3, 11))
+        assert list(report.excluded["u3"]) == [2]
+        why = report.excluded["u3"][2]
+        assert why.startswith("message does not encode: SumShares does not fit the wire layout")
+        assert (report.excluded["u1"], report.excluded["u2"], report.aborted) == ({}, {}, {})
+
     def test_forged_sum_share_bytes_excluded(self, monkeypatch):
         # Every sum share of client 2 arrives encoded as q, so its message
         # fails to decode at the server; the bytes are forged after encoding.
