@@ -4,54 +4,10 @@ A single untrusted server learns the sum of n clients' private integer
 vectors and nothing else, tolerating up to n - t dropouts and up to t - d
 colluding honest-but-curious clients. Built from ramp secret sharing over a
 prime field, Diffie-Hellman key agreement, and authenticated encryption.
+The top level holds the two roles and their parameters; every other name is
+imported from its module (`fssa.sim`, `fssa.messages`, ...).
 """
 
-from .aead import ae_dec, ae_enc
-from .errors import (
-    ClientAborted,
-    FssaError,
-    InsufficientShares,
-    InvalidArgument,
-    ProtocolOrderViolation,
-    Rejected,
-    RoundAborted,
-)
-from .field import (
-    FieldParams,
-    build_recon_matrix,
-    find_field_modulus,
-    poly_eval,
-)
-from .keyagree import KeyPair, ka_agree, ka_gen
-from .messages import (
-    ClientHello,
-    KeyBroadcast,
-    ShareDelivery,
-    ShareUpload,
-    SumShares,
-    deserialize,
-    serialize,
-)
-from .protocol import Client, Params, Server, chunk_vector, plan_parameters
-from .ramp import (
-    RampParams,
-    naive_aggregate_oracle,
-    rss_recon,
-    share_view_histogram,
-)
-from .sim import DropPoint, SimConfig, SimReport, load_sim_config, run_simulation
+from .protocol import Client, Params, Server, plan_parameters
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "ae_dec", "ae_enc",
-    "ClientAborted", "FssaError", "InsufficientShares", "InvalidArgument",
-    "ProtocolOrderViolation", "Rejected", "RoundAborted",
-    "FieldParams", "build_recon_matrix", "find_field_modulus", "poly_eval",
-    "KeyPair", "ka_agree", "ka_gen",
-    "ClientHello", "KeyBroadcast", "ShareDelivery", "ShareUpload", "SumShares",
-    "deserialize", "serialize",
-    "Client", "Params", "Server", "chunk_vector", "plan_parameters",
-    "RampParams", "naive_aggregate_oracle", "rss_recon", "share_view_histogram",
-    "DropPoint", "SimConfig", "SimReport", "load_sim_config", "run_simulation",
-]
+__all__ = ["Client", "Params", "Server", "plan_parameters"]

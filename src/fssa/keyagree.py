@@ -5,7 +5,8 @@ A public key is the 32-byte little-endian u coordinate, made with the
 shared secret. A peer's public key is input from outside and is validated:
 only the canonical encoding (u < 2^255 - 19, top bit clear) is accepted, so
 that no peer can re-encode another client's key as a different byte string,
-and a low-order peer point, whose shared secret is all zero, is refused.
+and a low-order point, whose shared secret with any key is all zero, is
+refused at decode, so the server can leave its hello out.
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ from .errors import InvalidArgument
 
 _KEY_LEN = 32
 _P25519 = 2**255 - 19
+# The canonical u-coordinates of the low-order points; their other
+# encodings, u + p, are refused as non-canonical.
+_LOW_ORDER = frozenset({
+    0,
+    1,
+    _P25519 - 1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+})
 
 
 @dataclass(frozen=True)
@@ -36,11 +46,14 @@ def encode_public(key: X25519PublicKey) -> bytes:
 
 
 def decode_public(data: bytes) -> X25519PublicKey:
-    """Decode a canonical public key; raises InvalidArgument otherwise."""
+    """Decode a canonical public key of large order; raises InvalidArgument otherwise."""
     if len(data) != _KEY_LEN:
         raise InvalidArgument(f"X25519 public key is {len(data)} bytes, not {_KEY_LEN}")
-    if int.from_bytes(data, "little") >= _P25519:
+    u = int.from_bytes(data, "little")
+    if u >= _P25519:
         raise InvalidArgument("non-canonical X25519 public key")
+    if u in _LOW_ORDER:
+        raise InvalidArgument("low-order X25519 public key")
     return X25519PublicKey.from_public_bytes(data)
 
 

@@ -34,8 +34,8 @@ from .errors import (
     Rejected,
     RoundAborted,
 )
-from .field import build_recon_matrix, find_field_modulus, mod_matmul, split_bit
-from .keyagree import ka_agree, ka_gen
+from .field import build_recon_matrix, find_field_modulus, mod_matmul
+from .keyagree import decode_public, ka_agree, ka_gen
 from .messages import (
     ClientHello,
     KeyBroadcast,
@@ -62,8 +62,6 @@ class Params(RampParams):
         super().__post_init__()
         if self.n * (self.B - 1) + 1 > self.fp.q:
             raise InvalidArgument("modulus too small: sums could wrap")
-        # Reconstruction is an inner-length-t product mod q.
-        split_bit(self.t, self.fp.q)
 
     @property
     def chunk_count(self) -> int:
@@ -306,14 +304,13 @@ class Server:
         self.excluded: dict = {r: {} for r in _ROUNDS}  # roster -> {v: why v was left out}
         self.phase_ns = {}
 
-    def _admit(self, roster: str, msgs, allowed, where: str, check=lambda msg: None):
+    def _admit(self, roster: str, msgs, allowed, where: str, check):
         """One round's admission rule: the messages kept, by index, which form `roster`.
 
         A message is left out if its index is shared (it cannot be pinned on
-        one sender) or not in `allowed`, or if check(msg) gives a reason,
-        which reads that message alone. Reasons go into excluded[roster]; one
-        already there (a message that did not decode) counts as received.
-        Fewer than t kept abort the round.
+        one sender) or not in `allowed`, or if check(msg) gives a reason.
+        Reasons go into excluded[roster]; one already there (a message that
+        did not decode) counts as received. Fewer than t kept abort the round.
         """
         label, noun, kept_noun = _ROUNDS[roster]
         left_out = self.excluded[roster]
@@ -336,10 +333,28 @@ class Server:
         return kept
 
     def round0(self, hellos) -> KeyBroadcast:
-        """Broadcast the keys of U1; a hello is left out if its index is outside [1, n]."""
+        """Broadcast the keys of U1, the senders whose hellos `_admit` keeps.
+
+        A hello is faulty if its index is outside [1, n], if its key does not
+        decode (every peer would refuse it), or if another hello with an
+        index in [1, n] carries the same key: like a shared index, a shared
+        key cannot be pinned on one sender, and either holder could open
+        the ciphertexts sealed for the other.
+        """
         if self.round != 0:
             raise ProtocolOrderViolation("round0 already closed")
-        kept = self._admit("u1", hellos, range(1, self.params.n + 1), f"[1, {self.params.n}]")
+        n = self.params.n
+        keys = Counter(h.public_key for h in hellos if 1 <= h.u <= n)
+
+        def faulty(h):
+            try:
+                decode_public(h.public_key)
+            except InvalidArgument as e:
+                return f"client {h.u} sent a key no peer accepts: {e}"
+            if keys[h.public_key] > 1:
+                return f"client {h.u} sent a key another hello also carries"
+
+        kept = self._admit("u1", hellos, range(1, n + 1), f"[1, {n}]", faulty)
         self.round = 1
         return KeyBroadcast(keys=tuple((u, kept[u].public_key) for u in self.u1))
 
@@ -347,8 +362,8 @@ class Server:
         """Route the uploads of U2, the senders in U1 whose uploads `_admit` keeps.
 
         An upload from v is faulty unless it addresses exactly U1 - D_v - {v},
-        the peers `Client.round1` seals for. A delivery to u carries (v, b"")
-        for each v in U2 that designates u.
+        the peers `Client.round1` seals for, each once. A delivery to u
+        carries (v, b"") for each v in U2 that designates u.
         """
         if self.round != 1:
             raise ProtocolOrderViolation("round1 out of order")
@@ -358,7 +373,10 @@ class Server:
 
         def faulty(up):
             v = up.u
-            recipients = {w for w, _ in up.ciphertexts}
+            counts = Counter(w for w, _ in up.ciphertexts)
+            if repeated := [w for w, k in counts.items() if k > 1]:
+                return f"client {v} sent {counts[repeated[0]]} ciphertexts to {repeated[0]}"
+            recipients = set(counts)
             sealed_for = u1set - {v} - set(designated_peers(v, self.u1, p.k))
             if missing := sealed_for - recipients:
                 return f"client {v} sent no ciphertext for {min(missing)}"

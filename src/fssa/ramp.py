@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientShares, InvalidArgument
-from .field import FieldParams, build_recon_matrix, mod_matmul, poly_eval_batch, reduce_points
+from .field import (
+    FieldParams,
+    build_recon_matrix,
+    mod_matmul,
+    poly_eval_batch,
+    reduce_points,
+    split_bit,
+)
 
 _ENUMERATION_CAP = 10**6
 
@@ -56,6 +63,9 @@ class RampParams:
                 f"need 0 < d < t <= n <= q-1, got d={self.d}, t={self.t}, "
                 f"n={self.n}, q={self.fp.q}"
             )
+        # Reconstruction is an inner-length-t product mod q, which the exact
+        # kernel must be able to apply.
+        split_bit(self.t, self.fp.q)
 
     @property
     def k(self) -> int:

@@ -14,8 +14,9 @@ PUB_B = "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f"
 KEY_A_B = "dead45a1d43d6902aa9240b43c0d75a0b5fc750660590d6d45461cbfc4010684"
 
 P25519 = 2**255 - 19
-# A point of order 8 on Curve25519.
+# The two points of order 8 on Curve25519.
 ORDER_8 = "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"
+ORDER_8_B = "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"
 
 
 def u_bytes(u):
@@ -86,11 +87,21 @@ def test_invalid_public_keys_rejected():
 
 
 @pytest.mark.parametrize(
-    "data", [u_bytes(0), u_bytes(1), u_bytes(P25519 - 1), bytes.fromhex(ORDER_8)],
-    ids=["u=0", "u=1", "u=p-1", "order-8"],
+    "data",
+    [u_bytes(0), u_bytes(1), u_bytes(P25519 - 1), bytes.fromhex(ORDER_8), bytes.fromhex(ORDER_8_B)],
+    ids=["u=0", "u=1", "u=p-1", "order-8", "order-8-b"],
 )
 def test_low_order_points_refused(data):
+    # Refused at decode, so the server can leave such a hello out of U1.
     kp = ka_gen(Fixed(PRIV_A))
-    decode_public(data)  # canonical, so only the agreement can refuse it
+    with pytest.raises(InvalidArgument, match="low-order"):
+        decode_public(data)
     with pytest.raises(InvalidArgument, match="low-order"):
         ka_agree(kp, data)
+
+
+def test_gen_default_rng():
+    # With no rng, ka_gen draws from the operating system's CSPRNG.
+    a, b = ka_gen(), ka_gen()
+    assert a.public != b.public
+    assert ka_agree(a, b.public) == ka_agree(b, a.public)

@@ -131,9 +131,13 @@ class TestValidation:
             deserialize(b"\x09", F11)
 
     def test_truncated(self):
-        blob = serialize(ClientHello(u=3, public_key=b"\x05"), F11)
-        with pytest.raises(InvalidArgument):
-            deserialize(blob[:-1], F11)
+        hello = serialize(ClientHello(u=3, public_key=b"\x05"), F11)
+        upload = serialize(ShareUpload(u=1, ciphertexts=((2, b"abc"),)), F11)
+        # A short key, a list entry whose body runs past the end, and a
+        # message cut inside an entry header.
+        for cut in (hello[:-1], upload[:-1], upload[: 1 + 4 + 4 + 3]):
+            with pytest.raises(InvalidArgument, match="truncated message"):
+                deserialize(cut, F11)
 
     def test_trailing_bytes(self):
         blob = serialize(ClientHello(u=3, public_key=b"\x05"), F11)

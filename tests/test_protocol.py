@@ -437,6 +437,23 @@ class TestClientAborts:
             clients[1].round2(forged)
         assert clients[1].round is Round.ABORTED
 
+    @pytest.mark.parametrize("fault, why", [
+        ("unexpected-sender", "delivery names unexpected sender 99"),
+        ("short-ciphertext", "malformed share payload from 2: ciphertext too short"),
+    ])
+    def test_faulty_delivery_entry_aborts(self, fault, why):
+        # An entry from outside U1, or a ciphertext shorter than its tag.
+        p, rng, clients, server, broadcast = self._setup()
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
+        cts = server.round1(uploads)[1].ciphertexts
+        forged = ShareDelivery(ciphertexts={
+            "unexpected-sender": cts + ((99, b"x" * 32),),
+            "short-ciphertext": tuple((v, ct[:15] if v == 2 else ct) for v, ct in cts),
+        }[fault])
+        with pytest.raises(ClientAborted, match=f"client 1: {why}$"):
+            clients[1].round2(forged)
+        assert clients[1].round is Round.ABORTED
+
     def test_repeated_sender_aborts(self):
         # Summing one sender's shares twice would make the aggregate wrong.
         p, rng, clients, server, broadcast = self._setup()
@@ -518,7 +535,9 @@ class TestServerChecks:
         with pytest.raises(RoundAborted):
             server.round1(uploads[: p.t - 1])
 
-    @pytest.mark.parametrize("fault", ["to-self", "outside-roster", "missing", "to-designated"])
+    @pytest.mark.parametrize(
+        "fault", ["to-self", "outside-roster", "missing", "to-designated", "repeated"]
+    )
     def test_round1_faulty_upload_left_out(self, fault):
         p = plan_parameters(5, 2, B=16, rho=0.2)
         rng = random.Random(0)
@@ -534,6 +553,7 @@ class TestServerChecks:
             "outside-roster": (cts + ((9, b"x" * 16),), "to 9, which it does not seal for"),
             "missing": (cts[1:], "client 3 sent no ciphertext for 1"),
             "to-designated": (cts + ((4, b"x" * 16),), "to 4, which it does not seal for"),
+            "repeated": (cts + ((1, b"x" * 16),), "client 3 sent 2 ciphertexts to 1"),
         }[fault]
         uploads[2] = ShareUpload(u=3, ciphertexts=cts)
         deliveries = server.round1(uploads)

@@ -45,6 +45,13 @@ class TestRampParams:
         with pytest.raises(InvalidArgument):
             RampParams(t=2, d=1, n=11, fp=F11)  # n must be <= q - 1
 
+    def test_outside_kernel_range(self):
+        # At q = 2^31 - 1 the exact kernel serves inner length t < 32 only:
+        # a larger t is refused here, not later inside mod_matmul.
+        RampParams(t=31, d=1, n=64, fp=FieldParams(2147483647))
+        with pytest.raises(InvalidArgument, match="no exact mod-q matmul"):
+            RampParams(t=64, d=1, n=64, fp=FieldParams(2147483647))
+
 
 class TestShare:
     def test_hand_polynomial(self):

@@ -294,23 +294,24 @@ class TestFailureReporting:
         assert report.status == "ok"  # one dropout is within budget
 
     def test_key_collision_reported_not_raised(self, monkeypatch):
-        # Every client advertises the same X25519 key, so each one finds
-        # duplicate keys in the broadcast and aborts; the run fails gracefully.
+        # Every client advertises the same X25519 key, so the server leaves
+        # every hello out of U1 and Round 0 fails gracefully.
         same = ka_gen(random.Random(0))
         monkeypatch.setattr(fssa.protocol, "ka_gen", lambda rng=None: same)
         report = run_simulation(cfg(seed=2))
         assert report.status == "aggregation_failed"
         assert report.aggregate is None
-        assert report.rosters == {"u1": (1, 2, 3, 4, 5), "u2": (), "u3": ()}
-        assert report.roster_sizes == {"u1": 5, "u2": 0, "u3": 0}
-        assert report.aborted == {
-            u: f"client {u}: duplicate public keys in broadcast" for u in range(1, 6)
+        assert report.rosters == {"u1": (), "u2": (), "u3": ()}
+        assert report.roster_sizes == {"u1": 0, "u2": 0, "u3": 0}
+        assert report.excluded["u1"] == {
+            u: f"client {u} sent a key another hello also carries" for u in range(1, 6)
         }
-        assert report.failure == "Round 1: only 0 uploads collected, need 4"
+        assert report.aborted == {}
+        assert report.failure == "Round 0: only 0 keys collected (5 left out), need 4"
         doc = json.loads(report.to_json())
-        assert doc["aborted"] == {str(u): why for u, why in report.aborted.items()}
+        assert doc["aborted"] == {}
         assert doc["failure"] == report.failure
-        assert doc["rosters"] == {"u1": [1, 2, 3, 4, 5], "u2": [], "u3": []}
+        assert doc["rosters"] == {"u1": [], "u2": [], "u3": []}
 
     def test_faulty_upload_excluded(self, monkeypatch):
         # Client 2 omits its ciphertext for client 1. The server leaves 2's
@@ -384,6 +385,47 @@ class TestFailureReporting:
         else:
             assert report.failure == "Round 0: only 3 keys collected (2 left out), need 4"
             assert report.rosters == {"u1": (1, 4, 5), "u2": (), "u3": ()}
+
+    @pytest.mark.parametrize("fault, left_out, why", [
+        ("copied", {1, 2}, "sent a key another hello also carries"),
+        ("short", {2}, "sent a key no peer accepts: X25519 public key is 31 bytes, not 32"),
+        ("low-order", {2}, "sent a key no peer accepts: low-order X25519 public key"),
+    ], ids=["copied", "short", "low-order"])
+    def test_faulty_key_hello_excluded(self, monkeypatch, fault, left_out, why):
+        # Client 2 advertises client 1's key, a 31-byte key or the low-order
+        # point u = 1. Every peer would refuse the broadcast (or, for a copied
+        # key, two peers would hold each other's pair key), so the server
+        # leaves the hello out of U1; the others aggregate without it.
+        advertise = fssa.protocol.Client.round0
+        keys = {}
+
+        def faulty(self, *args, **kwargs):
+            hello = advertise(self, *args, **kwargs)
+            keys[self.u] = hello.public_key
+            if self.u != 2:
+                return hello
+            key = {
+                "copied": keys[1],
+                "short": hello.public_key[:-1],
+                "low-order": (1).to_bytes(32, "little"),
+            }[fault]
+            return ClientHello(u=2, public_key=key)
+
+        monkeypatch.setattr(fssa.protocol.Client, "round0", faulty)
+        inputs = [[u, 1, 2, 3] for u in range(1, 11)]
+        report = run_simulation(cfg(n=10, rho=0.3, gamma=0.1, seed=1, inputs=inputs))
+        assert report.status == "ok"
+        assert report.excluded == {
+            "u1": {u: f"client {u} {why}" for u in sorted(left_out)}, "u2": {}, "u3": {},
+        }
+        others = tuple(u for u in range(1, 11) if u not in left_out)
+        assert report.rosters == {"u1": others, "u2": others, "u3": others}
+        assert report.aborted == {
+            u: f"client {u}: own public key missing or mismatched in broadcast" for u in left_out
+        }
+        assert report.aggregate == report.expected_sum_over_u2 == [
+            sum(others), len(others), 2 * len(others), 3 * len(others),
+        ]
 
     def test_undecodable_sum_shares_excluded(self, monkeypatch):
         # Client 2's sum shares are shifted by q, so the codec refuses to
