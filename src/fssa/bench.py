@@ -100,8 +100,6 @@ def build_case_spec(case: int, args) -> SweepSpec:
 
 
 def _mean_std(values):
-    if not values:
-        return 0.0, 0.0
     if len(values) == 1:
         return float(values[0]), 0.0
     return statistics.fmean(values), statistics.stdev(values)
@@ -169,16 +167,24 @@ def run_experiment_grid(spec: SweepSpec) -> list[dict]:
     return rows
 
 
+def _write_csv(rows, f):
+    writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+
+
 def emit_csv(rows, path):
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        _write_csv(rows, f)
 
 
-def _parse_list(text, cast):
-    return [cast(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(cast):
+    """An argparse type for a comma-separated list; argparse reports a bad entry."""
+    def parse(text):
+        return [cast(tok) for tok in text.split(",") if tok.strip()]
+
+    parse.__name__ = f"comma-separated {cast.__name__}"
+    return parse
 
 
 def main(argv=None) -> int:
@@ -186,13 +192,13 @@ def main(argv=None) -> int:
         prog="fssa-bench",
         description="Sweep aggregation experiments and emit CSV metrics.",
     )
-    parser.add_argument("--clients", type=str, default=None,
+    parser.add_argument("--clients", type=_list_of(int), default="50,100,200",
                         help="comma-separated client counts")
-    parser.add_argument("--vector-size", type=str, default=None,
+    parser.add_argument("--vector-size", type=_list_of(int), default=None,
                         help="comma-separated input vector lengths")
-    parser.add_argument("--dropout-rate", type=str, default=None,
+    parser.add_argument("--dropout-rate", type=_list_of(float), default="0.3",
                         help="comma-separated dropout rates in [0, 1)")
-    parser.add_argument("--corruption-rate", type=str, default=None,
+    parser.add_argument("--corruption-rate", type=_list_of(float), default="0.3",
                         help="comma-separated corruption rates in [0, 1)")
     parser.add_argument("--iterations", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
@@ -202,25 +208,31 @@ def main(argv=None) -> int:
     parser.add_argument("--paper-scale", action="store_true")
     args = parser.parse_args(argv)
 
-    if args.case != "custom":
-        spec = build_case_spec(int(args.case), args)
-    else:
-        spec = SweepSpec(
-            clients=_parse_list(args.clients or "50,100,200", int),
-            vector_sizes=_parse_list(
-                args.vector_size
-                or str(PAPER_VECTOR_SIZE if args.paper_scale else DESK_VECTOR_SIZE),
-                int,
-            ),
-            dropout_rates=_parse_list(args.dropout_rate or "0.3", float),
-            corruption_rates=_parse_list(args.corruption_rate or "0.3", float),
-            iterations=args.iterations,
-            seed_base=args.seed,
-            output=args.output,
-        )
+    try:
+        if args.case != "custom":
+            spec = build_case_spec(int(args.case), args)
+        else:
+            default_m = PAPER_VECTOR_SIZE if args.paper_scale else DESK_VECTOR_SIZE
+            spec = SweepSpec(
+                clients=args.clients,
+                vector_sizes=args.vector_size if args.vector_size is not None else [default_m],
+                dropout_rates=args.dropout_rate,
+                corruption_rates=args.corruption_rate,
+                iterations=args.iterations,
+                seed_base=args.seed,
+                output=args.output,
+            )
+    except InvalidArgument as e:
+        parser.error(str(e))
 
-    rows = run_experiment_grid(spec)
-    emit_csv(rows, spec.output)
+    # A sweep can run for hours; an unwritable path is refused before it starts.
+    try:
+        out = open(spec.output, "w", newline="")
+    except OSError as e:
+        parser.error(f"cannot write --output {spec.output}: {e.strerror}")
+    with out:
+        rows = run_experiment_grid(spec)
+        _write_csv(rows, out)
     infeasible = sum(1 for r in rows if r["feasible"] == "no")
     print(f"wrote {len(rows)} rows to {spec.output} ({infeasible} infeasible)")
     return 2 if infeasible else 0

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import yaml
 
 from . import messages
 from .errors import ClientAborted, InvalidArgument, RoundAborted
@@ -305,68 +304,3 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         excluded={r: dict(sorted(e.items())) for r, e in server.excluded.items()},
         failure=failure,
     )
-
-
-def _integer(v) -> int:
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    raise ValueError("expected an integer")
-
-
-def _number(v) -> float:
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    raise ValueError("expected a number")
-
-
-def _boolean(v) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError("expected true or false")
-    return v
-
-
-# SimConfig field -> the converter its YAML value goes through.
-_CONVERTERS = {
-    "n": _integer,
-    "m": _integer,
-    "rho": _number,
-    "gamma": _number,
-    "B": _integer,
-    "seed": _integer,
-    "dropout_schedule": lambda s: {_integer(u): DropPoint(p) for u, p in (s or {}).items()},
-    "corrupted": lambda c: frozenset(_integer(u) for u in c),
-    "inputs": lambda rows: [[_integer(x) for x in r] for r in rows],
-    "parallel": _boolean,
-}
-
-
-def load_sim_config(path) -> SimConfig:
-    """Read a SimConfig from a YAML key-value file.
-
-    A key that is not a field, a missing `n` or `m`, or a value that does not
-    convert to its field's type raises InvalidArgument naming the key. An
-    integer field or input entry takes a YAML integer (or an integral float),
-    a rate takes a YAML number and a flag takes only a YAML boolean; a bool, a
-    string or a fraction is refused, not converted. An absent key takes
-    SimConfig's default.
-    """
-    with open(path) as f:
-        doc = yaml.safe_load(f) or {}
-    if not isinstance(doc, dict):
-        raise InvalidArgument(f"not a mapping of keys to values in {path}: {doc!r}")
-    unknown = sorted(set(map(str, doc)) - _CONVERTERS.keys())
-    if unknown:
-        raise InvalidArgument(f"unknown key(s) in {path}: {', '.join(unknown)}")
-    missing = [k for k in ("n", "m") if k not in doc]
-    if missing:
-        raise InvalidArgument(f"missing key(s) in {path}: {', '.join(missing)}")
-    converted = {}
-    for key, convert in _CONVERTERS.items():
-        if key in doc:
-            try:
-                converted[key] = convert(doc[key])
-            except (AttributeError, TypeError, ValueError) as e:
-                raise InvalidArgument(f"bad value for {key} in {path}: {doc[key]!r} ({e})") from e
-    return SimConfig(**converted)

@@ -73,6 +73,11 @@ def test_bad_key_length():
         ae_enc(b"short", b"m", AD)
 
 
+def test_open_with_short_key_refused():
+    with pytest.raises(InvalidArgument, match="key must be 32 bytes"):
+        ae_dec(KEY[:31], ae_enc(KEY, b"m", AD), AD)
+
+
 def test_wire_form():
     # Sealed plaintext + tag; neither the nonce nor the associated data is sent.
     ct = ae_enc(KEY, b"abc", AD)

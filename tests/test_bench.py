@@ -1,12 +1,20 @@
+import argparse
 import csv
 import subprocess
 import sys
 
 import pytest
 
+import fssa.bench
 from fssa.bench import (
     CSV_COLUMNS,
+    DESK_CLIENTS,
+    DESK_VECTOR_SIZE,
+    PAPER_CLIENTS,
+    PAPER_VECTOR_SIZE,
+    RATE_GRID,
     SweepSpec,
+    build_case_spec,
     emit_csv,
     main,
     run_experiment_grid,
@@ -25,6 +33,10 @@ def tiny_spec(**kw):
     )
     base.update(kw)
     return SweepSpec(**base)
+
+
+def case_args(paper_scale):
+    return argparse.Namespace(paper_scale=paper_scale, iterations=1, seed=0, output="x.csv")
 
 
 class TestSweepSpec:
@@ -169,3 +181,65 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "--paper-scale" in proc.stdout
+
+    def test_unwritable_output_refused_before_the_sweep(self, tmp_path, monkeypatch, capsys):
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran before the output was opened")
+
+        monkeypatch.setattr(fssa.bench, "run_point", no_sweep)
+        out = tmp_path / "missing" / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["--clients", "10", "--vector-size", "4", "--output", str(out)])
+        assert exc.value.code == 2
+        assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, why", [
+        (["--iterations", "0"], "iterations must be >= 1"),
+        (["--clients", "5,x"], "argument --clients: invalid comma-separated int value: '5,x'"),
+        (["--dropout-rate", "a"], "argument --dropout-rate: invalid comma-separated float value"),
+    ], ids=["zero-iterations", "non-integer-client-count", "non-numeric-rate"])
+    def test_bad_flag_value_is_a_usage_error(self, tmp_path, capsys, argv, why):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--output", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert why in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, axes", [
+        (["--case", "2"], ([100], [DESK_VECTOR_SIZE // 2, DESK_VECTOR_SIZE, 2 * DESK_VECTOR_SIZE],
+                           [0.3], RATE_GRID)),
+        (["--paper-scale", "--clients", "100"], ([100], [PAPER_VECTOR_SIZE], [0.3], [0.3])),
+    ], ids=["case-2", "paper-scale-default-m"])
+    def test_spec_handed_to_the_grid_runner(self, tmp_path, monkeypatch, argv, axes):
+        specs = []
+        monkeypatch.setattr(fssa.bench, "run_experiment_grid", lambda spec: specs.append(spec) or [])
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--iterations", "1", "--output", str(out)]) == 0
+        [spec] = specs
+        got = (spec.clients, spec.vector_sizes, spec.dropout_rates, spec.corruption_rates)
+        assert got == axes
+        assert out.read_text().startswith("n,m,rho,gamma,")
+
+
+class TestCaseSpec:
+    # (clients, vector sizes, dropout rates, corruption rates) of each preset
+    # case: cases 1 and 3 sweep the cohort, 2 and 4 the vector length; cases
+    # 1 and 2 sweep corruption, 3 and 4 dropout.
+    @pytest.mark.parametrize("case, axes", [
+        (1, lambda ns, n, m: (ns, [m], [0.3], RATE_GRID)),
+        (2, lambda ns, n, m: ([n], [m // 2, m, 2 * m], [0.3], RATE_GRID)),
+        (3, lambda ns, n, m: (ns, [m], RATE_GRID, [0.3])),
+        (4, lambda ns, n, m: ([n], [m // 2, m, 2 * m], RATE_GRID, [0.3])),
+    ])
+    @pytest.mark.parametrize("paper_scale, ns, n, m", [
+        (False, DESK_CLIENTS, 100, DESK_VECTOR_SIZE),
+        (True, PAPER_CLIENTS, max(PAPER_CLIENTS), PAPER_VECTOR_SIZE),
+    ], ids=["desk", "paper"])
+    def test_axes(self, case, axes, paper_scale, ns, n, m):
+        spec = build_case_spec(case, case_args(paper_scale))
+        got = (spec.clients, spec.vector_sizes, spec.dropout_rates, spec.corruption_rates)
+        assert got == axes(ns, n, m)
+        assert (spec.iterations, spec.seed_base, spec.output) == (1, 0, "x.csv")
+
+    def test_unknown_case_refused(self):
+        with pytest.raises(InvalidArgument, match="unknown case 5"):
+            build_case_spec(5, case_args(False))

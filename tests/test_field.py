@@ -147,6 +147,10 @@ class TestPolyEvalBatch:
         coeffs.append([fp.q - 1] * 350)
         assert batch_matches_scalar(coeffs, list(range(1, 501)), fp)
 
+    def test_no_coefficients_rejected(self):
+        with pytest.raises(InvalidArgument, match="2-D and nonempty"):
+            poly_eval_batch(np.zeros((2, 0), dtype=np.int64), np.array([1, 2]), F11)
+
     @pytest.mark.parametrize("x", [-1, 11, 2**40])
     def test_point_outside_field_rejected(self, x):
         with pytest.raises(InvalidArgument, match="points"):
@@ -225,6 +229,10 @@ class TestReconMatrix:
     def test_zero_point_rejected(self):
         with pytest.raises(InvalidArgument):
             build_recon_matrix([0, 1], 1, F11)
+
+    def test_more_points_than_nonzero_elements_rejected(self):
+        with pytest.raises(InvalidArgument, match="more points than nonzero field elements"):
+            build_recon_matrix([1, 2, 3, 4, 5], 1, FieldParams(5))
 
     def test_d_exceeds_t_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -359,6 +367,11 @@ class TestFindFieldModulus:
     def test_overflow_rejected(self):
         with pytest.raises(InvalidArgument):
             find_field_modulus(2**40, 2**40)
+
+    @pytest.mark.parametrize("n, B", [(0, 16), (3, 1)], ids=["no-clients", "one-value"])
+    def test_degenerate_bound_rejected(self, n, B):
+        with pytest.raises(InvalidArgument, match="need n >= 1 and B >= 2"):
+            find_field_modulus(n, B)
 
 
 @settings(max_examples=200, deadline=None)

@@ -168,6 +168,10 @@ class TestValidation:
         with pytest.raises(InvalidArgument, match=why):
             serialize(msg, F11)
 
+    def test_unknown_message_type_refused(self):
+        with pytest.raises(InvalidArgument, match="unknown message type object"):
+            serialize(object(), F11)
+
     def test_duplicate_recipient_rejected(self):
         msg = ShareUpload(u=1, ciphertexts=((2, b"a"), (2, b"b")))
         with pytest.raises(InvalidArgument):

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,11 @@ import fssa
 import fssa.protocol
 
 _MODULES = sorted(p for p in Path(fssa.__file__).parent.glob("*.py") if p.name != "__init__.py")
+_PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+
+
+def _imports(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
 
 
 def test_every_export_resolves():
@@ -42,12 +48,28 @@ def test_no_unused_imports(path):
     # stay. This also keeps each name perfbench traces called where it is
     # imported: a module that stops calling one must drop its import.
     tree = ast.parse(path.read_text())
-    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
     imported = {
         alias.asname or alias.name.split(".")[0]
-        for node in imports
+        for node in _imports(tree)
         if getattr(node, "module", None) != "__future__"
         for alias in node.names
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_dependencies_are_the_third_party_imports():
+    # A package imported but not declared is missing after a clean install;
+    # one declared but never imported is installed for nothing.
+    tomllib = pytest.importorskip("tomllib")
+    declared = tomllib.loads(_PYPROJECT.read_text())["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in declared}
+    imported = set()
+    for path in [*_MODULES, Path(fssa.__file__)]:
+        for node in _imports(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif node.level == 0:  # not a relative import from within fssa
+                imported.add(node.module.split(".")[0])
+    third_party = {m.lower() for m in imported - set(sys.stdlib_module_names) - {"fssa"}}
+    assert sorted(third_party) == sorted(declared)

@@ -105,6 +105,11 @@ class TestPlanParameters:
         with pytest.raises(InvalidArgument):
             plan_parameters(100, 10, rho=1.0)
 
+    @pytest.mark.parametrize("n, m", [(1, 4), (5, 0)], ids=["one-client", "empty-vector"])
+    def test_degenerate_shape_refused(self, n, m):
+        with pytest.raises(InvalidArgument, match="need n >= 2 and m >= 1"):
+            plan_parameters(n, m)
+
     def test_rates_near_float_boundaries(self):
         # 0.3 * 10 must round as exactly 3, not 2.999...
         p = plan_parameters(10, 5, rho=0.3, gamma=0.3)
@@ -174,12 +179,20 @@ class TestChunkVector:
             chunk_vector([], 2, 10)
 
     @pytest.mark.parametrize(
-        "x", [[1.7, 2], [True, False], ["3", "2"], [True, 2]],
-        ids=["float", "bool", "str", "mixed-bool"],
+        "x", [[1.7, 2], [True, False], ["3", "2"], [True, 2], [1, [2, 3]]],
+        ids=["float", "bool", "str", "mixed-bool", "ragged"],
     )
     def test_non_integer_entries_rejected(self, x):
         with pytest.raises(InvalidArgument, match="must be integers"):
             chunk_vector(x, 2, 10)
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(InvalidArgument, match="one-dimensional"):
+            chunk_vector([[1, 2]], 2, 10)
+
+    def test_zero_chunk_length_rejected(self):
+        with pytest.raises(InvalidArgument, match="chunk length must be positive"):
+            chunk_vector([1, 2], 0, 10)
 
 
 class TestDesignatedPeers:
@@ -257,6 +270,17 @@ class TestClientAborts:
         server = Server(p)
         broadcast = server.round0([c.round0(rng) for c in clients.values()])
         return p, rng, clients, server, broadcast
+
+    @pytest.mark.parametrize("u", [0, 5])
+    def test_index_outside_cohort_refused(self, u):
+        p = plan_parameters(4, 2, B=16, rho=0.25)
+        with pytest.raises(InvalidArgument, match=r"client index .* outside \[1, 4\]"):
+            Client(u, p)
+
+    def test_input_of_wrong_length_refused(self):
+        p, rng, clients, _, broadcast = self._setup()
+        with pytest.raises(InvalidArgument, match="input vector length 3 != m = 2"):
+            clients[1].round1(broadcast, [1, 2, 3])
 
     def test_small_roster_aborts(self):
         p, rng, clients, _, broadcast = self._setup()
@@ -733,6 +757,14 @@ class TestServerChecks:
             assert "client 1" in str(e)
         else:
             assert aggregate == [p.n] * p.m
+
+    def test_round0_runs_once(self):
+        p = plan_parameters(4, 2, B=16)
+        _, hellos = self._hellos(p, random.Random(0))
+        server = Server(p)
+        server.round0(hellos)
+        with pytest.raises(ProtocolOrderViolation, match="round0 already closed"):
+            server.round0(hellos)
 
     def test_round_order_enforced(self):
         p = plan_parameters(4, 2, B=16)

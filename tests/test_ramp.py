@@ -134,6 +134,11 @@ class TestShare:
         with pytest.raises(InvalidArgument, match=why):
             rss_share_batch(rp, np.array([[7, 8]]), points, designated, values)
 
+    def test_batch_secret_outside_field_rejected(self):
+        rp = RampParams(t=3, d=2, n=4, fp=F11)
+        with pytest.raises(InvalidArgument, match=r"secrets must lie in \[0, 11\)"):
+            rss_share_batch(rp, np.array([[7, 11]]), [1, 2, 3], [4], [[3]])
+
     def test_batch_matches_poly_eval_at_desk_shape(self):
         # The n=100, rho=gamma=0.3, B=2^16 plan: t=70, d=40, t-d=30 designated.
         fp = find_field_modulus(100, 2**16)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -8,7 +7,6 @@ import pytest
 
 import fssa.messages
 import fssa.protocol
-import fssa.sim
 from fssa.aead import _nonce
 from fssa.errors import InvalidArgument
 from fssa.keyagree import ka_gen
@@ -17,7 +15,6 @@ from fssa.sim import (
     DropPoint,
     SimConfig,
     apply_dropout_schedule,
-    load_sim_config,
     run_simulation,
 )
 
@@ -569,77 +566,3 @@ class TestFailureReporting:
         assert doc["corrupted_views"] == {"3": received}
         assert len(received) == 2
 
-
-class TestConfigFile:
-    def test_yaml_roundtrip(self, tmp_path):
-        path = tmp_path / "sim.yaml"
-        path.write_text(
-            "n: 5\n"
-            "m: 2\n"
-            "rho: 0.2\n"
-            "B: 16\n"
-            "seed: 3\n"
-            "dropout_schedule:\n"
-            "  2: after_round0\n"
-            "corrupted: [4]\n"
-            "inputs:\n"
-            "  - [1, 2]\n"
-            "  - [3, 4]\n"
-            "  - [5, 6]\n"
-            "  - [7, 8]\n"
-            "  - [9, 10]\n"
-        )
-        config = load_sim_config(path)
-        assert config.dropout_schedule == {2: DropPoint.AFTER_ROUND0}
-        assert config.corrupted == frozenset({4})
-        report = run_simulation(config)
-        assert report.status == "ok"
-        assert report.aggregate == [1 + 5 + 7 + 9, 2 + 6 + 8 + 10]
-
-    def test_minimal_yaml(self, tmp_path):
-        path = tmp_path / "sim.yaml"
-        path.write_text("n: 3\nm: 1\nB: 4\nrho: 0.34\n")
-        config = load_sim_config(path)
-        assert (config.n, config.m, config.seed) == (3, 1, 0)
-        assert run_simulation(config).status == "ok"
-
-    @pytest.mark.parametrize("text, pattern", [
-        ("m: 1\n", r"missing key\(s\) in .*: n$"),
-        ("n: 3\nm: 1\ndropout_schedule:\n  2: after_round9\n",
-         r"bad value for dropout_schedule in .*: \{2: 'after_round9'\}"),
-        ("n: 3\nm: 1\ncorrupted: 2\n", r"bad value for corrupted in .*: 2 \("),
-        ("n: 3\nm: 1\ndegenerate_privacy_ok: true\n",
-         r"unknown key\(s\) in .*: degenerate_privacy_ok$"),
-        ('n: 3\nm: 1\nparallel: "no"\n',
-         r"bad value for parallel in .*: 'no' \(expected true or false\)"),
-        ("n: 3\nm: 1\nseed: 2.9\n", r"bad value for seed in .*: 2.9 \(expected an integer\)"),
-        ("n: 3\nm: true\n", r"bad value for m in .*: True \(expected an integer\)"),
-        ("n: 3\nm: 2\nB: 4\ninputs: [[true, 2], [1, 1], [0, 3]]\n",
-         r"bad value for inputs in .*: \[\[True, 2\], .* \(expected an integer\)"),
-        ("n: 3\nm: 2\nB: 4\ninputs: [[1, 2.9], [1, 1], [0, 3]]\n",
-         r"bad value for inputs in .*: \[\[1, 2.9\], .* \(expected an integer\)"),
-        ('n: 3\nm: 1\nrho: "0.34"\n', r"bad value for rho in .*: '0.34' \(expected a number\)"),
-        ("5\n", r"not a mapping of keys to values in .*sim.yaml: 5$"),
-        ("[n, m]\n", r"not a mapping of keys to values in .*sim.yaml: \['n', 'm'\]$"),
-        ("abc\n", r"not a mapping of keys to values in .*sim.yaml: 'abc'$"),
-    ], ids=["missing-n", "unknown-drop-point", "scalar-corrupted", "degenerate-flag",
-            "string-parallel", "fractional-seed", "bool-m", "bool-input",
-            "fractional-input", "string-rho", "scalar-document", "list-document",
-            "string-document"])
-    def test_bad_value_refused(self, tmp_path, text, pattern):
-        path = tmp_path / "sim.yaml"
-        path.write_text(text)
-        with pytest.raises(InvalidArgument, match=pattern):
-            load_sim_config(path)
-
-    def test_every_field_has_a_converter(self):
-        # A field without one would be refused as an unknown key; a key
-        # without a field would pass that check and break SimConfig(**...).
-        names = {f.name for f in dataclasses.fields(SimConfig)}
-        assert fssa.sim._CONVERTERS.keys() == names
-
-    def test_unknown_key_refused(self, tmp_path):
-        path = tmp_path / "sim.yaml"
-        path.write_text("n: 3\nm: 1\ndropout_schedul:\n  2: after_round0\n")
-        with pytest.raises(InvalidArgument, match="dropout_schedul"):
-            load_sim_config(path)
