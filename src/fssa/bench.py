@@ -55,6 +55,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.iterations < 1:
             raise InvalidArgument("iterations must be >= 1")
+        if self.seed_base < 0:
+            raise InvalidArgument("seed must be >= 0")
         for lst, name in [
             (self.clients, "clients"),
             (self.vector_sizes, "vector sizes"),

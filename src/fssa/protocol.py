@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -69,6 +70,16 @@ class Params(RampParams):
         return math.ceil(self.m / self.d)
 
 
+def as_int(value, what: str) -> int:
+    """value as a Python int: numpy integers convert; bools, floats and strings are refused."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+
+
 def plan_parameters(
     n: int, m: int, B: int = 2**16, rho: float = 0.0, gamma: float = 0.0
 ) -> Params:
@@ -79,6 +90,7 @@ def plan_parameters(
     t-d shares and t - d >= 1 random coefficients remain even at gamma = 0;
     q = find_field_modulus(n, B), the smallest prime with no wrap of n sums.
     """
+    n, m, B = as_int(n, "n"), as_int(m, "m"), as_int(B, "B")
     if n < 2 or m < 1:
         raise InvalidArgument("need n >= 2 and m >= 1")
     if not (0 <= rho < 1 and 0 <= gamma < 1 and rho + gamma < 1):
@@ -179,6 +191,9 @@ class Client:
         if self.round is not Round.ADVERTISED:
             raise ProtocolOrderViolation(f"round1 called in state {self.round}")
         p = self.params
+        repeated = [v for v, k in Counter(v for v, _ in broadcast.keys).items() if k > 1]
+        if repeated:
+            self._abort(f"broadcast repeats index {repeated[0]}")
         roster = dict(broadcast.keys)
         if len(roster) < p.t:
             self._abort(f"roster size {len(roster)} below threshold {p.t}")

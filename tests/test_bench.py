@@ -52,6 +52,12 @@ class TestSweepSpec:
         with pytest.raises(InvalidArgument):
             tiny_spec(iterations=0)
 
+    @pytest.mark.parametrize("seed_base", [-1, -2**64], ids=["minus-one", "below-int64"])
+    def test_negative_seed_refused(self, seed_base):
+        # Every seed of a run must be non-negative: numpy's SeedSequence refuses others.
+        with pytest.raises(InvalidArgument, match="seed must be >= 0"):
+            tiny_spec(seed_base=seed_base)
+
 
 class TestRunPoint:
     def test_feasible_row(self):
@@ -197,7 +203,8 @@ class TestCli:
         (["--iterations", "0"], "iterations must be >= 1"),
         (["--clients", "5,x"], "argument --clients: invalid comma-separated int value: '5,x'"),
         (["--dropout-rate", "a"], "argument --dropout-rate: invalid comma-separated float value"),
-    ], ids=["zero-iterations", "non-integer-client-count", "non-numeric-rate"])
+        (["--seed", "-1"], "seed must be >= 0"),
+    ], ids=["zero-iterations", "non-integer-client-count", "non-numeric-rate", "negative-seed"])
     def test_bad_flag_value_is_a_usage_error(self, tmp_path, capsys, argv, why):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--output", str(tmp_path / "out.csv")])

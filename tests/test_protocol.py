@@ -131,6 +131,22 @@ class TestPlanParameters:
         with pytest.raises(InvalidArgument, match="no exact mod-q matmul"):
             plan_parameters(2**20, 1, B=2, gamma=0.5)
 
+    @pytest.mark.parametrize("args, kw, name", [
+        ((10, 2.5), {}, "m"),
+        ((10, True), {}, "m"),
+        ((2.5, 10), {}, "n"),
+        ((10, 10), {"B": 2.5}, "B"),
+        ((10, 10), {"B": "16"}, "B"),
+    ], ids=["fractional-m", "bool-m", "fractional-n", "fractional-B", "string-B"])
+    def test_non_integer_shape_refused(self, args, kw, name):
+        with pytest.raises(InvalidArgument, match=f"{name} must be an integer"):
+            plan_parameters(*args, **kw)
+
+    def test_numpy_integers_planned_as_ints(self):
+        p = plan_parameters(np.int64(10), np.int64(10), B=np.int64(16))
+        assert p == plan_parameters(10, 10, B=16)
+        assert {type(p.n), type(p.m), type(p.B)} == {int}
+
     def test_params_invariants(self):
         p = plan_parameters(5, 4)
         with pytest.raises(InvalidArgument):
@@ -320,6 +336,25 @@ class TestClientAborts:
         with pytest.raises(ClientAborted, match="peer 2"):
             clients[1].round1(KeyBroadcast(keys=tuple(keys.items())), [1, 2])
         assert clients[1].round is Round.ABORTED
+
+    def test_repeated_roster_index_aborts(self):
+        # A second entry for 5 under a foreign key would make client 1 derive
+        # client 5's designated share from that key: client 5 would then blame
+        # client 1, and the server would reconstruct a wrong sum from U3 = 1..4.
+        p = plan_parameters(5, 4, B=16, rho=0.2)
+        assert (p.t, p.d) == (4, 3)
+        clients = {u: Client(u, p) for u in range(1, 6)}
+        server = Server(p)
+        broadcast = server.round0([c.round0(random.Random(u)) for u, c in clients.items()])
+        inputs = {u: [u, 2 * u, 3, 4] for u in clients}
+        forged = KeyBroadcast(keys=broadcast.keys + ((5, ka_gen(random.Random(99)).public),))
+        with pytest.raises(ClientAborted, match="client 1: broadcast repeats index 5"):
+            clients[1].round1(forged, inputs[1])
+        # The others run on; the aggregate is the exact sum over U2 = 2..5.
+        deliveries = server.round1([clients[u].round1(broadcast, inputs[u]) for u in range(2, 6)])
+        aggregate = server.round2([clients[u].round2(dv) for u, dv in deliveries.items()])
+        assert server.u2 == (2, 3, 4, 5)
+        assert aggregate == [14, 28, 12, 16]
 
     @pytest.mark.parametrize("index", [0, 9])
     def test_roster_index_outside_range_aborts(self, index):

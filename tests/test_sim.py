@@ -155,18 +155,6 @@ class TestDeterminism:
 
 
 class TestScheduleValidation:
-    def test_budget_enforced(self):
-        with pytest.raises(InvalidArgument):
-            run_simulation(
-                cfg(dropout_schedule={1: DropPoint.AFTER_ROUND0, 2: DropPoint.AFTER_ROUND0})
-            )  # rho=0.2, n=5 tolerates only 1
-
-    def test_never_entries_are_free(self):
-        report = run_simulation(
-            cfg(dropout_schedule={1: DropPoint.NEVER, 2: DropPoint.AFTER_ROUND0})
-        )
-        assert report.status == "ok"
-
     def test_unknown_client_rejected(self):
         with pytest.raises(InvalidArgument):
             run_simulation(cfg(dropout_schedule={9: DropPoint.AFTER_ROUND0}))
@@ -176,10 +164,27 @@ class TestScheduleValidation:
         with pytest.raises(InvalidArgument, match="'after_round0' for client 2"):
             run_simulation(cfg(dropout_schedule={2: "after_round0"}))
 
-    def test_corruption_budget(self):
-        # t=4, d=3 at these rates: at most one corrupted client.
-        with pytest.raises(InvalidArgument):
-            run_simulation(cfg(corrupted=frozenset({1, 2})))
+    @pytest.mark.parametrize(
+        "seed", [1.5, -1, True, "7"], ids=["fractional", "negative", "bool", "string"]
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidArgument, match="seed"):
+            run_simulation(cfg(seed=seed))
+
+    @pytest.mark.parametrize("u", [2.0, True, "2"], ids=["float", "bool", "string"])
+    def test_schedule_key_must_be_an_integer(self, u):
+        with pytest.raises(InvalidArgument, match="client index must be an integer"):
+            run_simulation(cfg(dropout_schedule={u: DropPoint.AFTER_ROUND0}))
+
+    def test_numpy_integers_run_as_ints(self):
+        # numpy integers are integers: they run exactly as the Python ints they equal.
+        plain = run_simulation(cfg(dropout_schedule={2: DropPoint.AFTER_ROUND0}))
+        numpy = run_simulation(cfg(
+            n=np.int64(5), m=np.int64(4), B=np.int64(16), seed=np.int64(7),
+            dropout_schedule={np.int64(2): DropPoint.AFTER_ROUND0},
+        ))
+        assert numpy.transcript == plain.transcript
+        assert numpy.aggregate == plain.aggregate
 
     def test_apply_dropout_schedule(self):
         sched = {1: DropPoint.AFTER_ROUND0, 2: DropPoint.AFTER_ROUND1_SEND}
@@ -269,26 +274,35 @@ class TestByteAccounting:
         assert len(encoded) == len(report.transcript) - (5 - 1)
 
 
-class TestCorruptedViews:
-    def test_views_recorded(self):
-        report = run_simulation(cfg(corrupted=frozenset({2})))
-        views = report.corrupted_views[2]
-        received = [p for _, s, r, p in report.transcript if r == 2]
-        assert views == received
-        assert len(views) == 2  # broadcast + delivery
-
-
 class TestFailureReporting:
     def test_too_many_natural_dropouts(self):
-        # rho=0 -> t=n; any dropout fails aggregation, but scheduling one is
-        # blocked by the budget, so force failure via budget-exact rho and two
-        # boundaries: use n=5, rho=0.2 (t=4) and drop 1 at round0 plus an abort.
+        # n=4, rho=0.25 gives t=3: n - t + 1 = 2 clients that drop after
+        # Round 0 leave too few uploads, and the server ends the run.
         report = run_simulation(
             SimConfig(n=4, m=2, rho=0.25, B=16, seed=0,
-                      dropout_schedule={1: DropPoint.AFTER_ROUND1_SEND,
-                                        2: DropPoint.NEVER})
+                      dropout_schedule={1: DropPoint.AFTER_ROUND0, 2: DropPoint.AFTER_ROUND0})
         )
-        assert report.status == "ok"  # one dropout is within budget
+        assert report.params.t == 3
+        assert report.status == "aggregation_failed"
+        assert report.aggregate is None and report.expected_sum_over_u2 is None
+        assert report.failure == "Round 1: only 2 uploads collected, need 3"
+
+    @pytest.mark.parametrize("point, failure, u2, u3", [
+        (DropPoint.AFTER_ROUND0, "Round 1: only 3 uploads collected, need 4", (3, 4, 5), ()),
+        (DropPoint.AFTER_ROUND1_SEND, "Round 2: only 3 sum-share messages collected, need 4",
+         (1, 2, 3, 4, 5), (3, 4, 5)),
+        (DropPoint.AFTER_ROUND1_RECEIVE, "Round 2: only 3 sum-share messages collected, need 4",
+         (1, 2, 3, 4, 5), (3, 4, 5)),
+    ], ids=["after_round0", "after_round1_send", "after_round1_receive"])
+    def test_over_budget_schedule_reported(self, point, failure, u2, u3):
+        # t=4 tolerates one dropout; a schedule of two runs, and the server
+        # alone decides there are too few clients to finish.
+        report = run_simulation(cfg(dropout_schedule={1: point, 2: point}))
+        assert report.status == "aggregation_failed"
+        assert report.failure == failure
+        assert report.rosters == {"u1": (1, 2, 3, 4, 5), "u2": u2, "u3": u3}
+        assert report.aborted == {}
+        assert report.excluded == {"u1": {}, "u2": {}, "u3": {}}
 
     def test_key_collision_reported_not_raised(self, monkeypatch):
         # Every client advertises the same X25519 key, so the server leaves
@@ -535,9 +549,7 @@ class TestFailureReporting:
         assert report.failure is None
 
     def test_report_serializes(self):
-        report = run_simulation(cfg(
-            seed=12, corrupted=frozenset({3}), dropout_schedule={2: DropPoint.AFTER_ROUND0}
-        ))
+        report = run_simulation(cfg(seed=12, dropout_schedule={2: DropPoint.AFTER_ROUND0}))
         doc = json.loads(report.to_json())
         assert doc["status"] == "ok"
         assert doc["aggregate"] == report.aggregate
@@ -561,8 +573,9 @@ class TestFailureReporting:
         assert doc["bytes_received"] == received
         assert doc["server_bytes_received"] == sum(sent.values())
         assert doc["excluded"] == {"u1": {}, "u2": {}, "u3": {}}
-        # Client 3 received the broadcast and its delivery.
+        # Client 3's view is what the transcript holds for it: the broadcast
+        # and its delivery.
         received = [p.hex() for _, _, r, p in report.transcript if r == 3]
-        assert doc["corrupted_views"] == {"3": received}
+        assert [m["payload"] for m in doc["transcript"] if m["to"] == 3] == received
         assert len(received) == 2
 
