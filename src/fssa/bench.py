@@ -194,14 +194,17 @@ def main(argv=None) -> int:
         prog="fssa-bench",
         description="Sweep aggregation experiments and emit CSV metrics.",
     )
-    parser.add_argument("--clients", type=_list_of(int), default="50,100,200",
-                        help="comma-separated client counts")
-    parser.add_argument("--vector-size", type=_list_of(int), default=None,
-                        help="comma-separated input vector lengths")
-    parser.add_argument("--dropout-rate", type=_list_of(float), default="0.3",
-                        help="comma-separated dropout rates in [0, 1)")
-    parser.add_argument("--corruption-rate", type=_list_of(float), default="0.3",
-                        help="comma-separated corruption rates in [0, 1)")
+    # The axis flags default to None so that a preset case can tell them apart
+    # from the custom sweep's defaults below.
+    parser.add_argument("--clients", type=_list_of(int),
+                        help="comma-separated client counts (default 50,100,200)")
+    parser.add_argument("--vector-size", type=_list_of(int),
+                        help="comma-separated input vector lengths (default 10000, "
+                             "or 100000 with --paper-scale)")
+    parser.add_argument("--dropout-rate", type=_list_of(float),
+                        help="comma-separated dropout rates in [0, 1) (default 0.3)")
+    parser.add_argument("--corruption-rate", type=_list_of(float),
+                        help="comma-separated corruption rates in [0, 1) (default 0.3)")
     parser.add_argument("--iterations", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--case", type=str, default="custom",
@@ -210,16 +213,27 @@ def main(argv=None) -> int:
     parser.add_argument("--paper-scale", action="store_true")
     args = parser.parse_args(argv)
 
+    axes = {
+        "clients": [50, 100, 200],
+        "vector_size": [PAPER_VECTOR_SIZE if args.paper_scale else DESK_VECTOR_SIZE],
+        "dropout_rate": [0.3],
+        "corruption_rate": [0.3],
+    }
+    given = {axis: value for axis in axes if (value := getattr(args, axis)) is not None}
+    # A preset case fixes every axis; a flag it would ignore is refused.
+    if args.case != "custom" and given:
+        flags = ", ".join("--" + axis.replace("_", "-") for axis in given)
+        parser.error(f"--case {args.case} sets its own axes; drop {flags}")
+    axes.update(given)
     try:
         if args.case != "custom":
             spec = build_case_spec(int(args.case), args)
         else:
-            default_m = PAPER_VECTOR_SIZE if args.paper_scale else DESK_VECTOR_SIZE
             spec = SweepSpec(
-                clients=args.clients,
-                vector_sizes=args.vector_size if args.vector_size is not None else [default_m],
-                dropout_rates=args.dropout_rate,
-                corruption_rates=args.corruption_rate,
+                clients=axes["clients"],
+                vector_sizes=axes["vector_size"],
+                dropout_rates=axes["dropout_rate"],
+                corruption_rates=axes["corruption_rate"],
                 iterations=args.iterations,
                 seed_base=args.seed,
                 output=args.output,

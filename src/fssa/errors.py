@@ -17,10 +17,6 @@ class MalformedPlaintext(InvalidArgument):
         self.index = index
 
 
-class InsufficientShares(FssaError):
-    """Fewer than t shares survived; reconstruction is impossible."""
-
-
 class ProtocolOrderViolation(FssaError):
     """A state machine was driven out of its round order."""
 

@@ -4,10 +4,8 @@ and reconstruction matrices as plain (d, t) int64 arrays.
 One modulus range is supported: a prime q with (q-1)^2 < 2^63, so that
 every element fits 4 bytes and every elementwise product fits int64.
 `FieldParams` refuses any other q. Primality is decided by trial division,
-exact for every n and a few milliseconds at most in this range. Scalar
-helpers work on plain Python ints kept fully reduced in [0, q); they are the
-reference the batch code is tested against. Batch data are numpy int64
-arrays of reduced elements.
+exact for every n and a few milliseconds at most in this range. Data are
+numpy int64 arrays of elements reduced into [0, q).
 
 Sharing evaluates polynomials by Horner's rule (`poly_eval_batch`) with lazy
 reduction. From an accumulator below q, i multiply-adds at points up to X
@@ -60,17 +58,6 @@ class FieldParams:
         if not _is_prime(self.q):
             raise InvalidArgument(f"modulus {self.q} is not prime")
         object.__setattr__(self, "byte_width", (self.q.bit_length() + 7) // 8)
-
-
-def poly_eval(coeffs, x: int, fp: FieldParams) -> int:
-    """Evaluate a polynomial (ascending-degree coefficients) at x by Horner's rule."""
-    if len(coeffs) == 0:
-        raise InvalidArgument("empty coefficient list")
-    q = fp.q
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % q
-    return acc
 
 
 def _lazy_steps(q: int, x_max: int, num_coeffs: int) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import numbers
 import operator
 import time
 from collections import Counter
@@ -80,6 +81,13 @@ def as_int(value, what: str) -> int:
     raise InvalidArgument(f"{what} must be an integer, got {value!r}")
 
 
+def as_rate(value, what: str) -> float:
+    """value as a float: real numbers convert; bools, strings and None are refused."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        return float(value)
+    raise InvalidArgument(f"{what} must be a real number, got {value!r}")
+
+
 def plan_parameters(
     n: int, m: int, B: int = 2**16, rho: float = 0.0, gamma: float = 0.0
 ) -> Params:
@@ -91,6 +99,7 @@ def plan_parameters(
     q = find_field_modulus(n, B), the smallest prime with no wrap of n sums.
     """
     n, m, B = as_int(n, "n"), as_int(m, "m"), as_int(B, "B")
+    rho, gamma = as_rate(rho, "rho"), as_rate(gamma, "gamma")
     if n < 2 or m < 1:
         raise InvalidArgument("need n >= 2 and m >= 1")
     if not (0 <= rho < 1 and 0 <= gamma < 1 and rho + gamma < 1):

@@ -19,14 +19,11 @@ as it already is for the AES-GCM ciphertexts.
 
 from __future__ import annotations
 
-import itertools
-import random
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientShares, InvalidArgument
+from .errors import InvalidArgument
 from .field import (
     FieldParams,
     build_recon_matrix,
@@ -35,8 +32,6 @@ from .field import (
     reduce_points,
     split_bit,
 )
-
-_ENUMERATION_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -71,9 +66,6 @@ class RampParams:
     def k(self) -> int:
         """t - d: the random coefficients of a sharing, and the designated peers of a sender."""
         return self.t - self.d
-
-    def default_points(self) -> tuple:
-        return tuple(range(1, self.n + 1))
 
 
 def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, values) -> np.ndarray:
@@ -129,89 +121,3 @@ def _powers(xs: np.ndarray, count: int, q: int) -> np.ndarray:
         step = step * step % q
         filled += width
     return out
-
-
-def rss_recon(rp: RampParams, shares: dict) -> list[int]:
-    """Recover the length-d secret from at least t (point, share) pairs.
-
-    When more than t shares are available the t smallest points are used.
-    """
-    if len(shares) < rp.t:
-        raise InsufficientShares(f"need {rp.t} shares, got {len(shares)}")
-    pts = sorted(shares)[: rp.t]
-    q = rp.fp.q
-    col = np.array([[shares[p] % q] for p in pts], dtype=np.int64)
-    return mod_matmul(build_recon_matrix(pts, rp.d, rp.fp), col, q)[:, 0].tolist()
-
-
-def naive_aggregate_oracle(inputs, t: int, fp: FieldParams, rng=None) -> list[int]:
-    """Sum vectors via per-element threshold sharing (d = 1), as a correctness oracle.
-
-    Deliberately independent of the ramp machinery: plain power-sum polynomial
-    evaluation and Lagrange interpolation at zero.
-    """
-    if not inputs:
-        raise InvalidArgument("no input vectors")
-    m = len(inputs[0])
-    if any(len(v) != m for v in inputs):
-        raise InvalidArgument("input vectors have mismatched lengths")
-    n = len(inputs)
-    if n < t:
-        raise InvalidArgument("fewer clients than the threshold")
-    if rng is None:
-        rng = random.Random(0)
-    q = fp.q
-    points = list(range(1, n + 1))
-
-    def eval_naive(cs, x):
-        return sum(c * pow(x, i, q) for i, c in enumerate(cs)) % q
-
-    out = []
-    for j in range(m):
-        # Every client shares its j-th element to all points; shares are summed
-        # per point and the threshold-many smallest points reconstruct.
-        summed = {p: 0 for p in points}
-        for v in inputs:
-            cs = [v[j] % q] + [rng.randrange(q) for _ in range(t - 1)]
-            for p in points:
-                summed[p] = (summed[p] + eval_naive(cs, p)) % q
-        subset = points[:t]
-        total = 0
-        for p in subset:
-            lam = 1
-            for r in subset:
-                if r != p:
-                    lam = lam * ((-r) % q) % q * pow((p - r) % q, -1, q) % q
-            total = (total + lam * summed[p]) % q
-        out.append(total)
-    return out
-
-
-def share_view_histogram(rp: RampParams, secret, view_points, designated=None) -> Counter:
-    """Exact distribution of a small view's share tuples over all designated values.
-
-    Enumerates every vector of values at the t-d `designated` points (by
-    default the last t-d parties), solves each polynomial with
-    `rss_share_batch` as the protocol does, and counts the share tuples at
-    the view, whose points may be designated or not. For any two secrets the
-    histograms must be identical when the view has at most t-d points.
-    """
-    view = tuple(view_points)
-    if len(view) > rp.k:
-        raise InvalidArgument("view larger than t-d is outside the perfect-security regime")
-    if rp.fp.q**rp.k > _ENUMERATION_CAP:
-        raise InvalidArgument("enumeration cap exceeded")
-    q = rp.fp.q
-    if designated is None:
-        designated = rp.default_points()[-rp.k:]
-    designated = list(designated)
-    padded = [s % q for s in secret] + [0] * (rp.d - len(secret))
-    values = np.array(list(itertools.product(range(q), repeat=rp.k)), dtype=np.int64)
-    secrets = np.tile(np.array(padded, dtype=np.int64), (len(values), 1))
-    sent = [p for p in view if p not in designated]
-    shares = dict(zip(sent, rss_share_batch(rp, secrets, sent, designated, values).T))
-    shares.update(zip(designated, values.T))
-    table = np.empty((len(values), len(view)), dtype=np.int64)
-    for j, p in enumerate(view):
-        table[:, j] = shares[p]
-    return Counter(map(tuple, table.tolist()))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 import random
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -45,10 +46,17 @@ class SimConfig:
         return plan_parameters(self.n, self.m, B=self.B, rho=self.rho, gamma=self.gamma)
 
     def validate(self):
-        """Refuse a malformed seed or schedule. A schedule of any size runs:
+        """Refuse a malformed seed, schedule or `parallel`. A schedule of any size runs:
         whether too few clients remain is the server's call, reported in `failure`."""
         if as_int(self.seed, "seed") < 0:
             raise InvalidArgument(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.parallel, bool):
+            raise InvalidArgument(f"parallel must be a bool, got {self.parallel!r}")
+        if not isinstance(self.dropout_schedule, Mapping):
+            raise InvalidArgument(
+                f"dropout schedule must map client indices to DropPoints, got "
+                f"{type(self.dropout_schedule).__name__}"
+            )
         for u, point in self.dropout_schedule.items():
             if not isinstance(point, DropPoint):
                 raise InvalidArgument(f"drop point {point!r} for client {u} is not a DropPoint")

@@ -23,10 +23,16 @@ from fssa.messages import (
     serialize,
 )
 from fssa.protocol import Client, Server, chunk_vector, designated_peers, plan_parameters
-from fssa.ramp import RampParams, naive_aggregate_oracle, rss_recon, share_view_histogram
+from fssa.ramp import RampParams
 from fssa.sim import DropPoint, SimConfig, run_simulation
 
-from _sharing import share_everywhere
+from _oracles import (
+    all_points,
+    naive_aggregate_oracle,
+    rss_recon,
+    share_everywhere,
+    share_view_histogram,
+)
 
 F11 = FieldParams(11)
 
@@ -103,7 +109,7 @@ def test_criterion_2_oracle_equivalence():
         d = rng.randrange(1, t)
         rp = RampParams(t=t, d=d, n=n, fp=fp)
         inputs = [[rng.randrange(B) for _ in range(m)] for _ in range(n)]
-        roster = rp.default_points()
+        roster = all_points(rp)
         summed = dict.fromkeys(roster, 0)
         for u, v in zip(roster, inputs):
             designated = designated_peers(u, roster, rp.k)
@@ -130,7 +136,7 @@ def test_criterion_3_perfect_security_distributions():
             for d in range(1, t):
                 rp = RampParams(t=t, d=d, n=n, fp=fp)
                 for size in range(1, t - d + 1):
-                    for view in itertools.combinations(rp.default_points(), size):
+                    for view in itertools.combinations(all_points(rp), size):
                         ref = None
                         for _ in range(10):
                             secret = [rng.randrange(q) for _ in range(d)]
@@ -166,7 +172,7 @@ def test_criterion_6_linearity_and_threshold():
         s1 = [rng.randrange(101) for _ in range(2)]
         s2 = [rng.randrange(101) for _ in range(2)]
         a, b = rng.randrange(101), rng.randrange(101)
-        b1, b2 = (share_everywhere(rp, [s], rng.sample(rp.default_points(), rp.k), rng)
+        b1, b2 = (share_everywhere(rp, [s], rng.sample(all_points(rp), rp.k), rng)
                   for s in (s1, s2))
         combo = {p: (a * b1[p][0] + b * b2[p][0]) % 101 for p in b1}
         assert rss_recon(rp, combo) == [(a * x + b * y) % 101 for x, y in zip(s1, s2)]
@@ -175,9 +181,9 @@ def test_criterion_6_linearity_and_threshold():
             for d in range(1, t):
                 rp = RampParams(t=t, d=d, n=n, fp=F11)
                 secret = [rng.randrange(11) for _ in range(d)]
-                designated = rng.sample(rp.default_points(), rp.k)
+                designated = rng.sample(all_points(rp), rp.k)
                 shares = share_everywhere(rp, [secret], designated, rng)
-                for subset in itertools.combinations(rp.default_points(), t):
+                for subset in itertools.combinations(all_points(rp), t):
                     assert rss_recon(rp, {p: shares[p][0] for p in subset}) == secret
     _verdict(6, "1000 linearity instances and exhaustive t-subset reconstruction",
              True, f"{time.monotonic() - t0:.1f}s")

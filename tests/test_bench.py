@@ -211,6 +211,25 @@ class TestCli:
         assert exc.value.code == 2
         assert why in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis_flags", [
+        ["--clients", "5", "--vector-size", "10"],
+        ["--dropout-rate", "0.1"],
+        ["--corruption-rate", "0.1"],
+    ], ids=["clients-and-vector-size", "dropout-rate", "corruption-rate"])
+    def test_case_with_axis_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                  axis_flags):
+        # A preset case sets every axis, so an axis flag would be silently ignored.
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran despite a usage error")
+
+        monkeypatch.setattr(fssa.bench, "run_experiment_grid", no_sweep)
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["--case", "1", *axis_flags, "--output", str(out)])
+        assert exc.value.code == 2
+        assert f"--case 1 sets its own axes; drop {axis_flags[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, axes", [
         (["--case", "2"], ([100], [DESK_VECTOR_SIZE // 2, DESK_VECTOR_SIZE, 2 * DESK_VECTOR_SIZE],
                            [0.3], RATE_GRID)),

@@ -13,10 +13,11 @@ from fssa.field import (
     build_recon_matrix,
     find_field_modulus,
     mod_matmul,
-    poly_eval,
     poly_eval_batch,
     split_bit,
 )
+
+from _oracles import apply, poly_eval, python_recon_matrix
 
 F11 = FieldParams(11)
 
@@ -175,33 +176,6 @@ def test_poly_eval_batch_property(data):
     coeffs = data.draw(st.lists(row, min_size=rows, max_size=rows))
     xs = data.draw(st.lists(element, max_size=6))
     assert batch_matches_scalar(coeffs, xs, fp)
-
-
-def python_recon_matrix(points, d, q):
-    """Oracle: the coefficient-extraction matrix built one Python int at a time."""
-    t = len(points)
-    master = [1]  # P(x) = prod (x - p_k), ascending coefficients
-    for p in points:
-        nxt = [0] * (len(master) + 1)
-        for i, c in enumerate(master):
-            nxt[i] = (nxt[i] - c * p) % q
-            nxt[i + 1] = (nxt[i + 1] + c) % q
-        master = nxt
-    cols = []
-    for p in points:
-        quot = [0] * t  # Q(x) = P(x) / (x - p) by synthetic division
-        carry = master[t]
-        for i in range(t - 1, -1, -1):
-            quot[i] = carry
-            carry = (master[i] + carry * p) % q
-        scale = pow(sum(c * pow(p, i, q) for i, c in enumerate(quot)) % q, -1, q)
-        cols.append([(c * scale) % q for c in quot[:d]])
-    return [list(row) for row in zip(*cols)]
-
-
-def apply(matrix, shares, q):
-    """Recover the first d coefficients from shares at the matrix's points."""
-    return mod_matmul(matrix, np.array(shares, dtype=np.int64).reshape(-1, 1), q)[:, 0].tolist()
 
 
 class TestReconMatrix:

@@ -12,7 +12,8 @@ import fssa
 import fssa.protocol
 
 _MODULES = sorted(p for p in Path(fssa.__file__).parent.glob("*.py") if p.name != "__init__.py")
-_PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+_ROOT = Path(__file__).parents[1]
+_PYPROJECT = _ROOT / "pyproject.toml"
 
 
 def _imports(tree):
@@ -73,3 +74,31 @@ def test_dependencies_are_the_third_party_imports():
                 imported.add(node.module.split(".")[0])
     third_party = {m.lower() for m in imported - set(sys.stdlib_module_names) - {"fssa"}}
     assert sorted(third_party) == sorted(declared)
+
+
+def test_every_public_definition_has_a_program_caller():
+    # A function or class that only tests call is a test oracle, and belongs
+    # in tests/_oracles.py. A name counts as used when some module of the
+    # package, a demo or perfbench names it: as a name, an attribute, an
+    # import, or a string (perfbench looks call sites up by attribute name).
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads(_PYPROJECT.read_text())["project"]["scripts"].values()
+    used = {target.split(":")[1] for target in scripts}
+    for path in [*_MODULES, Path(fssa.__file__), *(_ROOT / "demos").glob("*.py"),
+                 *(_ROOT / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    public = [
+        f"{path.stem}.{node.name}"
+        for path in _MODULES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert [name for name in public if name.split(".")[1] not in used] == []

@@ -20,7 +20,7 @@ from fssa.errors import (
     ProtocolOrderViolation,
     RoundAborted,
 )
-from fssa.field import FieldParams, poly_eval
+from fssa.field import FieldParams
 from fssa.keyagree import ka_gen
 from fssa.messages import (
     ClientHello,
@@ -40,6 +40,8 @@ from fssa.protocol import (
     plan_parameters,
 )
 from fssa.sim import DropPoint, SimConfig, run_simulation
+
+from _oracles import poly_eval
 
 
 def pinned_designated(values):
@@ -141,6 +143,16 @@ class TestPlanParameters:
     def test_non_integer_shape_refused(self, args, kw, name):
         with pytest.raises(InvalidArgument, match=f"{name} must be an integer"):
             plan_parameters(*args, **kw)
+
+    @pytest.mark.parametrize("kw, name", [
+        ({"rho": "0.1"}, "rho"),
+        ({"gamma": None}, "gamma"),
+        ({"rho": False}, "rho"),
+        ({"gamma": np.bool_(True)}, "gamma"),
+    ], ids=["string-rho", "none-gamma", "bool-rho", "numpy-bool-gamma"])
+    def test_non_numeric_rate_refused(self, kw, name):
+        with pytest.raises(InvalidArgument, match=f"{name} must be a real number"):
+            plan_parameters(10, 10, **kw)
 
     def test_numpy_integers_planned_as_ints(self):
         p = plan_parameters(np.int64(10), np.int64(10), B=np.int64(16))
@@ -792,6 +804,65 @@ class TestServerChecks:
             assert "client 1" in str(e)
         else:
             assert aggregate == [p.n] * p.m
+
+    def _five_clients(self):
+        """n=5, m=4, B=16, rho=0.2 (t=4, D_1 = (2,)); keys from Random(u), inputs [u, 2u, 3, 4]."""
+        p = plan_parameters(5, 4, B=16, rho=0.2)
+        assert p.t == 4
+        clients = {u: Client(u, p) for u in range(1, p.n + 1)}
+        hellos = [c.round0(random.Random(u)) for u, c in clients.items()]
+        inputs = {u: [u, 2 * u, 3, 4] for u in clients}
+        return p, clients, hellos, inputs
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+    def test_round2_substituted_designated_key_not_silent(self):
+        # Client 1's broadcast carries another valid key for client 2, the
+        # peer it designates. No ciphertext passes from 1 to 2, so no tag
+        # catches the mismatch, and client 1's shares are in every other
+        # sum when it aborts in Round 2. The aggregate over U2 = 1..5 must
+        # be exact, or the run refused.
+        p, clients, hellos, inputs = self._five_clients()
+        server = Server(p)
+        broadcast = server.round0(hellos)
+        assert designated_peers(1, server.u1, p.k) == (2,)
+        substitute = ka_gen(random.Random(99)).public
+        forged = KeyBroadcast(
+            keys=tuple((v, substitute if v == 2 else pk) for v, pk in broadcast.keys)
+        )
+        deliveries = server.round1(
+            [c.round1(forged if u == 1 else broadcast, inputs[u]) for u, c in clients.items()]
+        )
+        sums = []
+        for u, dv in deliveries.items():
+            with contextlib.suppress(ClientAborted):
+                sums.append(clients[u].round2(dv))
+        try:
+            aggregate = server.round2(sums)
+        except RoundAborted:
+            return
+        assert aggregate == [15, 30, 15, 20]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_round2_omitted_delivery_entry_not_silent(self):
+        # A faulty server leaves sender 5 out of client 3's delivery, so
+        # client 3's sums miss 5's shares. All five send sums: |U3| = 5 > t,
+        # so the spare share can expose the wrong one. The aggregate must be
+        # exact, or the run refused.
+        p, clients, hellos, inputs = self._five_clients()
+        server = Server(p)
+        broadcast = server.round0(hellos)
+        deliveries = server.round1(
+            [c.round1(broadcast, inputs[u]) for u, c in clients.items()]
+        )
+        deliveries[3] = ShareDelivery(
+            ciphertexts=tuple(entry for entry in deliveries[3].ciphertexts if entry[0] != 5)
+        )
+        sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
+        try:
+            aggregate = server.round2(sums)
+        except RoundAborted:
+            return
+        assert aggregate == [15, 30, 15, 20]
 
     def test_round0_runs_once(self):
         p = plan_parameters(4, 2, B=16)

@@ -6,34 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fssa.errors import InsufficientShares, InvalidArgument
-from fssa.field import FieldParams, build_recon_matrix, find_field_modulus, mod_matmul, poly_eval
+from fssa.errors import InvalidArgument
+from fssa.field import FieldParams, build_recon_matrix, find_field_modulus
 from fssa.protocol import chunk_vector
-from fssa.ramp import (
-    RampParams,
-    naive_aggregate_oracle,
-    rss_recon,
-    rss_share_batch,
-    share_view_histogram,
-)
+from fssa.ramp import RampParams, rss_share_batch
 
-from _sharing import share_everywhere
+from _oracles import (
+    all_points,
+    apply,
+    naive_aggregate_oracle,
+    poly_eval,
+    rss_recon,
+    share_everywhere,
+    share_view_histogram,
+    textbook_shamir_recon,
+)
 
 F5 = FieldParams(5)
 F11 = FieldParams(11)
-
-
-def textbook_shamir_recon(shares, q):
-    """Independent reference reconstruction (Lagrange at zero)."""
-    pts = list(shares)
-    total = 0
-    for p in pts:
-        lam = 1
-        for r in pts:
-            if r != p:
-                lam = lam * ((-r) % q) % q * pow((p - r) % q, -1, q) % q
-        total = (total + lam * shares[p]) % q
-    return total
 
 
 class TestRampParams:
@@ -147,7 +137,7 @@ class TestShare:
         secrets = rng.integers(0, 2**16, size=(250, rp.d))
         high = rng.integers(0, fp.q, size=(250, rp.t - rp.d))
         designated = list(range(31, 61))
-        points = [p for p in rp.default_points() if p not in designated]
+        points = [p for p in all_points(rp) if p not in designated]
         polys = [secrets[i].tolist() + high[i].tolist() for i in range(250)]
         values = [[poly_eval(poly, x, fp) for x in designated] for poly in polys]
         mat = rss_share_batch(rp, secrets, points, designated, values)
@@ -168,16 +158,14 @@ class TestShare:
         secrets = rng.integers(0, 2**16, size=(12, rp.d))
         values = rng.integers(0, fp.q, size=(12, rp.t - rp.d))
         designated = [6, 7, 8, 9, 10, 11]
-        points = [p for p in rp.default_points() if p not in designated]
+        points = [p for p in all_points(rp) if p not in designated]
         mat = rss_share_batch(rp, secrets, points, designated, values)
         pick = random.Random(3)
         for i in range(12):
             sent = pick.sample(range(len(points)), rp.t - len(designated))
             pts = designated + [points[j] for j in sent]
             shares = values[i].tolist() + [int(mat[i, j]) for j in sent]
-            coeffs = mod_matmul(
-                build_recon_matrix(pts, rp.t, fp), np.array(shares).reshape(-1, 1), fp.q
-            )[:, 0].tolist()
+            coeffs = apply(build_recon_matrix(pts, rp.t, fp), shares, fp.q)
             assert coeffs[: rp.d] == secrets[i].tolist()
             assert [poly_eval(coeffs, p, fp) for p in points] == mat[i].tolist()
             assert [poly_eval(coeffs, p, fp) for p in designated] == values[i].tolist()
@@ -192,17 +180,12 @@ class TestRecon:
         rp = RampParams(t=3, d=2, n=3, fp=F11)
         assert rss_recon(rp, {1: 0, 2: 0, 3: 0}) == [0, 0]
 
-    def test_insufficient_shares(self):
-        rp = RampParams(t=3, d=2, n=3, fp=F11)
-        with pytest.raises(InsufficientShares):
-            rss_recon(rp, {1: 2, 2: 1})
-
     def test_numpy_integer_keys(self):
         # Shares keyed by numpy integers, at the n=200 plan's t = 140.
         rp = RampParams(t=140, d=80, n=200, fp=find_field_modulus(200, 2**16))
         rng = random.Random(8)
         secret = [rng.randrange(rp.fp.q) for _ in range(rp.d)]
-        shares = share_everywhere(rp, [secret], rp.default_points()[-rp.k:], rng)
+        shares = share_everywhere(rp, [secret], all_points(rp)[-rp.k:], rng)
         assert rss_recon(rp, {np.int64(p): int(s[0]) for p, s in shares.items()}) == secret
 
     def test_points_equal_mod_q_rejected(self):
@@ -221,9 +204,9 @@ class TestRecon:
                     for d in range(1, t):
                         rp = RampParams(t=t, d=d, n=n, fp=fp)
                         secret = [rng.randrange(q) for _ in range(d)]
-                        designated = rng.sample(rp.default_points(), rp.k)
+                        designated = rng.sample(all_points(rp), rp.k)
                         shares = share_everywhere(rp, [secret], designated, rng)
-                        for subset in itertools.combinations(rp.default_points(), t):
+                        for subset in itertools.combinations(all_points(rp), t):
                             assert rss_recon(rp, {p: shares[p][0] for p in subset}) == secret
 
     def test_shamir_embedding(self):
@@ -242,10 +225,10 @@ class TestRecon:
                 p: sum(
                     c * pow(p, i, 101) for i, c in enumerate([secret] + coeffs)
                 ) % 101
-                for p in rp.default_points()
+                for p in all_points(rp)
             }
-            designated = rng.sample(rp.default_points(), rp.k)
-            points = [p for p in rp.default_points() if p not in designated]
+            designated = rng.sample(all_points(rp), rp.k)
+            points = [p for p in all_points(rp) if p not in designated]
             values = [ref[p] for p in designated]
             sent = rss_share_batch(rp, [[secret]], points, designated, [values])[0].tolist()
             ours = dict(zip(designated, values)) | dict(zip(points, sent))
@@ -303,9 +286,9 @@ class TestPerfectSecurity:
                 for d in range(1, t):
                     k = t - d
                     rp = RampParams(t=t, d=d, n=n, fp=fp)
-                    for designated in itertools.combinations(rp.default_points(), k):
+                    for designated in itertools.combinations(all_points(rp), k):
                         for size in range(1, k + 1):
-                            for view in itertools.combinations(rp.default_points(), size):
+                            for view in itertools.combinations(all_points(rp), size):
                                 s1, s2 = ([rng.randrange(q) for _ in range(d)] for _ in range(2))
                                 h1 = share_view_histogram(rp, s1, view, designated)
                                 assert h1 == share_view_histogram(rp, s2, view, designated)
@@ -320,7 +303,7 @@ class TestPerfectSecurity:
                 for d in range(1, t):
                     rp = RampParams(t=t, d=d, n=n, fp=fp)
                     for size in range(1, t - d + 1):
-                        for view in itertools.combinations(rp.default_points(), size):
+                        for view in itertools.combinations(all_points(rp), size):
                             ref = None
                             for _ in range(10):
                                 s1 = [rng.randrange(q) for _ in range(d)]
@@ -343,7 +326,7 @@ def test_share_recon_roundtrip_property(data):
     secret = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
     coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=t - d, max_size=t - d))
     rp = RampParams(t=t, d=d, n=n, fp=fp)
-    order = data.draw(st.permutations(rp.default_points()))
+    order = data.draw(st.permutations(all_points(rp)))
     designated, points = order[: rp.k], order[rp.k :]
     poly = secret + coeffs
     values = [[poly_eval(poly, x, fp) for x in designated]]

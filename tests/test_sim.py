@@ -186,6 +186,18 @@ class TestScheduleValidation:
         assert numpy.transcript == plain.transcript
         assert numpy.aggregate == plain.aggregate
 
+    @pytest.mark.parametrize("schedule", [[(1, DropPoint.AFTER_ROUND0)], None],
+                             ids=["list-of-pairs", "none"])
+    def test_schedule_must_be_a_mapping(self, schedule):
+        with pytest.raises(InvalidArgument, match="dropout schedule must map"):
+            run_simulation(cfg(dropout_schedule=schedule))
+
+    @pytest.mark.parametrize("parallel", ["no", 1, None], ids=["string", "int", "none"])
+    def test_parallel_must_be_a_bool(self, parallel):
+        # A non-empty string is true: "no" would run Round 1 in the thread pool.
+        with pytest.raises(InvalidArgument, match="parallel must be a bool"):
+            run_simulation(cfg(parallel=parallel))
+
     def test_apply_dropout_schedule(self):
         sched = {1: DropPoint.AFTER_ROUND0, 2: DropPoint.AFTER_ROUND1_SEND}
         live = {1, 2, 3}
