@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import FssaError, InvalidArgument
-from .protocol import plan_parameters
+from .protocol import as_int, plan_parameters
 from .sim import DropPoint, SimConfig, run_simulation
 
 CLIENT_PHASES = ("keygen", "agree", "share", "encrypt", "sum")
@@ -53,6 +53,8 @@ class SweepSpec:
     output: str = "sweep.csv"
 
     def __post_init__(self):
+        self.iterations = as_int(self.iterations, "iterations")
+        self.seed_base = as_int(self.seed_base, "seed")
         if self.iterations < 1:
             raise InvalidArgument("iterations must be >= 1")
         if self.seed_base < 0:

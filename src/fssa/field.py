@@ -1,18 +1,11 @@
-"""Prime-field arithmetic, polynomial evaluation, the exact mod-q matrix product,
-and reconstruction matrices as plain (d, t) int64 arrays.
+"""Prime-field arithmetic, the exact mod-q matrix product, and reconstruction
+matrices as plain (d, t) int64 arrays.
 
 One modulus range is supported: a prime q with (q-1)^2 < 2^63, so that
 every element fits 4 bytes and every elementwise product fits int64.
 `FieldParams` refuses any other q. Primality is decided by trial division,
 exact for every n and a few milliseconds at most in this range. Data are
 numpy int64 arrays of elements reduced into [0, q).
-
-Sharing evaluates polynomials by Horner's rule (`poly_eval_batch`) with lazy
-reduction. From an accumulator below q, i multiply-adds at points up to X
-stay at most b_i, where b_0 = q-1 and b_{i+1} = b_i*X + (q-1); the
-accumulator is reduced only every s steps, s being the largest count (capped
-at the coefficient count) with b_s < 2^63. s >= 1 at every admitted q, since
-(q-1)^2 + (q-1) < 2^63.
 
 Every matrix product over the field goes through `mod_matmul`, which has one
 evaluation: it splits the right operand into low and high bits so that each
@@ -60,11 +53,14 @@ class FieldParams:
         object.__setattr__(self, "byte_width", (self.q.bit_length() + 7) // 8)
 
 
-def _lazy_steps(q: int, x_max: int, num_coeffs: int) -> int:
-    """Horner steps that stay below 2^63 from a reduced accumulator, at most num_coeffs.
+def lazy_steps(q: int, x_max: int, num_coeffs: int) -> int:
+    """Horner steps at points up to x_max that stay below 2^63 from a reduced
+    accumulator, at most num_coeffs.
 
-    An accumulator bounded by b becomes at most b*x_max + (q-1) after one step;
-    starting from b = q-1, count the steps before that bound reaches 2^63.
+    From an accumulator below q, i multiply-adds stay at most b_i, where
+    b_0 = q-1 and b_{i+1} = b_i*x_max + (q-1); this is the largest i <= num_coeffs
+    with b_i < 2^63. It is at least 1 whenever x_max <= q-1 at an admitted q,
+    since (q-1)^2 + (q-1) < 2^63, and it is num_coeffs when x_max <= 1.
     """
     s, b = 0, q - 1
     while s < num_coeffs:
@@ -73,40 +69,6 @@ def _lazy_steps(q: int, x_max: int, num_coeffs: int) -> int:
             break
         s += 1
     return s
-
-
-def poly_eval_batch(coeff_matrix: np.ndarray, xs: np.ndarray, fp: FieldParams) -> np.ndarray:
-    """Evaluate many polynomials at many points at once.
-
-    coeff_matrix has shape (num_polys, num_coeffs), ascending degree;
-    xs has shape (num_points,). Returns shape (num_polys, num_points).
-    Coefficients and points must be reduced into [0, q); anything else raises
-    InvalidArgument, since the overflow bound assumes it. Horner's rule runs
-    in place and reduces mod q only every s steps and once at the end, with s
-    from `_lazy_steps` at X = max(xs): s unreduced steps from an accumulator
-    below q stay under 2^63. s >= 1 for every q FieldParams admits, since
-    (q-1)^2 + (q-1) < 2^63.
-    """
-    if coeff_matrix.ndim != 2 or coeff_matrix.shape[1] == 0:
-        raise InvalidArgument("coefficient matrix must be 2-D and nonempty")
-    q = fp.q
-    c = np.asarray(coeff_matrix, dtype=np.int64)
-    x = np.asarray(xs, dtype=np.int64)
-    if c.min(initial=0) < 0 or c.max(initial=0) >= q:
-        raise InvalidArgument(f"coefficients must lie in [0, {q})")
-    if x.min(initial=0) < 0 or x.max(initial=0) >= q:
-        raise InvalidArgument(f"evaluation points must lie in [0, {q})")
-    num_coeffs = c.shape[1]
-    s = _lazy_steps(q, int(x.max(initial=0)), num_coeffs)
-    acc = np.zeros((c.shape[0], x.shape[0]), dtype=np.int64)
-    for step, k in enumerate(range(num_coeffs - 1, -1, -1), start=1):
-        acc *= x
-        acc += c[:, k : k + 1]
-        if step % s == 0:
-            acc %= q
-    if num_coeffs % s:
-        acc %= q
-    return acc
 
 
 def split_bit(t: int, q: int) -> int:
@@ -188,12 +150,12 @@ def build_recon_matrix(points, d: int, fp: FieldParams) -> np.ndarray:
     # Master polynomial P(x) = prod (x - p_k), in descending order: one step
     # per root, the product by x being the shift into the zero padding. A
     # step multiplies magnitudes by at most 1 + x_max, so, as in Horner's
-    # rule, reduction waits for the steps `_lazy_steps` allows; one step
+    # rule, reduction waits for the steps `lazy_steps` allows; one step
     # from reduced entries stays within (q-1)^2 in magnitude, so at least
     # one is always safe.
     desc = np.zeros(t + 1, dtype=np.int64)
     desc[0] = 1
-    steps = max(1, _lazy_steps(q, 1 + x_max, t))
+    steps = max(1, lazy_steps(q, 1 + x_max, t))
     for j, p in enumerate(pts, start=1):
         desc[1 : j + 1] -= p * desc[:j]
         if j % steps == 0:
@@ -204,7 +166,7 @@ def build_recon_matrix(points, d: int, fp: FieldParams) -> np.ndarray:
     # stored unreduced within the Horner bound and reduced once at the end.
     quot = np.empty((t, d), dtype=np.int64)
     carry = np.ones(t, dtype=np.int64)
-    steps = _lazy_steps(q, x_max, t)
+    steps = lazy_steps(q, x_max, t)
     for step, i in enumerate(range(t - 1, -1, -1), start=1):
         if i < d:
             quot[:, i] = carry

@@ -165,6 +165,7 @@ class Client:
     """
 
     def __init__(self, u: int, params: Params):
+        u = as_int(u, "client index")
         if not 1 <= u <= params.n:
             raise InvalidArgument(f"client index {u} outside [1, {params.n}]")
         self.u = u

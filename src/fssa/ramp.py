@@ -27,8 +27,8 @@ from .errors import InvalidArgument
 from .field import (
     FieldParams,
     build_recon_matrix,
+    lazy_steps,
     mod_matmul,
-    poly_eval_batch,
     reduce_points,
     split_bit,
 )
@@ -76,10 +76,16 @@ def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, val
     coefficients h are solved for: with f = s + x^d h, h takes the values
     (values - s(x_D)) * x_D^-d at x_D, where s(x_D) is one `mod_matmul`
     with the powers of x_D, and the inverse Vandermonde of x_D
-    (`build_recon_matrix`) turns those into h. Then Horner evaluates
+    (`build_recon_matrix`) turns those into h. Then Horner's rule evaluates
     [secrets | h] at `points`, which must not overlap `designated`. A point
     equal to 0 mod q is refused: the share there is the secret's first
     element in the clear.
+
+    Horner runs in place and reduces mod q only every s steps and once at
+    the end, with s = `lazy_steps`(q, X, t) at the largest share point X:
+    every coefficient is reduced (the secrets and values are checked, h comes
+    from `mod_matmul`) and so are the points, so s unreduced steps from an
+    accumulator below q stay under 2^63, and s >= 1 at every admitted q.
     """
     secrets = np.asarray(secrets)
     if secrets.ndim != 2 or secrets.shape[1] != rp.d:
@@ -108,7 +114,17 @@ def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, val
     # |values - s(x_D)| < q, so its product with an element fits int64.
     z = (values - s_at_d) * inv_xd_pow % q
     high = mod_matmul(z, build_recon_matrix(xd_list, rp.k, rp.fp).T, q)
-    return poly_eval_batch(np.concatenate([secrets, high], axis=1), xs, rp.fp)
+    coeffs = np.concatenate([secrets, high], axis=1)
+    s = lazy_steps(q, max(xs_list, default=0), rp.t)
+    acc = np.zeros((coeffs.shape[0], xs.shape[0]), dtype=np.int64)
+    for step, j in enumerate(range(rp.t - 1, -1, -1), start=1):
+        acc *= xs
+        acc += coeffs[:, j : j + 1]
+        if step % s == 0:
+            acc %= q
+    if rp.t % s:
+        acc %= q
+    return acc
 
 
 def _powers(xs: np.ndarray, count: int, q: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import csv
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fssa.bench
@@ -57,6 +58,25 @@ class TestSweepSpec:
         # Every seed of a run must be non-negative: numpy's SeedSequence refuses others.
         with pytest.raises(InvalidArgument, match="seed must be >= 0"):
             tiny_spec(seed_base=seed_base)
+
+    @pytest.mark.parametrize("field, value, what", [
+        ("iterations", 1.5, "iterations"),
+        ("iterations", True, "iterations"),
+        ("iterations", "2", "iterations"),
+        ("seed_base", "0", "seed"),
+        ("seed_base", 0.0, "seed"),
+        ("seed_base", False, "seed"),
+    ], ids=["iterations-float", "iterations-bool", "iterations-str", "seed-str", "seed-float",
+            "seed-bool"])
+    def test_non_integer_count_refused(self, field, value, what):
+        # Refused at construction, not later inside run_point or in the CSV.
+        with pytest.raises(InvalidArgument, match=f"{what} must be an integer"):
+            tiny_spec(**{field: value})
+
+    def test_numpy_integers_become_python_ints(self):
+        spec = tiny_spec(iterations=np.int64(2), seed_base=np.uint8(3))
+        assert (spec.iterations, spec.seed_base) == (2, 3)
+        assert type(spec.iterations) is int and type(spec.seed_base) is int
 
 
 class TestRunPoint:

@@ -13,7 +13,6 @@ from fssa.field import (
     build_recon_matrix,
     find_field_modulus,
     mod_matmul,
-    poly_eval_batch,
     split_bit,
 )
 
@@ -101,81 +100,6 @@ class TestPolyEval:
             x = rng.randrange(101)
             naive = sum(c * pow(x, i, 101) for i, c in enumerate(coeffs)) % 101
             assert poly_eval(coeffs, x, fp) == naive
-
-
-Q_MAX = 3037000493  # largest q with (q-1)^2 < 2^63
-
-
-def batch_matches_scalar(coeffs, xs, fp):
-    """poly_eval_batch agrees with poly_eval at every (polynomial, point)."""
-    out = poly_eval_batch(np.array(coeffs, dtype=np.int64), np.array(xs, dtype=np.int64), fp)
-    assert out.shape == (len(coeffs), len(xs))
-    return out.tolist() == [[poly_eval(row, x, fp) for x in xs] for row in coeffs]
-
-
-class TestPolyEvalBatch:
-    def test_largest_q_at_top_point(self):
-        # x = q-1 at the largest q leaves room for one step between reductions.
-        fp = FieldParams(Q_MAX)
-        rng = random.Random(1)
-        coeffs = [[Q_MAX - 1] * 9] + [[rng.randrange(Q_MAX) for _ in range(9)] for _ in range(4)]
-        assert batch_matches_scalar(coeffs, [Q_MAX - 1, Q_MAX - 2, 1, 0], fp)
-
-    def test_points_zero_and_one(self):
-        # max(xs) <= 1 never reaches 2^63: the step count is capped at t.
-        fp = FieldParams(Q_MAX)
-        rng = random.Random(2)
-        for t in (1, 2, 7, 40):
-            coeffs = [[rng.randrange(Q_MAX) for _ in range(t)] for _ in range(3)]
-            assert batch_matches_scalar(coeffs, [0, 1], fp)
-            assert batch_matches_scalar(coeffs, [0], fp)
-
-    def test_single_coefficient(self):
-        assert poly_eval_batch(np.array([[5], [0]]), np.array([0, 3, 10]), F11).tolist() == [
-            [5, 5, 5],
-            [0, 0, 0],
-        ]
-
-    def test_empty_points(self):
-        out = poly_eval_batch(np.array([[1, 2, 3], [4, 5, 6]]), np.array([], dtype=np.int64), F11)
-        assert out.shape == (2, 0)
-
-    def test_paper_scale(self):
-        # t = 350 at the n=500, B=2^16 modulus, over the roster 1..500.
-        fp = find_field_modulus(500, 2**16)
-        rng = random.Random(3)
-        coeffs = [[rng.randrange(fp.q) for _ in range(350)] for _ in range(3)]
-        coeffs.append([fp.q - 1] * 350)
-        assert batch_matches_scalar(coeffs, list(range(1, 501)), fp)
-
-    def test_no_coefficients_rejected(self):
-        with pytest.raises(InvalidArgument, match="2-D and nonempty"):
-            poly_eval_batch(np.zeros((2, 0), dtype=np.int64), np.array([1, 2]), F11)
-
-    @pytest.mark.parametrize("x", [-1, 11, 2**40])
-    def test_point_outside_field_rejected(self, x):
-        with pytest.raises(InvalidArgument, match="points"):
-            poly_eval_batch(np.array([[1, 2]]), np.array([1, x]), F11)
-
-    @pytest.mark.parametrize("c", [-1, 11])
-    def test_coefficient_outside_field_rejected(self, c):
-        with pytest.raises(InvalidArgument, match="coefficients"):
-            poly_eval_batch(np.array([[1, c]]), np.array([1, 2]), F11)
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_poly_eval_batch_property(data):
-    # Primes from 2 up to the largest admitted q, points weighted to the edges.
-    q = data.draw(st.integers(3, Q_MAX + 1).map(sympy.prevprime))
-    fp = FieldParams(q)
-    element = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
-    t = data.draw(st.integers(1, 40))
-    rows = data.draw(st.integers(1, 3))
-    row = st.lists(element, min_size=t, max_size=t)
-    coeffs = data.draw(st.lists(row, min_size=rows, max_size=rows))
-    xs = data.draw(st.lists(element, max_size=6))
-    assert batch_matches_scalar(coeffs, xs, fp)
 
 
 class TestReconMatrix:

@@ -305,6 +305,22 @@ class TestClientAborts:
         with pytest.raises(InvalidArgument, match=r"client index .* outside \[1, 4\]"):
             Client(u, p)
 
+    @pytest.mark.parametrize(
+        "u", ["1", True, np.bool_(True), 1.0, 2.5, None],
+        ids=["str", "bool", "np-bool", "float", "fraction", "None"],
+    )
+    def test_non_integer_index_refused(self, u):
+        # A bool would go on the wire as index 1, a float would construct and
+        # then fail to encode its hello: both are refused at construction.
+        p = plan_parameters(4, 2, B=16, rho=0.25)
+        with pytest.raises(InvalidArgument, match="client index must be an integer"):
+            Client(u, p)
+
+    def test_numpy_integer_index_is_a_python_int(self):
+        client = Client(np.int64(2), plan_parameters(4, 2, B=16, rho=0.25))
+        assert type(client.u) is int and client.u == 2
+        assert client.round0(random.Random(1)).u == 2
+
     def test_input_of_wrong_length_refused(self):
         p, rng, clients, _, broadcast = self._setup()
         with pytest.raises(InvalidArgument, match="input vector length 3 != m = 2"):

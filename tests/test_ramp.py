@@ -3,11 +3,17 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fssa.errors import InvalidArgument
-from fssa.field import FieldParams, build_recon_matrix, find_field_modulus
+from fssa.field import (
+    FieldParams,
+    build_recon_matrix,
+    find_field_modulus,
+    lazy_steps,
+)
 from fssa.protocol import chunk_vector
 from fssa.ramp import RampParams, rss_share_batch
 
@@ -169,6 +175,79 @@ class TestShare:
             assert coeffs[: rp.d] == secrets[i].tolist()
             assert [poly_eval(coeffs, p, fp) for p in points] == mat[i].tolist()
             assert [poly_eval(coeffs, p, fp) for p in designated] == values[i].tolist()
+
+
+Q_MAX = 3037000493  # largest q with (q-1)^2 < 2^63
+
+
+def shares_match_pinned(rp, polys, points, designated):
+    """rss_share_batch on polynomials pinned through their designated values
+    evaluates each one exactly at every share point."""
+    fp = rp.fp
+    values = [[poly_eval(poly, x, fp) for x in designated] for poly in polys]
+    secrets = np.array([poly[: rp.d] for poly in polys], dtype=np.int64)
+    mat = rss_share_batch(rp, secrets, points, designated, values)
+    return mat.tolist() == [[poly_eval(poly, x, fp) for x in points] for poly in polys]
+
+
+class TestLazyHorner:
+    """Horner's overflow bound: s unreduced steps from a reduced accumulator
+    stay below 2^63 at every (t, q) that RampParams admits."""
+
+    def test_largest_q_at_top_points(self):
+        # Points q-1 and q-2 at the largest q leave room for one step between
+        # reductions, and t = 15 is the largest t the kernel admits there.
+        rp = RampParams(t=15, d=8, n=15, fp=FieldParams(Q_MAX))
+        rng = random.Random(1)
+        polys = [[Q_MAX - 1] * 15] + [[rng.randrange(Q_MAX) for _ in range(15)] for _ in range(4)]
+        assert lazy_steps(Q_MAX, Q_MAX - 1, rp.t) == 1
+        assert shares_match_pinned(rp, polys, [Q_MAX - 1, Q_MAX - 2, 1, 2], list(range(3, 10)))
+
+    def test_paper_scale(self):
+        # t = 350, d = 200 at the n=500, B=2^16 modulus: 150 designated points
+        # and the rest of the roster 1..500 as share points.
+        fp = find_field_modulus(500, 2**16)
+        rp = RampParams(t=350, d=200, n=500, fp=fp)
+        rng = random.Random(3)
+        polys = [[rng.randrange(fp.q) for _ in range(350)] for _ in range(3)]
+        polys.append([fp.q - 1] * 350)
+        designated = rng.sample(range(1, 501), rp.k)
+        points = [p for p in range(1, 501) if p not in designated]
+        assert shares_match_pinned(rp, polys, points, designated)
+
+    def test_steps_capped_at_points_up_to_one(self):
+        # At points <= 1 the bound never reaches 2^63: the count is capped at t.
+        for t in (1, 2, 7, 15):
+            assert lazy_steps(Q_MAX, 1, t) == lazy_steps(Q_MAX, 0, t) == t
+        rp = RampParams(t=15, d=8, n=15, fp=FieldParams(Q_MAX))
+        rng = random.Random(2)
+        polys = [[rng.randrange(Q_MAX) for _ in range(15)] for _ in range(3)]
+        assert shares_match_pinned(rp, polys, [1], list(range(Q_MAX - 7, Q_MAX)))
+
+
+def admitted_t_max(q: int) -> int:
+    """The largest t (at most 40) that RampParams admits at q: t <= q-1 and
+    an inner length the exact kernel serves."""
+    qb = (q - 1).bit_length()
+    return min(q - 1, 40, (1 << ((104 - 3 * qb) // 2)) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lazy_horner_property(data):
+    # Primes from 3 up to the largest admitted q, with every admitted t, and
+    # points and coefficients weighted to the edges of the field.
+    q = data.draw(st.integers(4, Q_MAX + 1).map(sympy.prevprime))
+    t = data.draw(st.integers(2, admitted_t_max(q)))
+    d = data.draw(st.integers(1, t - 1))
+    rp = RampParams(t=t, d=d, n=t, fp=FieldParams(q))
+    element = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    point = st.one_of(st.sampled_from([1, 2, q - 1, q - 2]), st.integers(1, q - 1))
+    count = data.draw(st.integers(rp.k + 1, min(rp.k + 6, q - 1)))
+    pts = data.draw(st.lists(point, min_size=count, max_size=count, unique=True))
+    row = st.lists(element, min_size=t, max_size=t)
+    polys = data.draw(st.lists(row, min_size=1, max_size=3))
+    assert shares_match_pinned(rp, polys, pts[rp.k :], pts[: rp.k])
 
 
 class TestRecon:
