@@ -27,6 +27,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import InvalidArgument, Rejected
+from .field import reduce_mod
 
 NONCE_LEN = 12
 TAG_LEN = 16
@@ -99,10 +100,10 @@ def derive_elems(streams, count: int, q: int) -> np.ndarray:
             raise InvalidArgument("key must be 32 bytes")
         keys.append(hashlib.sha256(_PRG_LABEL + ad + key).digest())
     blob = b"".join(_keystream(k, _WORD * count) for k in keys)
-    words = np.frombuffer(blob, dtype="<u8").reshape(len(keys), count)
+    # A writable copy of the read-only buffer, reduced in place.
+    words = np.frombuffer(blob, dtype="<u8").reshape(len(keys), count).copy()
     if words.max(initial=0) >= limit:
-        words = words.copy()
         for i in np.flatnonzero((words >= limit).any(axis=1)):
             words[i] = _accepted_words(keys[i], count, limit)
     # Every element is below q < 2^63, so the int64 view is exact.
-    return (words % np.uint64(q)).view(np.int64)
+    return reduce_mod(words, q).view(np.int64)

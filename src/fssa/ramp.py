@@ -29,6 +29,7 @@ from .field import (
     build_recon_matrix,
     lazy_steps,
     mod_matmul,
+    reduce_mod,
     reduce_points,
     split_bit,
 )
@@ -81,9 +82,12 @@ def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, val
     equal to 0 mod q is refused: the share there is the secret's first
     element in the clear.
 
-    Horner runs in place and reduces mod q only every s steps and once at
-    the end, with s = `lazy_steps`(q, X, t) at the largest share point X:
-    every coefficient is reduced (the secrets and values are checked, h comes
+    Horner runs in place on a (points, secrets) accumulator, so each step
+    is one long vector operation per point, and the result is its
+    transposed view. The first of its t steps loads c_{t-1}; it reduces with
+    `reduce_mod` only every s steps and once at the end, with
+    s = `lazy_steps`(q, X, t) at the largest share point X: every
+    coefficient is reduced (the secrets and values are checked, h comes
     from `mod_matmul`) and so are the points, so s unreduced steps from an
     accumulator below q stay under 2^63, and s >= 1 at every admitted q.
     """
@@ -99,7 +103,7 @@ def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, val
         raise InvalidArgument("share points must be nonzero mod q")
     if not set(xd_list).isdisjoint(xs_list):
         raise InvalidArgument("share points must not overlap the designated points")
-    xs = np.array(xs_list, dtype=np.int64)
+    xs = np.array(xs_list, dtype=np.int64)[:, None]  # one point per accumulator row
     xd = np.array(xd_list, dtype=np.int64)
     values = np.asarray(values, dtype=np.int64)
     if values.shape != (secrets.shape[0], rp.k):
@@ -112,19 +116,25 @@ def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, val
     s_at_d = mod_matmul(secrets, _powers(xd, rp.d, q).T, q)
     inv_xd_pow = np.array([pow(x, -rp.d, q) for x in xd_list], dtype=np.int64)
     # |values - s(x_D)| < q, so its product with an element fits int64.
-    z = (values - s_at_d) * inv_xd_pow % q
+    z = reduce_mod((values - s_at_d) * inv_xd_pow, q)
     high = mod_matmul(z, build_recon_matrix(xd_list, rp.k, rp.fp).T, q)
-    coeffs = np.concatenate([secrets, high], axis=1)
+    # Row j holds coefficient j of every secret, contiguous, so each Horner
+    # step adds one contiguous row (np.concatenate of the transposes would
+    # keep them column-major).
+    coeffs = np.empty((rp.t, secrets.shape[0]), dtype=np.int64)
+    coeffs[: rp.d] = secrets.T
+    coeffs[rp.d :] = high.T
     s = lazy_steps(q, max(xs_list, default=0), rp.t)
-    acc = np.zeros((coeffs.shape[0], xs.shape[0]), dtype=np.int64)
-    for step, j in enumerate(range(rp.t - 1, -1, -1), start=1):
+    acc = np.empty((xs.shape[0], coeffs.shape[1]), dtype=np.int64)
+    acc[:] = coeffs[-1]
+    for step, j in enumerate(range(rp.t - 2, -1, -1), start=2):
         acc *= xs
-        acc += coeffs[:, j : j + 1]
+        acc += coeffs[j]
         if step % s == 0:
-            acc %= q
+            reduce_mod(acc, q)
     if rp.t % s:
-        acc %= q
-    return acc
+        reduce_mod(acc, q)
+    return acc.T
 
 
 def _powers(xs: np.ndarray, count: int, q: int) -> np.ndarray:

@@ -18,6 +18,8 @@ from fssa.ramp import rss_share_batch
 
 _ENUMERATION_CAP = 10**6
 
+Q_MAX = 3037000493  # largest q with (q-1)^2 < 2^63: the top of the field's range
+
 
 def all_points(rp) -> tuple:
     """The evaluation points 1..n of a `RampParams`, one per party."""

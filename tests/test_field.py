@@ -13,10 +13,11 @@ from fssa.field import (
     build_recon_matrix,
     find_field_modulus,
     mod_matmul,
+    reduce_mod,
     split_bit,
 )
 
-from _oracles import apply, poly_eval, python_recon_matrix
+from _oracles import Q_MAX, apply, poly_eval, python_recon_matrix
 
 F11 = FieldParams(11)
 
@@ -287,3 +288,42 @@ def test_recon_matrix_property(q, data):
     coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=t, max_size=t))
     shares = [poly_eval(coeffs, p, fp) for p in points]
     assert apply(build_recon_matrix(points, d, fp), shares, q) == coeffs[:d]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reduce_mod_property(data):
+    # Primes from 2 up to the largest admitted q. int64 entries at the edges
+    # of [0, 2^63), and negative ones down to -2^63, as the sender's solve
+    # reduces (values - s(x_D)) * x_D^-d; uint64 entries up to 2^64 - 1, as
+    # the keystream words are. The array is contiguous, a transposed view or
+    # a strided view of a larger array.
+    q = data.draw(st.integers(3, Q_MAX + 1).map(sympy.prevprime))
+    dtype = data.draw(st.sampled_from([np.int64, np.uint64]))
+    lo, hi = (-(2**63), 2**63 - 1) if dtype is np.int64 else (0, 2**64 - 1)
+    edges = [0, 1, q - 1, q, q + 1, 2**63 - 1]
+    if dtype is np.int64:
+        edges += [-1, -(q - 1), -q, -(q - 1) ** 2, -(2**63)]
+    else:
+        edges += [2**64 - 1, (2**64 // q) * q - 1]
+    element = st.one_of(st.sampled_from(edges), st.integers(lo, hi))
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    entries = data.draw(st.lists(element, min_size=rows * cols, max_size=rows * cols))
+    layout = data.draw(st.sampled_from(["contiguous", "transposed", "strided"]))
+    want = np.array(entries, dtype=dtype).reshape(rows, cols)
+    if layout == "contiguous":
+        a = want.copy()
+    elif layout == "transposed":
+        a = np.ascontiguousarray(want.T).T
+    else:
+        base = np.full((2 * rows, 3 * cols), 7, dtype=dtype)
+        a = base[1::2, ::3]
+        a[...] = want
+    expected = np.remainder(want, dtype(q))
+    assert reduce_mod(a, q) is a
+    assert a.dtype == dtype and np.array_equal(a, expected)
+    if layout == "strided":
+        # Entries outside the view are left as they were.
+        untouched = np.ones(base.shape, dtype=bool)
+        untouched[1::2, ::3] = False
+        assert (base[untouched] == 7).all()

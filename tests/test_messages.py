@@ -124,6 +124,17 @@ class TestRoundtrip:
                 assert blob == encode_elems(col, F257)
             assert decode_share_plaintext(blobs, count, F257).tolist() == shares.T.tolist()
 
+    def test_share_plaintext_layout_independent(self):
+        # rss_share_batch returns the transposed view of a (points, chunks)
+        # block; the encoder reads it as the same (chunks, points) matrix.
+        fp = FieldParams(3276773)
+        block = np.random.default_rng(3).integers(0, fp.q, size=(35, 512))
+        view = block.T
+        assert not view.flags.c_contiguous
+        contiguous = np.ascontiguousarray(view)
+        assert encode_share_plaintext(view, fp) == encode_share_plaintext(contiguous, fp)
+        assert len(encode_share_plaintext(view, fp)) == 35
+
 
 class TestValidation:
     def test_unknown_tag(self):

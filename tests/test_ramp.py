@@ -18,6 +18,7 @@ from fssa.protocol import chunk_vector
 from fssa.ramp import RampParams, rss_share_batch
 
 from _oracles import (
+    Q_MAX,
     all_points,
     apply,
     naive_aggregate_oracle,
@@ -177,9 +178,6 @@ class TestShare:
             assert [poly_eval(coeffs, p, fp) for p in designated] == values[i].tolist()
 
 
-Q_MAX = 3037000493  # largest q with (q-1)^2 < 2^63
-
-
 def shares_match_pinned(rp, polys, points, designated):
     """rss_share_batch on polynomials pinned through their designated values
     evaluates each one exactly at every share point."""
@@ -192,7 +190,28 @@ def shares_match_pinned(rp, polys, points, designated):
 
 class TestLazyHorner:
     """Horner's overflow bound: s unreduced steps from a reduced accumulator
-    stay below 2^63 at every (t, q) that RampParams admits."""
+    stay below 2^63 at every (t, q) that RampParams admits.
+
+    The accumulator is point-major, (points, secrets), and the result its
+    transposed view. Its first step loads c_{t-1} and the bound still counts
+    it, so the reductions fall at steps s, 2s, ... of t, as with a step from
+    zero.
+    """
+
+    def test_chunks_far_outnumber_points(self):
+        # The wide-n50-m100k plan (t=35, d=20, 15 designated, 35 share points
+        # at q = 3276773) over 512 chunks: the accumulator is 35 x 512, and
+        # lazy_steps = 7 divides t, so the last reduction is inside the loop.
+        fp = find_field_modulus(50, 2**16)
+        rp = RampParams(t=35, d=20, n=50, fp=fp)
+        rng = random.Random(11)
+        polys = [[fp.q - 1] * rp.t] + [
+            [rng.randrange(fp.q) for _ in range(rp.t)] for _ in range(511)
+        ]
+        designated = list(range(1, 16))
+        points = list(range(16, 51))
+        assert fp.q == 3276773 and lazy_steps(fp.q, 50, rp.t) == 7
+        assert shares_match_pinned(rp, polys, points, designated)
 
     def test_largest_q_at_top_points(self):
         # Points q-1 and q-2 at the largest q leave room for one step between
