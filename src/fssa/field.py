@@ -2,7 +2,7 @@
 matrices as plain (d, t) int64 arrays.
 
 One modulus range is supported: a prime q with (q-1)^2 < 2^63, so that
-every element fits 4 bytes and every elementwise product fits int64.
+every element fits 32 bits and every elementwise product fits int64.
 `FieldParams` refuses any other q. Primality is decided by trial division,
 exact for every n and a few milliseconds at most in this range. Data are
 numpy int64 arrays of elements reduced into [0, q).
@@ -39,10 +39,14 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldParams:
-    """A prime modulus q with (q-1)^2 < 2^63, and the byte width of one element."""
+    """A prime modulus q with (q-1)^2 < 2^63, and the bit width of one element.
+
+    `bit_width` is bits(q-1), at most 32 in this range: the bits one element
+    takes on the wire.
+    """
 
     q: int
-    byte_width: int = field(init=False)
+    bit_width: int = field(init=False)
 
     def __post_init__(self):
         if self.q < 2:
@@ -50,7 +54,7 @@ class FieldParams:
         _check_modulus_range(self.q)
         if not _is_prime(self.q):
             raise InvalidArgument(f"modulus {self.q} is not prime")
-        object.__setattr__(self, "byte_width", (self.q.bit_length() + 7) // 8)
+        object.__setattr__(self, "bit_width", (self.q - 1).bit_length())
 
 
 def lazy_steps(q: int, x_max: int, num_coeffs: int) -> int:

@@ -2,19 +2,28 @@
 
 Layout: 1 tag byte, then fixed-layout fields. Integers are 4-byte
 little-endian (u32); a public key carries a u32 length prefix; field elements
-use the field's fixed byte width, little-endian. Every modulus FieldParams
-admits is below 2^32, so an element takes at most 4 bytes and decodes into
-int64.
+travel bit-packed in element blocks. Every modulus FieldParams admits is
+below 2^32, so an element takes at most 32 bits and decodes into int64.
 
 The key roster, an upload's ciphertexts and a delivery's ciphertexts share
 one list layout: a u32 count, then per entry a u32 client index, a u32 length
 and that many bytes. The indices of one list must be distinct.
 
-Elements travel in element blocks, fixed-width elements back to back. A
-SumShares body is one block, and so is a share plaintext, the AEAD plaintext
-that carries a sender's chunk shares to one recipient. Every block goes
-through one packer (`encode_elems`) and one unpacker (`decode_elems`, which
-Round 2 calls as `decode_share_plaintext`).
+An element block packs its elements LSB-first at b = bits(q-1) bits each
+(`FieldParams.bit_width`): bit j of element i is stream bit i*b + j, and
+stream bit p is bit p % 8 of byte p // 8. A block of count elements takes
+ceil(count*b / 8) bytes (`block_size`), and its pad bits above count*b are
+zero. At q = 257 (b = 9), (256, 3) sets stream bits 8, 9 and 10 and packs
+to 00 07 00; at q = 11 (b = 4), (9, 3) packs to 39. When b is a multiple of
+8 the block is the elements as b/8-byte little-endian integers back to back.
+
+A SumShares body is one block, and so is a share plaintext, the AEAD
+plaintext that carries a sender's chunk shares to one recipient. Every
+block goes through one packer (`encode_elems`) and one unpacker
+(`decode_elems`, which Round 2 calls as `decode_share_plaintext`). The
+unpacker refuses a block of the wrong length, one with a nonzero pad bit,
+so that each block has exactly one encoding, and one holding an element
+>= q, which b bits can hold.
 """
 
 from __future__ import annotations
@@ -182,46 +191,112 @@ def deserialize(data: bytes, fp: FieldParams):
         msg = ShareDelivery(ciphertexts=_read_list(r, "ShareDelivery"))
     elif tag == TAG_SUM_SHARES:
         u, count = r.u32(), r.u32()
-        msg = SumShares(u=u, sums=decode_elems([r.take(count * fp.byte_width)], count, fp)[0])
+        msg = SumShares(u=u, sums=decode_elems([r.take(block_size(count, fp))], count, fp)[0])
     else:
         raise InvalidArgument(f"unknown message tag {tag}")
     r.done()
     return msg
 
 
+def block_size(count: int, fp: FieldParams) -> int:
+    """The bytes of an element block of `count` elements: ceil(count * bit_width / 8)."""
+    return (count * fp.bit_width + 7) // 8
+
+
 def encode_elems(values, fp: FieldParams) -> bytes:
-    """The packer: elements in [0, q) as one fixed-width little-endian block, vectorized."""
+    """The packer: elements in [0, q) as bit-packed blocks, vectorized.
+
+    A 1-d `values` is one block; each row of a 2-d one is a block of its
+    own, and the blocks are returned back to back. Eight elements fill b
+    bytes, so each group of 8 is built as ceil(b / 8) little-endian u64
+    words, each word a few shifts and ORs of strided columns, and the first
+    b bytes of each group's words are the packed group.
+    """
     a = np.asarray(values, dtype=np.int64)
-    # Truncating to byte_width bytes would send another value than the one given.
-    if a.size and (a.min() < 0 or a.max() >= fp.q):
+    if a.ndim == 1:
+        a = a[None]
+    # A negative entry reads as >= 2^63 here; packing it, or any value >= q,
+    # would send another element than the one given.
+    u = a.view(np.uint64)
+    if u.size and u.max() >= fp.q:
         raise InvalidArgument(f"field element outside [0, {fp.q})")
-    a = np.ascontiguousarray(a, dtype="<u8")
-    return a.view(np.uint8).reshape(-1, 8)[:, : fp.byte_width].tobytes()
+    k, count = u.shape
+    b = fp.bit_width
+    size = block_size(count, fp)
+    if not k or not size:
+        return b""
+    groups = -(-count // 8)
+    if count % 8:
+        padded = np.zeros((k, groups * 8), dtype=np.uint64)
+        padded[:, :count] = u
+        u = padded
+    nwords = -(-b // 8)
+    words = np.empty((k, groups, nwords), dtype="<u8")
+    part = np.empty((k, groups), dtype=np.uint64)
+    for w in range(nwords):
+        word = words[:, :, w]
+        first = True
+        for r in range(8):
+            # Element r of a group starts at bit r*b - 64w of word w.
+            shift = r * b - 64 * w
+            if shift >= 64 or shift + b <= 0:
+                continue
+            out = word if first else part
+            if shift >= 0:
+                np.left_shift(u[:, r::8], np.uint64(shift), out=out)
+            else:
+                np.right_shift(u[:, r::8], np.uint64(-shift), out=out)
+            if not first:
+                np.bitwise_or(word, part, out=word)
+            first = False
+    packed = words.view(np.uint8).reshape(k, groups, 8 * nwords)[:, :, :b]
+    if size < groups * b:
+        # The last group runs past the block; what it holds there is zero.
+        packed = packed.reshape(k, groups * b)[:, :size]
+    return packed.tobytes()
 
 
 def decode_elems(blocks, count: int, fp: FieldParams) -> np.ndarray:
     """The unpacker: k blocks of `count` elements each as one (k, count) int64 array.
 
-    A block of the wrong length or holding an element >= q raises
-    MalformedPlaintext with its position.
+    A block of the wrong length, with a nonzero pad bit or holding an
+    element >= q raises MalformedPlaintext with its position. Element i
+    starts at stream bit i*b, so the little-endian u64 at byte i*b // 8 of
+    its block holds it from bit i*b % 8 (at most 7 + 32 bits): one gather
+    from a view with a u64 at every byte, one shift and one mask. Seven
+    zero bytes after the last block keep every load inside the buffer;
+    what a load reads past its block is masked off.
     """
-    bw = fp.byte_width
+    b = fp.bit_width
+    size = block_size(count, fp)
     for i, block in enumerate(blocks):
-        if len(block) != count * bw:
+        if len(block) != size:
             raise MalformedPlaintext(i, "element block has wrong length")
     k = len(blocks)
-    padded = np.zeros((k * count, 8), dtype=np.uint8)
-    padded[:, :bw] = np.frombuffer(b"".join(blocks), dtype=np.uint8).reshape(-1, bw)
-    vals = padded.reshape(-1).view("<u8").reshape(k, count)
-    bad = np.flatnonzero(vals.max(axis=1, initial=0) >= fp.q)
+    if not k or not size:
+        return np.zeros((k, count), dtype=np.int64)
+    data = b"".join([*blocks, bytes(7)])
+    pad = 8 * size - count * b
+    if pad:
+        last = np.frombuffer(data, dtype=np.uint8, count=k * size)[size - 1 :: size]
+        bad = np.flatnonzero(last >> (8 - pad))
+        if bad.size:
+            raise MalformedPlaintext(int(bad[0]), "element block has nonzero pad bits")
+    loads = np.ndarray((k, size), dtype="<u8", buffer=data, strides=(size, 1))
+    bit = np.arange(count, dtype=np.uint64) * np.uint64(b)
+    vals = loads[:, bit >> np.uint64(3)]
+    vals >>= bit & np.uint64(7)
+    vals &= np.uint64((1 << b) - 1)
+    bad = np.flatnonzero(vals.max(axis=1) >= fp.q)
     if bad.size:
         raise MalformedPlaintext(int(bad[0]), "element encoding out of range")
-    return vals.astype(np.int64)
+    return vals.view("<i8")
 
 
 # A share plaintext holds the sender's chunk shares for one recipient and
-# nothing else, chunk_count * byte_width bytes. The AEAD binds its direction:
-# it is sealed with share_ad(sender, recipient) as associated data.
+# nothing else, one block of block_size(chunk_count) bytes. The AEAD binds
+# its direction: it is sealed with share_ad(sender, recipient) as
+# associated data.
 
 def share_ad(sender: int, recipient: int) -> bytes:
     """The associated data of a share ciphertext: sender and recipient as u32s."""
@@ -233,7 +308,7 @@ def encode_share_plaintext(shares, fp: FieldParams) -> list[bytes]:
     shares = np.asarray(shares)
     count, k = shares.shape
     flat = encode_elems(shares.T, fp)
-    size = count * fp.byte_width
+    size = block_size(count, fp)
     return [flat[i * size : (i + 1) * size] for i in range(k)]
 
 

@@ -110,7 +110,7 @@ def rss_share_batch(rp: RampParams, secrets: np.ndarray, points, designated, val
         raise InvalidArgument(f"values must be a ({secrets.shape[0]}, {rp.k}) array")
     if values.min(initial=0) < 0 or values.max(initial=0) >= q:
         raise InvalidArgument(f"designated values must lie in [0, {q})")
-    secrets = secrets.astype(np.int64)
+    secrets = secrets.astype(np.int64, copy=False)
     if secrets.min(initial=0) < 0 or secrets.max(initial=0) >= q:
         raise InvalidArgument(f"secrets must lie in [0, {q})")
     s_at_d = mod_matmul(secrets, _powers(xd, rp.d, q).T, q)

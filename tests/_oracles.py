@@ -37,6 +37,19 @@ def poly_eval(coeffs, x: int, fp) -> int:
     return acc
 
 
+def pack_bits(values, b: int) -> bytes:
+    """An element block from first principles: one int whose bits i*b to
+    i*b + b - 1 hold element i, written little-endian in ceil(len * b / 8) bytes.
+
+    Any value below 2^b is packed, q or more included, so a test can build a
+    block the package's packer refuses to write.
+    """
+    values = [int(v) for v in values]
+    assert all(0 <= v < 1 << b for v in values), f"value outside {b} bits"
+    bits = "".join(format(v, f"0{b}b") for v in reversed(values))
+    return int(bits or "0", 2).to_bytes((len(values) * b + 7) // 8, "little")
+
+
 def textbook_shamir_recon(shares, q):
     """Independent reference reconstruction (Lagrange at zero)."""
     pts = list(shares)

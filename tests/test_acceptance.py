@@ -252,7 +252,7 @@ def test_criterion_8_wire_format_goldens():
          b"\x02\x01\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\x01\x00\x00\x00\xcc"),
         (ShareDelivery(ciphertexts=((7, b"\xee"),)),
          b"\x03\x01\x00\x00\x00\x07\x00\x00\x00\x01\x00\x00\x00\xee"),
-        (SumShares(u=2, sums=(9, 3)), b"\x04\x02\x00\x00\x00\x02\x00\x00\x00\x09\x03"),
+        (SumShares(u=2, sums=(9, 3)), b"\x04\x02\x00\x00\x00\x02\x00\x00\x00\x39"),
     ]
     golden_ok = all(serialize(msg, F11) == blob for msg, blob in goldens)
 

@@ -45,11 +45,14 @@ def interpolate_coeffs(points, values, q):
 
 
 class TestFieldParams:
-    def test_byte_width(self):
-        assert FieldParams(11).byte_width == 1
-        assert FieldParams(257).byte_width == 2
-        assert FieldParams(33554467).byte_width == 4  # ~2^25
-        assert FieldParams(3037000493).byte_width == 4  # largest q with (q-1)^2 < 2^63
+    def test_bit_width(self):
+        # bits(q-1): the bits one element takes on the wire.
+        assert FieldParams(2).bit_width == 1
+        assert FieldParams(11).bit_width == 4
+        assert FieldParams(257).bit_width == 9  # q - 1 = 2^8
+        assert FieldParams(13107007).bit_width == 24
+        assert FieldParams(33554467).bit_width == 26  # just above 2^25
+        assert FieldParams(3037000493).bit_width == 32  # largest q with (q-1)^2 < 2^63
 
     def test_rejects_composite(self):
         with pytest.raises(InvalidArgument):

@@ -2,6 +2,9 @@ import random
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fssa.errors import InvalidArgument, MalformedPlaintext
 from fssa.field import FieldParams
@@ -11,6 +14,7 @@ from fssa.messages import (
     ShareDelivery,
     ShareUpload,
     SumShares,
+    block_size,
     decode_elems,
     decode_share_plaintext,
     deserialize,
@@ -19,6 +23,8 @@ from fssa.messages import (
     serialize,
     share_ad,
 )
+
+from _oracles import Q_MAX, pack_bits
 
 F257 = FieldParams(257)
 F11 = FieldParams(11)
@@ -51,14 +57,27 @@ class TestGoldenBytes:
         assert blob == b"\x03\x01\x00\x00\x00\x07\x00\x00\x00\x01\x00\x00\x00\xee"
 
     def test_sum_shares(self):
-        # field elements are fixed-width little-endian: 256 -> 00 01 at width 2
+        # Elements packed LSB-first at 9 bits: 256 sets stream bit 8 and 3
+        # stream bits 9 and 10, so 18 bits -> 00 07 00.
         blob = serialize(SumShares(u=2, sums=(256, 3)), F257)
-        assert blob == b"\x04\x02\x00\x00\x00\x02\x00\x00\x00\x00\x01\x03\x00"
+        assert blob == b"\x04\x02\x00\x00\x00\x02\x00\x00\x00\x00\x07\x00"
+
+    def test_sum_shares_24_bit(self):
+        # At a 24-bit q the packing is the elements as 3-byte little-endian
+        # integers back to back.
+        fp = FieldParams(13107007)
+        assert fp.bit_width == 24
+        sums = (0x123456, 1, fp.q - 1)
+        blob = serialize(SumShares(u=2, sums=sums), fp)
+        body = b"\x56\x34\x12\x01\x00\x00\x3e\xff\xc7"
+        assert body == b"".join(v.to_bytes(3, "little") for v in sums)
+        assert blob == b"\x04\x02\x00\x00\x00\x03\x00\x00\x00" + body
 
     def test_share_plaintext(self):
         # The chunk shares alone; sender and recipient travel as AEAD data.
-        assert encode_share_plaintext([[10], [0]], F11) == [b"\x0a\x00"]
-        assert decode_share_plaintext([b"\x0a\x00"], 2, F11).tolist() == [[10, 0]]
+        # Two 4-bit elements fill one byte.
+        assert encode_share_plaintext([[10], [0]], F11) == [b"\x0a"]
+        assert decode_share_plaintext([b"\x0a"], 2, F11).tolist() == [[10, 0]]
 
     def test_share_ad(self):
         assert share_ad(1, 2) == b"\x01\0\0\0\x02\0\0\0"
@@ -120,7 +139,7 @@ class TestRoundtrip:
             blobs = encode_share_plaintext(shares, F257)
             assert len(blobs) == k
             for col, blob in zip(shares.T, blobs):
-                assert len(blob) == count * F257.byte_width
+                assert len(blob) == (count * 9 + 7) // 8
                 assert blob == encode_elems(col, F257)
             assert decode_share_plaintext(blobs, count, F257).tolist() == shares.T.tolist()
 
@@ -206,13 +225,13 @@ class TestValidation:
             with pytest.raises(InvalidArgument, match="wrong length"):
                 decode_share_plaintext([bad], 2, F11)
         with pytest.raises(InvalidArgument, match="out of range"):
-            decode_share_plaintext([b"\x0a\x0b"], 2, F11)  # 11 >= q
+            decode_share_plaintext([b"\x0b"], 2, F11)  # 11 >= q
 
     def test_share_plaintexts_name_the_bad_one(self):
         good = encode_elems([10, 0], F11)
         assert decode_share_plaintext([], 2, F11).shape == (0, 2)
         for bad, why in ((good[:-1], "wrong length"), (good + b"\x00", "wrong length"),
-                         (b"\x0a\x0b", "out of range")):
+                         (b"\x0b", "out of range")):
             with pytest.raises(MalformedPlaintext, match=why) as caught:
                 decode_share_plaintext([good, good, bad, good], 2, F11)
             assert caught.value.index == 2
@@ -224,7 +243,7 @@ class TestValidation:
         assert SumShares(u=1, sums=[]).sums.dtype == np.int64
 
     def test_encode_refuses_element_outside_field(self):
-        # At width 1, 261 = 256 + 5 and an int64 -251 would both go out as 5.
+        # At 4 bits, 261 = 256 + 5 and an int64 -251 would both go out as 5.
         for sums in ([261, 3], np.array([-251, 3], dtype=np.int64), [11, 3], [-1, 3]):
             with pytest.raises(InvalidArgument, match=r"outside \[0, 11\)"):
                 serialize(SumShares(u=1, sums=sums), F11)
@@ -246,7 +265,7 @@ class TestElementBlocks:
             fp = FieldParams(q)
             vals = [rng.randrange(q) for _ in range(100)] + [0, q - 1]
             blob = encode_elems(vals, fp)
-            assert len(blob) == len(vals) * fp.byte_width
+            assert len(blob) == (len(vals) * fp.bit_width + 7) // 8
             assert decode_elems([blob], len(vals), fp).tolist() == [vals]
 
     def test_empty(self):
@@ -256,4 +275,79 @@ class TestElementBlocks:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidArgument):
-            decode_elems([b"\x01\x02"], 3, F11)
+            decode_elems([b"\x01\x02"], 5, F11)  # 20 bits take 3 bytes
+
+
+# One prime per bit width b = bits(q-1) from 1 to 32, the field's top q, the
+# primes at byte boundaries, and the q of each perfbench workload (wide,
+# churn and cohort: n = 50, 100 and 200 at B = 2^16).
+_WIDTH_PRIMES = [2] + [sympy.nextprime(2 ** (b - 1)) for b in range(2, 33)]
+_PACK_PRIMES = sorted({*_WIDTH_PRIMES, 11, 257, 65537, 3276773, 6553511, 13107007, Q_MAX})
+
+
+def _layout(a: np.ndarray, layout: str) -> np.ndarray:
+    """The same (rows, count) matrix as a C-contiguous, transposed or strided array."""
+    if layout == "transposed":
+        return np.ascontiguousarray(a.T).T
+    if layout == "strided":
+        big = np.zeros((2 * a.shape[0], 3 * a.shape[1]), dtype=a.dtype)
+        big[::2, ::3] = a
+        return big[::2, ::3]
+    return np.ascontiguousarray(a)
+
+
+class TestBitPacking:
+    def test_prime_per_bit_width(self):
+        assert [FieldParams(q).bit_width for q in _WIDTH_PRIMES] == list(range(1, 33))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(q=st.sampled_from(_PACK_PRIMES), count=st.sampled_from([0, 1, 7, 8, 9, 5000]),
+           rows=st.integers(1, 3), layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_oracle_and_inverts(self, q, count, rows, layout, seed):
+        fp = FieldParams(q)
+        a = np.random.default_rng(seed).integers(0, q, size=(rows, count), dtype=np.int64)
+        if count:
+            a[0, 0], a[-1, -1] = q - 1, 0
+        view = _layout(a, layout)
+        blocks = [pack_bits(row, fp.bit_width) for row in a]
+        assert all(len(blk) == block_size(count, fp) for blk in blocks)
+        assert encode_elems(view, fp) == b"".join(blocks)
+        assert encode_share_plaintext(view.T, fp) == blocks
+        assert encode_elems(view[0], fp) == blocks[0]
+        decoded = decode_elems(blocks, count, fp)
+        assert decoded.dtype == np.int64
+        assert np.array_equal(decoded, a)
+
+    # q = 257 packs at 9 bits, so 3 elements take 4 bytes with 5 pad bits;
+    # each test first decodes the well-formed block.
+    def test_pad_bit_refused(self):
+        good = pack_bits([5, 256, 0], 9)
+        assert len(good) == 4
+        assert decode_elems([good], 3, F257).tolist() == [[5, 256, 0]]
+        for bit in range(3, 8):
+            bad = good[:-1] + bytes([good[-1] | 1 << bit])
+            with pytest.raises(MalformedPlaintext, match="nonzero pad bits") as caught:
+                decode_elems([good, bad], 3, F257)
+            assert caught.value.index == 1
+        wire = serialize(SumShares(u=1, sums=[5, 256, 0]), F257)
+        with pytest.raises(InvalidArgument, match="nonzero pad bits"):
+            deserialize(wire[:-1] + bytes([wire[-1] | 0x80]), F257)
+
+    @pytest.mark.parametrize("value", [257, 300, 511])
+    def test_element_at_or_above_q_refused(self, value):
+        good = pack_bits([5, 256, 0], 9)
+        assert decode_elems([good], 3, F257).tolist() == [[5, 256, 0]]
+        bad = pack_bits([5, value, 0], 9)
+        assert len(bad) == len(good)
+        with pytest.raises(MalformedPlaintext, match="out of range") as caught:
+            decode_elems([good, good, bad], 3, F257)
+        assert caught.value.index == 2
+
+    def test_byte_short_or_long_refused(self):
+        good = pack_bits([5, 256, 0], 9)
+        assert decode_elems([good], 3, F257).tolist() == [[5, 256, 0]]
+        for bad in (good[:-1], good + b"\x00"):
+            with pytest.raises(MalformedPlaintext, match="wrong length") as caught:
+                decode_elems([bad, good], 3, F257)
+            assert caught.value.index == 0

@@ -41,7 +41,7 @@ from fssa.protocol import (
 )
 from fssa.sim import DropPoint, SimConfig, run_simulation
 
-from _oracles import poly_eval
+from _oracles import pack_bits, poly_eval
 
 
 def pinned_designated(values):
@@ -470,9 +470,10 @@ class TestClientAborts:
         assert clients[1].round is Round.ABORTED
 
     @pytest.mark.parametrize("payload, why", [
-        (b"\x01\x01", "wrong length"),  # one chunk, one byte per element
-        (b"\xff", "out of range"),
-    ], ids=["length", "range"])
+        (b"\x01\x01", "wrong length"),  # one chunk at q = 61: 6 bits in one byte
+        (b"\x3f", "out of range"),  # 63 >= q
+        (b"\x40", "nonzero pad bits"),
+    ], ids=["length", "range", "pad"])
     def test_malformed_plaintext_names_sender(self, payload, why):
         # A plaintext sealed correctly under the pair key of 1 and 3 but not
         # holding chunk_count elements below q; the batched decode names 3.
@@ -504,7 +505,7 @@ class TestClientAborts:
         p, rng, clients, server, broadcast = self._setup()
         uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
         dv = server.round1(uploads)[1]
-        sealed = ae_enc(clients[1].pair_keys[4], b"\0" * p.fp.byte_width, share_ad(4, 1))
+        sealed = ae_enc(clients[1].pair_keys[4], pack_bits([0], p.fp.bit_width), share_ad(4, 1))
         forged = ShareDelivery(
             ciphertexts=tuple((v, sealed if v == 4 else ct) for v, ct in dv.ciphertexts)
         )

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -155,6 +156,27 @@ class TestShare:
         # Points given as numpy integers share exactly as the same Python ints.
         as_arrays = rss_share_batch(rp, secrets, np.array(points), np.array(designated), values)
         assert np.array_equal(as_arrays, mat)
+
+    def test_batch_reads_int64_secrets_in_place(self):
+        # An int64 secrets array is read in place: the shares match a pinned
+        # digest and those from int32 or list input, and the caller's array,
+        # here read-only, is left as it was.
+        fp = find_field_modulus(100, 2**16)
+        rp = RampParams(t=70, d=40, n=100, fp=fp)
+        rng = np.random.default_rng(29)
+        secrets = rng.integers(0, 2**16, size=(64, rp.d))
+        values = rng.integers(0, fp.q, size=(64, rp.k))
+        designated = list(range(31, 61))
+        points = [p for p in all_points(rp) if p not in designated]
+        before = secrets.copy()
+        secrets.setflags(write=False)
+        mat = rss_share_batch(rp, secrets, points, designated, values)
+        assert np.array_equal(secrets, before)
+        assert not np.shares_memory(mat, secrets)
+        digest = hashlib.sha256(np.ascontiguousarray(mat, dtype="<i8").tobytes()).hexdigest()
+        assert digest == "49ed9ba0dd6f37a0375e9c925d9f869316de29fd49cc0d74ab1cdd5f8892c589"
+        for other in (before.astype(np.int32), before.tolist()):
+            assert np.array_equal(rss_share_batch(rp, other, points, designated, values), mat)
 
     def test_designated_plus_any_sent_points_reconstruct(self):
         # The t-d designated shares and any d sent ones fix the polynomial:

@@ -10,13 +10,15 @@ import fssa.protocol
 from fssa.aead import _nonce
 from fssa.errors import InvalidArgument
 from fssa.keyagree import ka_gen
-from fssa.messages import ClientHello, ShareDelivery, ShareUpload, SumShares
+from fssa.messages import ClientHello, ShareDelivery, ShareUpload, SumShares, deserialize
 from fssa.sim import (
     DropPoint,
     SimConfig,
     apply_dropout_schedule,
     run_simulation,
 )
+
+from _oracles import pack_bits
 
 
 def cfg(**kw):
@@ -33,14 +35,14 @@ def expected_wire_bytes(report, pk_len):
     |U1|-1-(t-d) ciphertexts and t-d empty 8-byte entries.
     """
     params = report.params
-    bw = (params.fp.q.bit_length() + 7) // 8
+    block = (params.chunk_count * (params.fp.q - 1).bit_length() + 7) // 8
     k = params.t - params.d
-    ct_len = params.chunk_count * bw + 16  # shares + tag; the nonce is derived, not sent
+    ct_len = block + 16  # shares + tag; the nonce is derived, not sent
     sealed = report.roster_sizes["u1"] - 1 - k
     hello = 1 + 4 + 4 + pk_len
     upload = 1 + 4 + 4 + sealed * (4 + 4 + ct_len)
     delivery = 1 + 4 + sealed * (4 + 4 + ct_len) + k * (4 + 4)
-    sums = 1 + 4 + 4 + params.chunk_count * bw
+    sums = 1 + 4 + 4 + block
     return hello, upload, delivery, sums
 
 
@@ -134,24 +136,44 @@ class TestDeterminism:
     def test_pinned_transcript_digest(self):
         # SHA-256 over every message of one seeded production-group run with
         # two dropouts at each DropPoint; any change to the wire bytes,
-        # the shares or the order of random draws changes it.
-        schedule = {
-            3: DropPoint.AFTER_ROUND0, 8: DropPoint.AFTER_ROUND0,
-            5: DropPoint.AFTER_ROUND1_SEND, 12: DropPoint.AFTER_ROUND1_SEND,
-            17: DropPoint.AFTER_ROUND1_RECEIVE, 20: DropPoint.AFTER_ROUND1_RECEIVE,
-        }
-        report = run_simulation(SimConfig(
-            n=20, m=500, rho=0.3, gamma=0.3, seed=11, dropout_schedule=schedule,
-        ))
-        assert report.status == "ok"
-        assert report.roster_sizes == {"u1": 20, "u2": 18, "u3": 14}
-        h = hashlib.sha256()
-        for stage, sender, recipient, payload in report.transcript:
-            h.update(f"{stage}:{sender}:{recipient}:{len(payload)}:".encode())
-            h.update(payload)
-        assert h.hexdigest() == (
-            "9b51ed16dacea05ac084883c5159dfb0cfd85088e32542037289b9eada515e9b"
+        # the shares or the order of random draws changes it. q = 1310719
+        # packs elements at 21 bits.
+        report = _pinned_run()
+        assert report.params.fp.q == 1310719
+        assert _digest(report) == (
+            "de084c1532f105d233aa739c323c4a6c2d28fc378e497cab62cc015f6fa36ce3"
         )
+
+    def test_pinned_transcript_digest_24_bit(self):
+        # At a 24-bit q the bit packing is the 3-byte little-endian layout,
+        # so this digest is the one the byte-width codec gave.
+        report = _pinned_run(B=500_000)
+        assert report.params.fp.q == 9999991
+        assert _digest(report) == (
+            "9b3acce66fe3205288a98aa7cd63469cce6b9df3b166e6fc5fc3fec8ee8f275c"
+        )
+
+
+def _pinned_run(**kw):
+    schedule = {
+        3: DropPoint.AFTER_ROUND0, 8: DropPoint.AFTER_ROUND0,
+        5: DropPoint.AFTER_ROUND1_SEND, 12: DropPoint.AFTER_ROUND1_SEND,
+        17: DropPoint.AFTER_ROUND1_RECEIVE, 20: DropPoint.AFTER_ROUND1_RECEIVE,
+    }
+    report = run_simulation(SimConfig(
+        n=20, m=500, rho=0.3, gamma=0.3, seed=11, dropout_schedule=schedule, **kw,
+    ))
+    assert report.status == "ok"
+    assert report.roster_sizes == {"u1": 20, "u2": 18, "u3": 14}
+    return report
+
+
+def _digest(report) -> str:
+    h = hashlib.sha256()
+    for stage, sender, recipient, payload in report.transcript:
+        h.update(f"{stage}:{sender}:{recipient}:{len(payload)}:".encode())
+        h.update(payload)
+    return h.hexdigest()
 
 
 class TestScheduleValidation:
@@ -254,6 +276,27 @@ class TestByteAccounting:
             )
         assert report.server_bytes_received == sum(report.bytes_sent.values())
         assert sum(report.bytes_received.values()) == report.server_bytes_sent
+
+    def test_element_blocks_packed_at_bit_width(self):
+        # With dropouts at every DropPoint, every share ciphertext is one
+        # element block plus the 16-byte tag and every SumShares body is one
+        # block, ceil(chunk_count * bits(q-1) / 8) bytes; 63 chunks at 21
+        # bits leave 5 pad bits.
+        report = _pinned_run()
+        p = report.params
+        bits = p.chunk_count * (p.fp.q - 1).bit_length()
+        assert (p.chunk_count, bits % 8) == (63, 3)
+        block = -(-bits // 8)
+        cts, bodies = [], []
+        for stage, sender, recipient, payload in report.transcript:
+            msg = deserialize(payload, p.fp)
+            if isinstance(msg, (ShareUpload, ShareDelivery)):
+                cts += [ct for _, ct in msg.ciphertexts if ct]
+            elif isinstance(msg, SumShares):
+                bodies.append(len(payload) - 9)  # tag, index, count
+        assert len(bodies) == 14
+        assert {len(ct) for ct in cts} == {block + 16}
+        assert bodies == [block] * 14
 
     def test_message_counts_full_run(self):
         report = run_simulation(cfg(seed=1))
@@ -502,7 +545,7 @@ class TestFailureReporting:
             wire = encode(msg, fp)
             if not (isinstance(msg, SumShares) and msg.u == 2):
                 return wire
-            block = fp.q.to_bytes(fp.byte_width, "little") * len(msg.sums)
+            block = pack_bits([fp.q] * len(msg.sums), fp.bit_width)
             return wire[: len(wire) - len(block)] + block
 
         monkeypatch.setattr(fssa.messages, "serialize", forged)
