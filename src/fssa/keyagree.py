@@ -22,7 +22,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 
 from .errors import InvalidArgument
 
-_KEY_LEN = 32
+KEY_LEN = 32
 _P25519 = 2**255 - 19
 # The canonical u-coordinates of the low-order points; their other
 # encodings, u + p, are refused as non-canonical.
@@ -47,8 +47,8 @@ def encode_public(key: X25519PublicKey) -> bytes:
 
 def decode_public(data: bytes) -> X25519PublicKey:
     """Decode a canonical public key of large order; raises InvalidArgument otherwise."""
-    if len(data) != _KEY_LEN:
-        raise InvalidArgument(f"X25519 public key is {len(data)} bytes, not {_KEY_LEN}")
+    if len(data) != KEY_LEN:
+        raise InvalidArgument(f"X25519 public key is {len(data)} bytes, not {KEY_LEN}")
     u = int.from_bytes(data, "little")
     if u >= _P25519:
         raise InvalidArgument("non-canonical X25519 public key")
@@ -66,7 +66,7 @@ def ka_gen(rng=None) -> KeyPair:
     """
     if rng is None:
         rng = random.SystemRandom()
-    sk = X25519PrivateKey.from_private_bytes(rng.randbytes(_KEY_LEN))
+    sk = X25519PrivateKey.from_private_bytes(rng.randbytes(KEY_LEN))
     return KeyPair(encode_public(sk.public_key()), sk)
 
 

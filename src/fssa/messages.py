@@ -1,13 +1,38 @@
 """Bit-exact wire formats for the five protocol messages.
 
 Layout: 1 tag byte, then fixed-layout fields. Integers are 4-byte
-little-endian (u32); a public key carries a u32 length prefix; field elements
-travel bit-packed in element blocks. Every modulus FieldParams admits is
-below 2^32, so an element takes at most 32 bits and decodes into int64.
+little-endian (u32); a public key is its 32 bytes (`keyagree.KEY_LEN`) with
+no length prefix; field elements travel bit-packed in element blocks. Every
+modulus FieldParams admits is below 2^32, so an element takes at most 32
+bits and decodes into int64. `serialize` and `deserialize` take the run's
+RampParams: lists need n, element blocks need the field.
 
-The key roster, an upload's ciphertexts and a delivery's ciphertexts share
-one list layout: a u32 count, then per entry a u32 client index, a u32 length
-and that many bytes. The indices of one list must be distinct.
+- ClientHello: tag, u32 sender, key.
+- KeyBroadcast: tag, one list of keys.
+- ShareUpload: tag, u32 sender, one list of ciphertexts by recipient.
+- ShareDelivery: tag, two lists: first the senders that sealed a ciphertext
+  for the recipient, then the senders that designate it, whose entries are
+  empty. In memory they are one ascending tuple, a designating sender's
+  entry being b"".
+- SumShares: tag, u32 sender, u32 count, one element block.
+
+A list is a bitmap over [1, n] of the indices present, a u32 entry size,
+then one entry of that size for each set bit, in ascending index order;
+an empty list has entry size 0.
+Index i is bit (i-1) % 8 of byte (i-1) // 8 of the ceil(n/8)-byte bitmap,
+LSB-first as in the element blocks, and the pad bits above n are zero: at
+n = 10 the indices {1, 3, 10} give the bitmap 05 02. The bitmap costs
+ceil(n/8) bytes where a (u32 index, u32 length) header per entry costs 8
+bytes each, so it is smaller for any list of more than n/64 entries.
+
+What the layout cannot carry, `serialize` refuses: an index outside
+[1, n], indices that are not strictly ascending, two entry sizes in one
+list, and a key that is not 32 bytes. `deserialize` refuses a set pad bit
+and an empty list of nonzero entry size, so that each list has exactly one
+encoding, a body that is short or long, and a delivery that names a sender
+in both lists, so no decoded list repeats an index. An entry the layout carries
+but the protocol does not allow (a key of another size, a non-empty entry
+from a designating sender) is the receiving client's to refuse.
 
 An element block packs its elements LSB-first at b = bits(q-1) bits each
 (`FieldParams.bit_width`): bit j of element i is stream bit i*b + j, and
@@ -35,6 +60,8 @@ import numpy as np
 
 from .errors import InvalidArgument, MalformedPlaintext
 from .field import FieldParams
+from .keyagree import KEY_LEN
+from .ramp import RampParams
 
 TAG_CLIENT_HELLO = 0
 TAG_KEY_BROADCAST = 1
@@ -43,7 +70,6 @@ TAG_SHARE_DELIVERY = 3
 TAG_SUM_SHARES = 4
 
 _U32 = struct.Struct("<I")
-_ENTRY = struct.Struct("<II")  # list entry: client index, length
 
 
 @dataclass(frozen=True)
@@ -60,12 +86,12 @@ class KeyBroadcast:
 @dataclass(frozen=True)
 class ShareUpload:
     u: int
-    ciphertexts: tuple  # ((v, ct_bytes), ...) for every other roster member
+    ciphertexts: tuple  # ((v, ct_bytes), ...) ascending v, for every peer u seals for
 
 
 @dataclass(frozen=True)
 class ShareDelivery:
-    ciphertexts: tuple  # ((v, ct_bytes), ...) routed to one recipient; b"" if v designates it
+    ciphertexts: tuple  # ((v, ct_bytes), ...) ascending v, routed to one recipient; b"" if v designates it
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,12 +120,17 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, k: int) -> bytes:
-        if self.pos + k > len(self.data):
+    def skip(self, k: int) -> int:
+        """Move past the next k bytes; returns where they start."""
+        start = self.pos
+        if start + k > len(self.data):
             raise InvalidArgument("truncated message")
-        out = self.data[self.pos : self.pos + k]
-        self.pos += k
-        return out
+        self.pos = start + k
+        return start
+
+    def take(self, k: int) -> bytes:
+        start = self.skip(k)
+        return self.data[start : self.pos]
 
     def u8(self) -> int:
         return self.take(1)[0]
@@ -107,68 +138,95 @@ class _Reader:
     def u32(self) -> int:
         return _U32.unpack(self.take(4))[0]
 
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
     def done(self):
         if self.pos != len(self.data):
             raise InvalidArgument("trailing bytes after message")
 
 
-def _check_unique(indices, what):
-    if len(set(indices)) != len(indices):
-        raise InvalidArgument(f"duplicate client index in {what}")
+def _entries(pairs, n: int) -> tuple:
+    """(indices, payloads) of (index, payload) pairs, the indices as an array.
+
+    The indices must ascend strictly within [1, n]. Like the rest of the
+    packer, raises ValueError or TypeError, which `serialize` reports under
+    the message type.
+    """
+    if not pairs:
+        return np.zeros(0, dtype=np.int64), ()
+    indices, payloads = zip(*pairs)
+    a = np.array(indices)
+    if a.dtype.kind not in "iu":
+        raise TypeError(f"list indices must be integers, got {a.dtype}")
+    ascending = a[1:] > a[:-1]
+    if not ascending.all():
+        raise ValueError(f"indices not strictly ascending at {a[1:][~ascending][0]}")
+    if a[0] < 1 or a[-1] > n:
+        raise ValueError(f"index {a[0] if a[0] < 1 else a[-1]} outside [1, {n}]")
+    return a, payloads
 
 
-def _pack_list(pairs, what) -> list[bytes]:
-    """The list layout of (index, bytes) pairs, as parts to join."""
-    _check_unique([i for i, _ in pairs], what)
-    parts = [_U32.pack(len(pairs))]
-    for i, b in pairs:
-        parts += (_ENTRY.pack(i, len(b)), b)
-    return parts
+def _pack_list(indices, payloads, n: int, size: int | None = None) -> list[bytes]:
+    """The list layout of `payloads` at `indices`, as `_entries` returns
+    them, as parts to join.
+
+    Every payload must be `size` bytes long or, without `size`, as long as
+    the first. An empty list has entry size 0.
+    """
+    sizes = set(map(len, payloads))
+    if size is None:
+        size = len(payloads[0]) if payloads else 0
+    if sizes - {size}:
+        raise ValueError(f"a {max(sizes - {size})}-byte entry in a list of {size}-byte entries")
+    bits = np.zeros((n + 7) // 8 * 8, dtype=np.uint8)
+    bits[indices - 1] = 1
+    bitmap = np.packbits(bits, bitorder="little").tobytes()
+    return [bitmap, _U32.pack(size if payloads else 0), *payloads]
 
 
-def _read_list(r: _Reader, what) -> tuple:
-    """The list at the reader's position, one `unpack_from` per entry header."""
-    count = r.u32()
-    data, pos, end = r.data, r.pos, len(r.data)
-    unpack = _ENTRY.unpack_from
-    pairs = []
-    try:
-        for _ in range(count):
-            i, size = unpack(data, pos)
-            pos += _ENTRY.size
-            if pos + size > end:
-                raise InvalidArgument("truncated message")
-            pairs.append((i, data[pos : pos + size]))
-            pos += size
-    except struct.error:
-        raise InvalidArgument("truncated message") from None
-    r.pos = pos
-    _check_unique([i for i, _ in pairs], what)
-    return tuple(pairs)
+def _read_list(r: _Reader, n: int) -> tuple:
+    """The list at the reader's position as ((index, payload), ...), ascending."""
+    bits = np.unpackbits(np.frombuffer(r.take((n + 7) // 8), dtype=np.uint8), bitorder="little")
+    if bits[n:].any():
+        raise InvalidArgument("list bitmap has nonzero pad bits")
+    indices = (np.flatnonzero(bits) + 1).tolist()
+    size = r.u32()
+    if size and not indices:
+        raise InvalidArgument("empty list has nonzero entry size")
+    pos = r.skip(len(indices) * size)
+    # One unpack cuts every entry, where a slice per entry costs twice as much.
+    return tuple(zip(indices, struct.unpack_from(f"{size}s" * len(indices), r.data, pos)))
 
 
-def serialize(msg, fp: FieldParams) -> bytes:
-    """The wire bytes of `msg`. InvalidArgument refuses what does not fit the
-    layout: an index that is not a u32, a key or ciphertext that is not
-    bytes, a list entry that is not an (index, bytes) pair (these three
-    named with the message type), a repeated index, or an element outside
-    [0, q)."""
+def serialize(msg, params: RampParams) -> bytes:
+    """The wire bytes of `msg` in a run of `params` (its n and field).
+
+    InvalidArgument refuses what does not fit the layout: an index that is
+    not a u32, a list index outside [1, n] or out of ascending order, two
+    entry sizes in one list, a key that is not 32 bytes, a key or
+    ciphertext that is not bytes, a list entry that is not an (index,
+    bytes) pair (all of these named with the message type), or an element
+    outside [0, q)."""
+    n = params.n
     try:
         if isinstance(msg, ClientHello):
-            parts = [struct.pack("<BII", TAG_CLIENT_HELLO, msg.u, len(msg.public_key)), msg.public_key]
+            if len(msg.public_key) != KEY_LEN:
+                raise ValueError(f"{len(msg.public_key)}-byte key, not {KEY_LEN}")
+            parts = [struct.pack("<BI", TAG_CLIENT_HELLO, msg.u), msg.public_key]
         elif isinstance(msg, KeyBroadcast):
-            parts = [bytes([TAG_KEY_BROADCAST]), *_pack_list(msg.keys, "KeyBroadcast")]
+            parts = [bytes([TAG_KEY_BROADCAST]), *_pack_list(*_entries(msg.keys, n), n, KEY_LEN)]
         elif isinstance(msg, ShareUpload):
             head = struct.pack("<BI", TAG_SHARE_UPLOAD, msg.u)
-            parts = [head, *_pack_list(msg.ciphertexts, "ShareUpload")]
+            parts = [head, *_pack_list(*_entries(msg.ciphertexts, n), n)]
         elif isinstance(msg, ShareDelivery):
-            parts = [bytes([TAG_SHARE_DELIVERY]), *_pack_list(msg.ciphertexts, "ShareDelivery")]
+            indices, payloads = _entries(msg.ciphertexts, n)
+            sealed = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads)) > 0
+            parts = [
+                bytes([TAG_SHARE_DELIVERY]),
+                *_pack_list(indices[sealed], [p for p in payloads if p], n),
+                *_pack_list(indices[~sealed], [p for p in payloads if not p], n, 0),
+            ]
         elif isinstance(msg, SumShares):
             head = struct.pack("<BII", TAG_SUM_SHARES, msg.u, len(msg.sums))
-            parts = [head, encode_elems(msg.sums, fp)]
+            parts = [head, encode_elems(msg.sums, params.fp)]
         else:
             raise InvalidArgument(f"unknown message type {type(msg).__name__}")
         return b"".join(parts)
@@ -178,19 +236,25 @@ def serialize(msg, fp: FieldParams) -> bytes:
         raise InvalidArgument(f"{type(msg).__name__} does not fit the wire layout: {e}") from None
 
 
-def deserialize(data: bytes, fp: FieldParams):
+def deserialize(data: bytes, params: RampParams):
+    """The message `data` encodes in a run of `params`; InvalidArgument if it does not decode."""
+    n = params.n
     r = _Reader(data)
     tag = r.u8()
     if tag == TAG_CLIENT_HELLO:
-        msg = ClientHello(u=r.u32(), public_key=r.blob())
+        msg = ClientHello(u=r.u32(), public_key=r.take(KEY_LEN))
     elif tag == TAG_KEY_BROADCAST:
-        msg = KeyBroadcast(keys=_read_list(r, "KeyBroadcast"))
+        msg = KeyBroadcast(keys=_read_list(r, n))
     elif tag == TAG_SHARE_UPLOAD:
-        msg = ShareUpload(u=r.u32(), ciphertexts=_read_list(r, "ShareUpload"))
+        msg = ShareUpload(u=r.u32(), ciphertexts=_read_list(r, n))
     elif tag == TAG_SHARE_DELIVERY:
-        msg = ShareDelivery(ciphertexts=_read_list(r, "ShareDelivery"))
+        sealed, designating = _read_list(r, n), _read_list(r, n)
+        if {v for v, _ in sealed} & {v for v, _ in designating}:
+            raise InvalidArgument("duplicate client index in ShareDelivery")
+        msg = ShareDelivery(ciphertexts=tuple(sorted(sealed + designating)))
     elif tag == TAG_SUM_SHARES:
         u, count = r.u32(), r.u32()
+        fp = params.fp
         msg = SumShares(u=u, sums=decode_elems([r.take(block_size(count, fp))], count, fp)[0])
     else:
         raise InvalidArgument(f"unknown message tag {tag}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aead import ae_dec, ae_enc, derive_elems
+from .aead import TAG_LEN, ae_dec, ae_enc, derive_elems
 from .errors import (
     ClientAborted,
     InvalidArgument,
@@ -44,6 +44,7 @@ from .messages import (
     ShareDelivery,
     ShareUpload,
     SumShares,
+    block_size,
     decode_share_plaintext,
     encode_share_plaintext,
     share_ad,
@@ -387,14 +388,19 @@ class Server:
         """Route the uploads of U2, the senders in U1 whose uploads `_admit` keeps.
 
         An upload from v is faulty unless it addresses exactly U1 - D_v - {v},
-        the peers `Client.round1` seals for, each once. A delivery to u
-        carries (v, b"") for each v in U2 that designates u.
+        the peers `Client.round1` seals for, each once, with ciphertexts of
+        block_size(chunk_count) + TAG_LEN bytes, the length a share plaintext
+        seals to; so every delivery's sealed entries share one size. The
+        server cannot open them: a ciphertext of that length holding other
+        bytes passes here, and its recipient refuses it at authentication.
+        A delivery to u carries (v, b"") for each v in U2 that designates u.
         """
         if self.round != 1:
             raise ProtocolOrderViolation("round1 out of order")
         p = self.params
         t0 = time.perf_counter_ns()
         u1set = set(self.u1)
+        ct_len = block_size(p.chunk_count, p.fp) + TAG_LEN
 
         def faulty(up):
             v = up.u
@@ -407,6 +413,9 @@ class Server:
                 return f"client {v} sent no ciphertext for {min(missing)}"
             if stray := recipients - sealed_for:
                 return f"client {v} sent a ciphertext to {min(stray)}, which it does not seal for"
+            if wrong := [(w, ct) for w, ct in up.ciphertexts if len(ct) != ct_len]:
+                w, ct = wrong[0]
+                return f"client {v} sent a {len(ct)}-byte ciphertext to {w}, not {ct_len}"
 
         kept = self._admit("u2", uploads, u1set, "the roster", faulty)
         by_sender = {v: dict(up.ciphertexts) for v, up in kept.items()}

@@ -22,6 +22,10 @@ from .errors import ClientAborted, InvalidArgument, RoundAborted
 from .protocol import Client, Params, Server, as_int, plan_parameters
 
 
+# The transcript's stages, in the order their messages go on the wire.
+STAGES = ("round0", "broadcast", "round1", "delivery", "round2")
+
+
 class DropPoint(enum.Enum):
     """Where a scheduled client leaves the run; a client not in the schedule stays."""
 
@@ -121,6 +125,13 @@ class SimReport:
     def received_counts(self) -> dict:
         return self._tally(2, lambda payload: 1)
 
+    def stage_bytes(self) -> dict:
+        """Stage -> total payload bytes of its messages, for each of the five stages in order."""
+        out = dict.fromkeys(STAGES, 0)
+        for stage, _, _, payload in self.transcript:
+            out[stage] += len(payload)
+        return out
+
     def to_json(self) -> str:
         params = self.params
         doc = {
@@ -146,6 +157,7 @@ class SimReport:
             "server_bytes_sent": self.server_bytes_sent,
             "bytes_received": {str(k): v for k, v in self.bytes_received.items()},
             "server_bytes_received": self.server_bytes_received,
+            "stage_bytes": self.stage_bytes(),
             "transcript": [
                 {"stage": st, "from": s, "to": r, "payload": p.hex()}
                 for st, s, r, p in self.transcript
@@ -164,13 +176,13 @@ def run_simulation(cfg: SimConfig) -> SimReport:
 
     Too many dropouts is a legitimate outcome: the report comes back with
     status "aggregation_failed" and the server's reason in `failure` rather
-    than an exception. A client that aborts leaves the run, and its reason
-    goes into `aborted`; a message the server leaves out, or one that does
-    not decode, goes into `excluded` under the roster of its round.
+    than an exception. A client that aborts, or that receives a broadcast
+    or delivery that does not decode, leaves the run, and its reason goes
+    into `aborted`; a message the server leaves out, or one that does not
+    encode or decode, goes into `excluded` under the roster of its round.
     """
     params = cfg.plan()
     cfg.validate()
-    fp = params.fp
     rng = random.Random(int(cfg.seed))  # Random refuses numpy integers
 
     # Row u-1 is client u's input vector. Fixed inputs are converted once:
@@ -206,19 +218,26 @@ def run_simulation(cfg: SimConfig) -> SimReport:
             aborted[u] = str(e)
             return None
 
+    def receive(u, wire, what):
+        """The message the server sent client u; a wire that does not decode aborts u."""
+        try:
+            return messages.deserialize(wire, params)
+        except InvalidArgument as e:
+            raise ClientAborted(f"client {u}: {what} does not decode: {e}") from None
+
     roster_of = {"round0": "u1", "round1": "u2", "round2": "u3"}
 
     def post(stage, sender, msg, inbox):
         """Carry one client message to the server: its decoded copy goes into
         `inbox`, or the reason it does not encode or decode into `excluded`."""
         try:
-            wire = messages.serialize(msg, fp)
+            wire = messages.serialize(msg, params)
         except InvalidArgument as e:
             server.excluded[roster_of[stage]][sender] = f"message does not encode: {e}"
             return
         transcript.append((stage, sender, "server", wire))
         try:
-            inbox.append(messages.deserialize(wire, fp))
+            inbox.append(messages.deserialize(wire, params))
         except InvalidArgument as e:
             server.excluded[roster_of[stage]][sender] = f"message does not decode: {e}"
 
@@ -229,7 +248,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         hellos = []
         for u in sorted(live):
             post("round0", u, clients[u].round0(rng), hellos)
-        broadcast_wire = messages.serialize(server.round0(hellos), fp)
+        broadcast_wire = messages.serialize(server.round0(hellos), params)
         for u in sorted(live):
             transcript.append(("broadcast", "server", u, broadcast_wire))
 
@@ -237,7 +256,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
 
         # Round 1: surviving clients chunk, share, and encrypt.
         def do_round1(u):
-            return clients[u].round1(messages.deserialize(broadcast_wire, fp), inputs[u - 1])
+            return clients[u].round1(receive(u, broadcast_wire, "broadcast"), inputs[u - 1])
 
         order = sorted(live)
         if cfg.parallel:
@@ -259,12 +278,12 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         # Round 2: deliveries go out, survivors respond with summed shares.
         delivery_wires = {}
         for u in sorted(live & deliveries.keys()):
-            delivery_wires[u] = messages.serialize(deliveries[u], fp)
+            delivery_wires[u] = messages.serialize(deliveries[u], params)
             transcript.append(("delivery", "server", u, delivery_wires[u]))
         live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND1_RECEIVE, live)
 
         def do_round2(u):
-            return clients[u].round2(messages.deserialize(delivery_wires[u], fp))
+            return clients[u].round2(receive(u, delivery_wires[u], "delivery"))
 
         sums = []
         for u in sorted(live & delivery_wires.keys()):
@@ -275,7 +294,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         aggregate = server.round2(sums)
         # Every U2 input passed chunk_vector's [0, B) check, and n(B-1) < q < 2^32
         # under the kernel's range, so the int64 sum is exact.
-        expected = (inputs[[u - 1 for u in server.u2]].sum(axis=0) % fp.q).tolist()
+        expected = (inputs[[u - 1 for u in server.u2]].sum(axis=0) % params.fp.q).tolist()
     except RoundAborted as e:
         failure = str(e)
 

@@ -50,6 +50,19 @@ def pack_bits(values, b: int) -> bytes:
     return int(bits or "0", 2).to_bytes((len(values) * b + 7) // 8, "little")
 
 
+def pack_list(pairs, n: int, size: int) -> bytes:
+    """A wire list from first principles: a ceil(n/8)-byte little-endian int
+    whose bit i - 1 is set for each index i present, the entry size as a
+    4-byte little-endian int, then the payloads in the order given.
+
+    Nothing is checked, so a test can build a list the package refuses.
+    """
+    present = {i for i, _ in pairs}
+    bits = "".join("1" if i in present else "0" for i in range(n, 0, -1))
+    bitmap = int(bits or "0", 2).to_bytes((n + 7) // 8, "little")
+    return bitmap + size.to_bytes(4, "little") + b"".join(p for _, p in pairs)
+
+
 def textbook_shamir_recon(shares, q):
     """Independent reference reconstruction (Lagrange at zero)."""
     pts = list(shares)

@@ -243,37 +243,40 @@ def test_criterion_7_performance_trends():
 
 def test_criterion_8_wire_format_goldens():
     t0 = time.monotonic()
+    p11 = RampParams(t=2, d=1, n=10, fp=F11)
     goldens = [
-        (ClientHello(u=3, public_key=b"\x05"),
-         b"\x00\x03\x00\x00\x00\x01\x00\x00\x00\x05"),
-        (KeyBroadcast(keys=((1, b"\xaa"),)),
-         b"\x01\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\xaa"),
+        (ClientHello(u=3, public_key=b"\x05" * 32),
+         b"\x00\x03\x00\x00\x00" + b"\x05" * 32),
+        (KeyBroadcast(keys=((1, b"\xaa" * 32),)),
+         b"\x01\x01\x00\x20\x00\x00\x00" + b"\xaa" * 32),
         (ShareUpload(u=1, ciphertexts=((2, b"\xcc"),)),
-         b"\x02\x01\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\x01\x00\x00\x00\xcc"),
+         b"\x02\x01\x00\x00\x00\x02\x00\x01\x00\x00\x00\xcc"),
         (ShareDelivery(ciphertexts=((7, b"\xee"),)),
-         b"\x03\x01\x00\x00\x00\x07\x00\x00\x00\x01\x00\x00\x00\xee"),
+         b"\x03\x40\x00\x01\x00\x00\x00\xee\x00\x00\x00\x00\x00\x00"),
         (SumShares(u=2, sums=(9, 3)), b"\x04\x02\x00\x00\x00\x02\x00\x00\x00\x39"),
     ]
-    golden_ok = all(serialize(msg, F11) == blob for msg, blob in goldens)
+    golden_ok = all(serialize(msg, p11) == blob for msg, blob in goldens)
 
+    # List indices below 99 need n = 99, over a field above it.
+    p99 = RampParams(t=2, d=1, n=99, fp=FieldParams(101))
     rng = random.Random(8)
     for _ in range(1000):
         msgs = [
-            ClientHello(u=rng.randrange(1, 999), public_key=rng.randbytes(33)),
+            ClientHello(u=rng.randrange(1, 999), public_key=rng.randbytes(32)),
             KeyBroadcast(keys=tuple(
-                (u, rng.randbytes(33)) for u in sorted(rng.sample(range(1, 99), 4))
+                (u, rng.randbytes(32)) for u in sorted(rng.sample(range(1, 99), 4))
             )),
             ShareUpload(u=1, ciphertexts=tuple(
                 (v, rng.randbytes(20)) for v in sorted(rng.sample(range(2, 99), 3))
             )),
             ShareDelivery(ciphertexts=tuple(
-                (v, rng.randbytes(20)) for v in sorted(rng.sample(range(2, 99), 3))
+                (v, rng.randbytes(rng.choice([0, 20]))) for v in sorted(rng.sample(range(2, 99), 3))
             )),
             SumShares(u=rng.randrange(1, 99),
                       sums=tuple(rng.randrange(11) for _ in range(5))),
         ]
         for msg in msgs:
-            assert deserialize(serialize(msg, F11), F11) == msg
+            assert deserialize(serialize(msg, p99), p99) == msg
     _verdict(8, "golden byte vectors and 1000 round-trips per message variant",
              golden_ok, f"{time.monotonic() - t0:.1f}s")
 

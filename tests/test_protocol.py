@@ -672,6 +672,28 @@ class TestServerChecks:
         sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
         assert server.round2(sums) == [4, 8]
 
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_round1_ciphertext_of_wrong_length_left_out(self, delta):
+        # A share ciphertext is block_size(chunk_count) + 16 bytes; client 3's
+        # for 2 is a byte off, so the server leaves 3's upload out, and
+        # every delivery's sealed list keeps one entry size.
+        p = plan_parameters(5, 2, B=16, rho=0.2)
+        rng = random.Random(0)
+        clients, hellos = self._hellos(p, rng)
+        server = Server(p)
+        broadcast = server.round0(hellos)
+        uploads = [c.round1(broadcast, [1, 2]) for c in clients.values()]
+        (v1, ct1), (v2, ct2), *rest = uploads[2].ciphertexts
+        size = len(ct2)
+        bad = ct2[:-1] if delta < 0 else ct2 + b"\0"
+        uploads[2] = ShareUpload(u=3, ciphertexts=((v1, ct1), (v2, bad), *rest))
+        deliveries = server.round1(uploads)
+        why = f"client 3 sent a {size + delta}-byte ciphertext to 2, not {size}"
+        assert server.excluded == {"u1": {}, "u2": {3: why}, "u3": {}}
+        assert server.u2 == (1, 2, 4, 5)
+        sums = [clients[u].round2(dv) for u, dv in deliveries.items()]
+        assert server.round2(sums) == [4, 8]
+
     @pytest.mark.parametrize("fault", ["duplicate", "outside-roster"])
     def test_round1_misindexed_upload_left_out(self, fault):
         # Client 2 uploads under index 3 (or 9): a duplicate cannot be pinned

@@ -1,17 +1,29 @@
 import hashlib
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fssa.messages
 import fssa.protocol
 from fssa.aead import _nonce
 from fssa.errors import InvalidArgument
 from fssa.keyagree import ka_gen
-from fssa.messages import ClientHello, ShareDelivery, ShareUpload, SumShares, deserialize
+from fssa.messages import (
+    ClientHello,
+    KeyBroadcast,
+    ShareDelivery,
+    ShareUpload,
+    SumShares,
+    block_size,
+    deserialize,
+)
 from fssa.sim import (
+    STAGES,
     DropPoint,
     SimConfig,
     apply_dropout_schedule,
@@ -27,23 +39,26 @@ def cfg(**kw):
     return SimConfig(**base)
 
 
-def expected_wire_bytes(report, pk_len):
+def expected_wire_bytes(report):
     """Closed-form per-message byte counts for the fixed wire layout.
 
-    A sender seals for every other member of U1 but its t-d designated
-    peers. The delivery size assumes every member of U1 uploaded: it holds
-    |U1|-1-(t-d) ciphertexts and t-d empty 8-byte entries.
+    A list is a ceil(n/8)-byte bitmap, a u32 entry size and its entries. A
+    sender seals for every other member of U1 but its t-d designated peers.
+    The delivery size assumes every member of U1 uploaded: its sealed list
+    holds |U1|-1-(t-d) ciphertexts and its designating list t-d empty entries.
     """
     params = report.params
     block = (params.chunk_count * (params.fp.q - 1).bit_length() + 7) // 8
     k = params.t - params.d
     ct_len = block + 16  # shares + tag; the nonce is derived, not sent
     sealed = report.roster_sizes["u1"] - 1 - k
-    hello = 1 + 4 + 4 + pk_len
-    upload = 1 + 4 + 4 + sealed * (4 + 4 + ct_len)
-    delivery = 1 + 4 + sealed * (4 + 4 + ct_len) + k * (4 + 4)
+    head = (params.n + 7) // 8 + 4
+    hello = 1 + 4 + 32
+    broadcast = 1 + head + 32 * report.roster_sizes["u1"]
+    upload = 1 + 4 + head + sealed * ct_len
+    delivery = 1 + head + sealed * ct_len + head
     sums = 1 + 4 + 4 + block
-    return hello, upload, delivery, sums
+    return hello, broadcast, upload, delivery, sums
 
 
 class TestBasicRuns:
@@ -141,7 +156,7 @@ class TestDeterminism:
         report = _pinned_run()
         assert report.params.fp.q == 1310719
         assert _digest(report) == (
-            "de084c1532f105d233aa739c323c4a6c2d28fc378e497cab62cc015f6fa36ce3"
+            "09db016fda8c2d74d5a4a68491b7b0611febd747538ec882eaf07467d8cf688b"
         )
 
     def test_pinned_transcript_digest_24_bit(self):
@@ -150,7 +165,7 @@ class TestDeterminism:
         report = _pinned_run(B=500_000)
         assert report.params.fp.q == 9999991
         assert _digest(report) == (
-            "9b3acce66fe3205288a98aa7cd63469cce6b9df3b166e6fc5fc3fec8ee8f275c"
+            "41b830cdb23fd5cfdb02f1a56fc750104c229e2d5839435625be50e87f2a5f96"
         )
 
 
@@ -254,14 +269,12 @@ class TestNonces:
 class TestByteAccounting:
     def test_closed_form_message_sizes(self):
         report = run_simulation(cfg(seed=3))
-        pk_len = len(
-            next(p for st, s, r, p in report.transcript if st == "round0")
-        ) - 9  # strip tag, index, length prefix
-        hello, upload, delivery, sums = expected_wire_bytes(report, pk_len)
+        hello, broadcast, upload, delivery, sums = expected_wire_bytes(report)
         by_stage = {}
         for stage, sender, recipient, payload in report.transcript:
             by_stage.setdefault(stage, []).append(len(payload))
         assert set(by_stage["round0"]) == {hello}
+        assert set(by_stage["broadcast"]) == {broadcast}
         assert set(by_stage["round1"]) == {upload}
         assert set(by_stage["delivery"]) == {delivery}
         assert set(by_stage["round2"]) == {sums}
@@ -289,7 +302,7 @@ class TestByteAccounting:
         block = -(-bits // 8)
         cts, bodies = [], []
         for stage, sender, recipient, payload in report.transcript:
-            msg = deserialize(payload, p.fp)
+            msg = deserialize(payload, p)
             if isinstance(msg, (ShareUpload, ShareDelivery)):
                 cts += [ct for _, ct in msg.ciphertexts if ct]
             elif isinstance(msg, SumShares):
@@ -297,6 +310,20 @@ class TestByteAccounting:
         assert len(bodies) == 14
         assert {len(ct) for ct in cts} == {block + 16}
         assert bodies == [block] * 14
+
+    def test_stage_bytes(self):
+        report = run_simulation(cfg(seed=3, dropout_schedule={2: DropPoint.AFTER_ROUND1_SEND}))
+        stages = report.stage_bytes()
+        assert tuple(stages) == STAGES
+        for stage, total in stages.items():
+            assert total == sum(len(p) for st, *_, p in report.transcript if st == stage)
+        assert sum(stages.values()) == report.server_bytes_received + report.server_bytes_sent
+        hello, broadcast, upload, delivery, sums = expected_wire_bytes(report)
+        assert stages == {
+            "round0": 5 * hello, "broadcast": 5 * broadcast, "round1": 5 * upload,
+            "delivery": 4 * delivery, "round2": 4 * sums,
+        }
+        assert json.loads(report.to_json())["stage_bytes"] == stages
 
     def test_message_counts_full_run(self):
         report = run_simulation(cfg(seed=1))
@@ -453,15 +480,17 @@ class TestFailureReporting:
             assert report.rosters == {"u1": (1, 4, 5), "u2": (), "u3": ()}
 
     @pytest.mark.parametrize("fault, left_out, why", [
-        ("copied", {1, 2}, "sent a key another hello also carries"),
-        ("short", {2}, "sent a key no peer accepts: X25519 public key is 31 bytes, not 32"),
-        ("low-order", {2}, "sent a key no peer accepts: low-order X25519 public key"),
+        ("copied", {1, 2}, "client {u} sent a key another hello also carries"),
+        ("short", {2},
+         "message does not encode: ClientHello does not fit the wire layout: 31-byte key, not 32"),
+        ("low-order", {2}, "client {u} sent a key no peer accepts: low-order X25519 public key"),
     ], ids=["copied", "short", "low-order"])
     def test_faulty_key_hello_excluded(self, monkeypatch, fault, left_out, why):
         # Client 2 advertises client 1's key, a 31-byte key or the low-order
         # point u = 1. Every peer would refuse the broadcast (or, for a copied
         # key, two peers would hold each other's pair key), so the server
-        # leaves the hello out of U1; the others aggregate without it.
+        # leaves the hello out of U1; the others aggregate without it. The
+        # wire carries 32-byte keys only, so the short one does not encode.
         advertise = fssa.protocol.Client.round0
         keys = {}
 
@@ -482,7 +511,7 @@ class TestFailureReporting:
         report = run_simulation(cfg(n=10, rho=0.3, gamma=0.1, seed=1, inputs=inputs))
         assert report.status == "ok"
         assert report.excluded == {
-            "u1": {u: f"client {u} {why}" for u in sorted(left_out)}, "u2": {}, "u3": {},
+            "u1": {u: why.format(u=u) for u in sorted(left_out)}, "u2": {}, "u3": {},
         }
         others = tuple(u for u in range(1, 11) if u not in left_out)
         assert report.rosters == {"u1": others, "u2": others, "u3": others}
@@ -541,10 +570,11 @@ class TestFailureReporting:
         # 2 is left out of U3 and the other nine reconstruct the sum over U2.
         encode = fssa.messages.serialize
 
-        def forged(msg, fp):
-            wire = encode(msg, fp)
+        def forged(msg, params):
+            wire = encode(msg, params)
             if not (isinstance(msg, SumShares) and msg.u == 2):
                 return wire
+            fp = params.fp
             block = pack_bits([fp.q] * len(msg.sums), fp.bit_width)
             return wire[: len(wire) - len(block)] + block
 
@@ -580,6 +610,75 @@ class TestFailureReporting:
             assert report.aggregate == report.expected_sum_over_u2 == [13, 4, 8, 12]
         else:
             assert report.failure == "Round 0: only 3 keys collected (2 left out), need 4"
+
+    def test_short_ciphertexts_upload_excluded(self, monkeypatch):
+        # Every ciphertext of client 1 is a byte short. The server cannot
+        # open them but knows their length, so it leaves 1's upload out of
+        # U2 instead of routing ciphertexts no recipient can authenticate.
+        share = fssa.protocol.Client.round1
+
+        def shortened(self, *args, **kwargs):
+            upload = share(self, *args, **kwargs)
+            if self.u == 1:
+                upload = ShareUpload(u=1, ciphertexts=tuple(
+                    (v, ct[:-1]) for v, ct in upload.ciphertexts
+                ))
+            return upload
+
+        monkeypatch.setattr(fssa.protocol.Client, "round1", shortened)
+        report = run_simulation(cfg(n=6, rho=0.34, seed=1))
+        p = report.params
+        size = block_size(p.chunk_count, p.fp) + 16
+        # Client 1 designates 2 and seals for 3 first.
+        why = f"client 1 sent a {size - 1}-byte ciphertext to 3, not {size}"
+        assert report.excluded == {"u1": {}, "u2": {1: why}, "u3": {}}
+        assert report.status == "ok"
+        assert report.rosters["u2"] == report.rosters["u3"] == (2, 3, 4, 5, 6)
+        assert report.aggregate == report.expected_sum_over_u2
+        assert (report.aborted, report.failure) == ({}, None)
+
+    @pytest.mark.parametrize("change, why", [
+        (lambda w: w[:-1], "truncated message"),
+        (lambda w: w + b"\0", "trailing bytes after message"),
+    ], ids=["truncated", "extended"])
+    def test_undecodable_broadcast_aborts_its_recipients(self, monkeypatch, change, why):
+        # The one broadcast wire goes to every client; none can decode it,
+        # so each leaves the run and Round 1 collects no upload.
+        encode = fssa.messages.serialize
+
+        def faulty(msg, params):
+            wire = encode(msg, params)
+            return change(wire) if isinstance(msg, KeyBroadcast) else wire
+
+        monkeypatch.setattr(fssa.messages, "serialize", faulty)
+        report = run_simulation(cfg(seed=2))
+        assert report.aborted == {
+            u: f"client {u}: broadcast does not decode: {why}" for u in range(1, 6)
+        }
+        assert report.failure == "Round 1: only 0 uploads collected, need 4"
+
+    @pytest.mark.parametrize("change, why", [
+        (lambda w: w[:-1], "truncated message"),
+        (lambda w: w + b"\0", "trailing bytes after message"),
+    ], ids=["truncated", "extended"])
+    def test_undecodable_delivery_aborts_its_recipient(self, monkeypatch, change, why):
+        # Client 3's delivery does not decode: 3 leaves the run, and the
+        # other four still reconstruct the sum over U2.
+        encode = fssa.messages.serialize
+        deliveries = iter(range(1, 6))
+
+        def faulty(msg, params):
+            wire = encode(msg, params)
+            if isinstance(msg, ShareDelivery) and next(deliveries) == 3:
+                return change(wire)
+            return wire
+
+        monkeypatch.setattr(fssa.messages, "serialize", faulty)
+        report = run_simulation(cfg(seed=2, inputs=[[u, 1, 2, 3] for u in range(1, 6)]))
+        assert report.aborted == {3: f"client 3: delivery does not decode: {why}"}
+        assert report.status == "ok"
+        assert report.rosters["u3"] == (1, 2, 4, 5)
+        assert report.aggregate == report.expected_sum_over_u2 == [15, 5, 10, 15]
 
     def test_round2_abort_reported(self, monkeypatch):
         # The server flips one tag bit of client 2's ciphertext for client 1:
@@ -634,3 +733,69 @@ class TestFailureReporting:
         assert [m["payload"] for m in doc["transcript"] if m["to"] == 3] == received
         assert len(received) == 2
 
+
+# The stage each message type travels in, and the roster a client message
+# is admitted to.
+_STAGE_OF = {
+    ClientHello: "round0", KeyBroadcast: "broadcast", ShareUpload: "round1",
+    ShareDelivery: "delivery", SumShares: "round2",
+}
+_ROSTER_OF = {"round0": "u1", "round1": "u2", "round2": "u3"}
+
+
+class TestWireLengthFaults:
+    """One drawn message a byte short or long, in a small seeded run with
+    dropouts at every DropPoint: the run reports it and goes on."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(n=st.integers(8, 10), rho=st.sampled_from([0.34, 0.5]), seed=st.integers(0, 2**16),
+           stage=st.sampled_from(STAGES), nth=st.integers(0, 8), extend=st.booleans(),
+           data=st.data())
+    def test_fault_is_reported_not_raised(self, n, rho, seed, stage, nth, extend, data):
+        dropped = data.draw(st.permutations(range(1, n + 1)))[:3]
+        if stage == "broadcast":
+            nth = 0  # one broadcast wire goes to every client
+        schedule = dict(zip(dropped, DropPoint))
+        encode = fssa.messages.serialize
+        seen, faulted = [], []
+
+        def faulty(msg, params):
+            wire = encode(msg, params)
+            if _STAGE_OF[type(msg)] != stage:
+                return wire
+            seen.append(msg)
+            if len(seen) - 1 != nth:
+                return wire
+            faulted.append(msg)
+            return wire + b"\0" if extend else wire[:-1]
+
+        with mock.patch.object(fssa.messages, "serialize", faulty):
+            report = run_simulation(SimConfig(
+                n=n, m=3, rho=rho, B=16, seed=seed, dropout_schedule=schedule,
+            ))
+
+        for roster, left_out in report.excluded.items():
+            assert all(1 <= v and why for v, why in left_out.items()), (roster, left_out)
+        for u, why in report.aborted.items():
+            assert why.startswith(f"client {u}: ") and why != f"client {u}: "
+        if report.aggregate is not None:
+            assert report.aggregate == report.expected_sum_over_u2
+        else:
+            assert report.failure
+        if not faulted:
+            return
+        msg = faulted[0]
+        why = "trailing bytes after message" if extend else "truncated message"
+        if stage in _ROSTER_OF:
+            assert report.excluded[_ROSTER_OF[stage]][msg.u] == f"message does not decode: {why}"
+        elif stage == "broadcast":
+            stayed = [u for u in range(1, n + 1) if schedule.get(u) is not DropPoint.AFTER_ROUND0]
+            assert report.aborted == {
+                u: f"client {u}: broadcast does not decode: {why}" for u in stayed
+            }
+        else:
+            # Deliveries go out in ascending order to U2 minus those that dropped after sending.
+            u = [v for v in report.rosters["u2"]
+                 if schedule.get(v) is not DropPoint.AFTER_ROUND1_SEND][nth]
+            if schedule.get(u) is not DropPoint.AFTER_ROUND1_RECEIVE:
+                assert report.aborted[u] == f"client {u}: delivery does not decode: {why}"
