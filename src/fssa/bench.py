@@ -137,6 +137,8 @@ def run_point(spec: SweepSpec, index: int, n, m, rho, gamma) -> dict:
             seed=seed,
             dropout_schedule={u: DropPoint.AFTER_ROUND0 for u in dropped},
         )
+        # Drop the previous report first, so two transcripts never coexist.
+        report = None
         report = run_simulation(cfg)
         if it < 0:
             continue

@@ -30,7 +30,9 @@ What the layout cannot carry, `serialize` refuses: an index outside
 list, and a key that is not 32 bytes. `deserialize` refuses a set pad bit
 and an empty list of nonzero entry size, so that each list has exactly one
 encoding, a body that is short or long, and a delivery that names a sender
-in both lists, so no decoded list repeats an index. An entry the layout carries
+in both lists, so no decoded list repeats an index. Given the type its
+receiver expects, it also refuses a message whose tag names another type.
+An entry the layout carries
 but the protocol does not allow (a key of another size, a non-empty entry
 from a designating sender) is the receiving client's to refuse.
 
@@ -113,6 +115,15 @@ class SumShares:
         if not isinstance(other, SumShares):
             return NotImplemented
         return self.u == other.u and np.array_equal(self.sums, other.sums)
+
+
+_TYPE_OF_TAG = {
+    TAG_CLIENT_HELLO: ClientHello,
+    TAG_KEY_BROADCAST: KeyBroadcast,
+    TAG_SHARE_UPLOAD: ShareUpload,
+    TAG_SHARE_DELIVERY: ShareDelivery,
+    TAG_SUM_SHARES: SumShares,
+}
 
 
 class _Reader:
@@ -236,11 +247,18 @@ def serialize(msg, params: RampParams) -> bytes:
         raise InvalidArgument(f"{type(msg).__name__} does not fit the wire layout: {e}") from None
 
 
-def deserialize(data: bytes, params: RampParams):
-    """The message `data` encodes in a run of `params`; InvalidArgument if it does not decode."""
+def deserialize(data: bytes, params: RampParams, expected: type | None = None):
+    """The message `data` encodes in a run of `params`.
+
+    InvalidArgument if it does not decode, or if `expected` is given and the
+    tag names another message type: a receiver reads the fields of the type
+    its stage carries, and a message of another type has none of them."""
     n = params.n
     r = _Reader(data)
     tag = r.u8()
+    kind = _TYPE_OF_TAG.get(tag)
+    if expected is not None and kind is not None and kind is not expected:
+        raise InvalidArgument(f"{kind.__name__} where {expected.__name__} was expected")
     if tag == TAG_CLIENT_HELLO:
         msg = ClientHello(u=r.u32(), public_key=r.take(KEY_LEN))
     elif tag == TAG_KEY_BROADCAST:

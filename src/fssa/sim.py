@@ -1,9 +1,15 @@
 """Deterministic in-memory execution of one full aggregation run.
 
 Spawns n client state machines and one server, carries every message through
-the bit-exact wire encoding, injects dropouts at configured round boundaries,
-records every message in a transcript, and measures per-phase time and bytes.
-Identical configs (including the seed) produce byte-identical transcripts.
+the bit-exact wire encoding (`Carrier.carry`, over the table of the five
+stages), injects dropouts at configured round boundaries, records every
+message in a transcript, and measures per-phase time and bytes. Identical
+configs (including the seed) produce byte-identical transcripts.
+
+A run holds the inputs, one wire copy of each message (the transcript), the
+report, and the working set of the party acting. Clients act one at a time
+unless `parallel` is set; a message the run has carried lives on only as its
+wire, and each round's decoded inbox goes when the round returns.
 """
 
 from __future__ import annotations
@@ -22,8 +28,17 @@ from .errors import ClientAborted, InvalidArgument, RoundAborted
 from .protocol import Client, Params, Server, as_int, plan_parameters
 
 
-# The transcript's stages, in the order their messages go on the wire.
-STAGES = ("round0", "broadcast", "round1", "delivery", "round2")
+# The five stages, in the order their messages go on the wire: the message
+# type each carries, and the roster the server admits a client's message to,
+# or None for a stage the server sends.
+STAGE_TABLE = {
+    "round0": (messages.ClientHello, "u1"),
+    "broadcast": (messages.KeyBroadcast, None),
+    "round1": (messages.ShareUpload, "u2"),
+    "delivery": (messages.ShareDelivery, None),
+    "round2": (messages.SumShares, "u3"),
+}
+STAGES = tuple(STAGE_TABLE)
 
 
 class DropPoint(enum.Enum):
@@ -171,15 +186,84 @@ def apply_dropout_schedule(schedule: dict, boundary: DropPoint, live_set: set) -
     return {u for u in live_set if schedule.get(u) is not boundary}
 
 
+class Carrier:
+    """Carries every message of one run and keeps the run's transcript.
+
+    `carry` serializes a message, appends its wire to the transcript, decodes
+    the wire as the type its stage carries, and returns the decoded message
+    for its recipient. The caller drops the message it passed, and the
+    recipient the decoded copy once it has acted on it, so the wire in the
+    transcript is the one copy of a message that outlives its use. A server
+    message sent to many recipients is serialized once: the carrier keeps the
+    last server message with its wire.
+    """
+
+    def __init__(self, params: Params, excluded: dict, live: set):
+        self.params = params
+        self.excluded = excluded  # the server's: roster -> {v: why it left v's message out}
+        self.live = live          # the clients still in the run
+        self.aborted: dict = {}   # u -> why client u left the run
+        self._entries = {stage: [] for stage in STAGES}
+        self._last_sent = (None, b"")
+
+    @property
+    def transcript(self) -> list:
+        """(stage, sender, recipient, wire) of every message, in wire order."""
+        return [entry for stage in STAGES for entry in self._entries[stage]]
+
+    def leave(self, u, why: str):
+        """Client u leaves the run, for the reason `why`."""
+        self.aborted[u] = why
+        self.live.discard(u)
+
+    def carry(self, stage: str, sender, recipient, msg):
+        """`msg` as its recipient decodes it, or None if the recipient gets nothing.
+
+        A client message that does not encode, does not decode, or decodes
+        to another type than its stage's is left out, with the reason in the
+        server's `excluded` under the stage's roster. A server message that
+        fails the same way makes its recipient leave the run, with the reason
+        in `aborted`. A client that has already left gets the wire on the
+        transcript and nothing else.
+        """
+        expected, roster = STAGE_TABLE[stage]
+        try:
+            if roster is not None:
+                wire = messages.serialize(msg, self.params)
+            elif msg is self._last_sent[0]:
+                wire = self._last_sent[1]
+            else:
+                wire = messages.serialize(msg, self.params)
+                self._last_sent = (msg, wire)
+        except InvalidArgument as e:
+            return self._refuse(stage, sender, recipient, f"does not encode: {e}")
+        self._entries[stage].append((stage, sender, recipient, wire))
+        if roster is None and recipient not in self.live:
+            return None
+        try:
+            return messages.deserialize(wire, self.params, expected)
+        except InvalidArgument as e:
+            return self._refuse(stage, sender, recipient, f"does not decode: {e}")
+
+    def _refuse(self, stage: str, sender, recipient, why: str):
+        roster = STAGE_TABLE[stage][1]
+        if roster is None:
+            self.leave(recipient, f"client {recipient}: {stage} {why}")
+        else:
+            self.excluded[roster][sender] = f"message {why}"
+        return None
+
+
 def run_simulation(cfg: SimConfig) -> SimReport:
     """One deterministic aggregation run under the configured fault schedule.
 
     Too many dropouts is a legitimate outcome: the report comes back with
     status "aggregation_failed" and the server's reason in `failure` rather
     than an exception. A client that aborts, or that receives a broadcast
-    or delivery that does not decode, leaves the run, and its reason goes
-    into `aborted`; a message the server leaves out, or one that does not
-    encode or decode, goes into `excluded` under the roster of its round.
+    or delivery that does not decode as one, leaves the run, and its reason
+    goes into `aborted`; a message the server leaves out, or one that does
+    not encode or decode as its stage's type, goes into `excluded` under the
+    roster of its round.
     """
     params = cfg.plan()
     cfg.validate()
@@ -199,102 +283,76 @@ def run_simulation(cfg: SimConfig) -> SimReport:
                 f"fixed inputs must be integers that fit int64, got {inputs.dtype} entries"
             )
     else:
+        # Drawn into their rows: stacking n drawn vectors would hold the inputs twice.
         gen = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-        inputs = np.stack([gen.integers(0, cfg.B, size=cfg.m) for _ in range(cfg.n)])
+        inputs = np.empty((cfg.n, cfg.m), dtype=np.int64)
+        for row in inputs:
+            row[:] = gen.integers(0, cfg.B, size=cfg.m)
 
     clients = {u: Client(u, params) for u in range(1, cfg.n + 1)}
     server = Server(params)
-    transcript: list = []
+    carrier = Carrier(params, server.excluded, set(clients))
+    carry = carrier.carry
     schedule = cfg.dropout_schedule
     aggregate = expected = failure = None
-    live = set(clients)
-    aborted: dict = {}
 
-    def attempt(u, step):
-        """step(u), or None with the reason recorded if client u aborts."""
+    def attempt(u, step, *args):
+        """step(*args), or None with client u out of the run if it aborts."""
         try:
-            return step(u)
+            return step(*args)
         except ClientAborted as e:
-            aborted[u] = str(e)
+            carrier.leave(u, str(e))
             return None
 
-    def receive(u, wire, what):
-        """The message the server sent client u; a wire that does not decode aborts u."""
-        try:
-            return messages.deserialize(wire, params)
-        except InvalidArgument as e:
-            raise ClientAborted(f"client {u}: {what} does not decode: {e}") from None
+    def drop(point: DropPoint):
+        carrier.live = apply_dropout_schedule(schedule, point, carrier.live)
 
-    roster_of = {"round0": "u1", "round1": "u2", "round2": "u3"}
+    def inbox(stage, sent):
+        """The server's decoded messages of a stage, from (client, message or None) pairs.
 
-    def post(stage, sender, msg, inbox):
-        """Carry one client message to the server: its decoded copy goes into
-        `inbox`, or the reason it does not encode or decode into `excluded`."""
-        try:
-            wire = messages.serialize(msg, params)
-        except InvalidArgument as e:
-            server.excluded[roster_of[stage]][sender] = f"message does not encode: {e}"
-            return
-        transcript.append((stage, sender, "server", wire))
-        try:
-            inbox.append(messages.deserialize(wire, params))
-        except InvalidArgument as e:
-            server.excluded[roster_of[stage]][sender] = f"message does not decode: {e}"
+        Each round takes its inbox as an argument, so the decoded copies go
+        when the round returns."""
+        return [got for u, msg in sent
+                if msg is not None and (got := carry(stage, u, "server", msg)) is not None]
 
     # A round the server aborts (too few keys, uploads or sums) ends the run
     # with no aggregate; the report still holds the rosters the server kept.
     try:
         # Round 0: every live client advertises a key.
-        hellos = []
-        for u in sorted(live):
-            post("round0", u, clients[u].round0(rng), hellos)
-        broadcast_wire = messages.serialize(server.round0(hellos), params)
-        for u in sorted(live):
-            transcript.append(("broadcast", "server", u, broadcast_wire))
+        order = sorted(carrier.live)
+        broadcast = server.round0(inbox("round0", ((u, clients[u].round0(rng)) for u in order)))
+        drop(DropPoint.AFTER_ROUND0)
 
-        live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND0, live)
+        # Round 1: the broadcast goes to every client that advertised, and
+        # those still in the run chunk, share, and encrypt.
+        def share(u, got):
+            return None if got is None else attempt(u, clients[u].round1, got, inputs[u - 1])
 
-        # Round 1: surviving clients chunk, share, and encrypt.
-        def do_round1(u):
-            return clients[u].round1(receive(u, broadcast_wire, "broadcast"), inputs[u - 1])
-
-        order = sorted(live)
         if cfg.parallel:
+            got = [carry("broadcast", "server", u, broadcast) for u in order]
             with ThreadPoolExecutor() as pool:
-                results = list(pool.map(lambda u: attempt(u, do_round1), order))
-        else:
-            results = [attempt(u, do_round1) for u in order]
-        uploads = []
-        for u, res in zip(order, results):
-            if res is None:
-                live.discard(u)
-            else:
-                post("round1", u, res, uploads)
-
-        deliveries = server.round1(uploads)
-
-        live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND1_SEND, live)
+                uploads = list(pool.map(share, order, got))
+        else:  # one client at a time, so the run holds one client's upload
+            uploads = (share(u, carry("broadcast", "server", u, broadcast)) for u in order)
+        deliveries = server.round1(inbox("round1", zip(order, uploads)))
+        del uploads
 
         # Round 2: deliveries go out, survivors respond with summed shares.
-        delivery_wires = {}
-        for u in sorted(live & deliveries.keys()):
-            delivery_wires[u] = messages.serialize(deliveries[u], params)
-            transcript.append(("delivery", "server", u, delivery_wires[u]))
-        live = apply_dropout_schedule(schedule, DropPoint.AFTER_ROUND1_RECEIVE, live)
+        drop(DropPoint.AFTER_ROUND1_SEND)
+        deliveries = {u: deliveries[u] for u in sorted(carrier.live & deliveries.keys())}
+        drop(DropPoint.AFTER_ROUND1_RECEIVE)
 
-        def do_round2(u):
-            return clients[u].round2(receive(u, delivery_wires[u], "delivery"))
+        def respond(u):
+            got = carry("delivery", "server", u, deliveries.pop(u))
+            return None if got is None else attempt(u, clients[u].round2, got)
 
-        sums = []
-        for u in sorted(live & delivery_wires.keys()):
-            msg = attempt(u, do_round2)
-            if msg is not None:
-                post("round2", u, msg, sums)
-
-        aggregate = server.round2(sums)
+        aggregate = server.round2(inbox("round2", ((u, respond(u)) for u in list(deliveries))))
         # Every U2 input passed chunk_vector's [0, B) check, and n(B-1) < q < 2^32
-        # under the kernel's range, so the int64 sum is exact.
-        expected = (inputs[[u - 1 for u in server.u2]].sum(axis=0) % params.fp.q).tolist()
+        # under the kernel's range, so the int64 sum is exact. The mask sums
+        # U2's rows where they lie; indexing them would copy them.
+        in_u2 = np.zeros((cfg.n, 1), dtype=bool)
+        in_u2[np.array(server.u2) - 1] = True
+        expected = (inputs.sum(axis=0, where=in_u2) % params.fp.q).tolist()
     except RoundAborted as e:
         failure = str(e)
 
@@ -305,8 +363,8 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         expected_sum_over_u2=expected,
         client_phase_ns={u: dict(c.phase_ns) for u, c in clients.items() if c.phase_ns},
         server_phase_ns=dict(server.phase_ns),
-        transcript=transcript,
-        aborted=dict(sorted(aborted.items())),
+        transcript=carrier.transcript,
+        aborted=dict(sorted(carrier.aborted.items())),
         excluded={r: dict(sorted(e.items())) for r, e in server.excluded.items()},
         failure=failure,
     )

@@ -2,6 +2,7 @@ import argparse
 import csv
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -101,6 +102,22 @@ class TestRunPoint:
         assert row["t"] == ""
         assert row["client_keygen_ns_mean"] == ""
         assert row["server_precompute_ns_mean"] == ""
+
+    def test_previous_report_dropped_before_each_run(self, monkeypatch):
+        # Each report holds its run's transcript; at paper scale two of them
+        # alive at once cost hundreds of MB.
+        simulate = fssa.bench.run_simulation
+        previous, calls = [], []
+
+        def checked(cfg):
+            calls.append(all(ref() is None for ref in previous))
+            report = simulate(cfg)
+            previous.append(weakref.ref(report))
+            return report
+
+        monkeypatch.setattr(fssa.bench, "run_simulation", checked)
+        run_point(tiny_spec(iterations=3), 0, 5, 4, 0.2, 0.2)
+        assert calls == [True] * 4  # the warmup and three measured runs
 
     def test_non_timing_columns_reproducible(self):
         spec = tiny_spec(iterations=1, seed_base=3)

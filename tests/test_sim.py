@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,9 +22,12 @@ from fssa.messages import (
     SumShares,
     block_size,
     deserialize,
+    serialize,
 )
 from fssa.sim import (
+    STAGE_TABLE,
     STAGES,
+    Carrier,
     DropPoint,
     SimConfig,
     apply_dropout_schedule,
@@ -59,6 +63,10 @@ def expected_wire_bytes(report):
     delivery = 1 + head + sealed * ct_len + head
     sums = 1 + 4 + 4 + block
     return hello, broadcast, upload, delivery, sums
+
+
+# A well-formed message of the wrong type for a server-to-client stage.
+_SUM_SHARES_WIRE = serialize(SumShares(u=1, sums=[]), cfg().plan())
 
 
 class TestBasicRuns:
@@ -242,6 +250,31 @@ class TestScheduleValidation:
         assert apply_dropout_schedule(sched, DropPoint.AFTER_ROUND1_SEND, live) == {1, 3}
 
 
+class TestMemory:
+    def test_run_holds_each_message_once(self):
+        # A run holds its inputs, one wire copy of each message (the
+        # transcript) and the working set of one client at a time: the peak
+        # reads 1.36 times the inputs and transcript. A run that also kept
+        # the messages clients return, the server's decoded uploads and a
+        # copy of U2's inputs read 2.27.
+        n, m = 20, 20_000
+        schedule = {2: DropPoint.AFTER_ROUND0, 5: DropPoint.AFTER_ROUND1_SEND,
+                    9: DropPoint.AFTER_ROUND1_RECEIVE}
+        run_simulation(cfg())  # lazy imports are not the run's
+        tracemalloc.start()
+        try:
+            report = run_simulation(SimConfig(
+                n=n, m=m, rho=0.3, gamma=0.3, seed=3, dropout_schedule=schedule,
+            ))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.status == "ok"
+        assert report.roster_sizes == {"u1": 20, "u2": 19, "u3": 17}
+        held = sum(len(p) for *_, p in report.transcript) + n * m * 8
+        assert peak <= 1.7 * held
+
+
 class TestNonces:
     def test_no_key_and_nonce_seals_twice(self, monkeypatch):
         # Every ciphertext of a run is sealed under its own (pair key,
@@ -332,23 +365,36 @@ class TestByteAccounting:
         assert report.received_counts() == {u: 2 for u in range(1, 6)}
 
     def test_every_message_goes_through_the_codec(self, monkeypatch):
-        # The simulator looks serialize and deserialize up on fssa.messages
-        # at each call, so a wrapper installed there (as the benchmark's
-        # tracer does) sees every message; a direct import would bypass it.
+        # Every message travels through Carrier.carry, which looks serialize
+        # and deserialize up on fssa.messages at each call, so a wrapper
+        # installed there (as the benchmark's tracer does) sees every message.
         serialize, deserialize = fssa.messages.serialize, fssa.messages.deserialize
-        encoded, decoded = [], []
+        carry = Carrier.carry
+        encoded, decoded, carried = [], [], []
 
-        def counting_serialize(msg, fp):
-            encoded.append(serialize(msg, fp))
+        def counting_serialize(msg, params):
+            encoded.append(serialize(msg, params))
             return encoded[-1]
 
-        def counting_deserialize(wire, fp):
+        def counting_deserialize(wire, params, expected):
             decoded.append(wire)
-            return deserialize(wire, fp)
+            return deserialize(wire, params, expected)
+
+        def recording_carry(self, stage, sender, recipient, msg):
+            got = carry(self, stage, sender, recipient, msg)
+            carried.append((stage, sender, recipient, got))
+            return got
 
         monkeypatch.setattr(fssa.messages, "serialize", counting_serialize)
         monkeypatch.setattr(fssa.messages, "deserialize", counting_deserialize)
+        monkeypatch.setattr(Carrier, "carry", recording_carry)
         report = run_simulation(cfg(seed=1))
+        # One carry per transcript entry; each hands its recipient the type
+        # its stage carries.
+        assert sorted(entry[:3] for entry in report.transcript) == sorted(
+            entry[:3] for entry in carried
+        )
+        assert all(type(got) is STAGE_TABLE[stage][0] for stage, _, _, got in carried)
         assert set(encoded) == set(decoded) == {p for *_, p in report.transcript}
         # Each message is decoded once where it lands; the broadcast is
         # encoded once for all five clients.
@@ -478,6 +524,25 @@ class TestFailureReporting:
         else:
             assert report.failure == "Round 0: only 3 keys collected (2 left out), need 4"
             assert report.rosters == {"u1": (1, 4, 5), "u2": (), "u3": ()}
+
+    def test_hello_of_wrong_type_excluded(self, monkeypatch):
+        # Client 2 advertises, then sends a SumShares where its hello goes.
+        # It does not decode as a hello, so 2 is left out of U1 and leaves
+        # at the broadcast; the other four aggregate.
+        advertise = fssa.protocol.Client.round0
+
+        def wrong_type(self, *args, **kwargs):
+            hello = advertise(self, *args, **kwargs)
+            return SumShares(u=2, sums=[]) if self.u == 2 else hello
+
+        monkeypatch.setattr(fssa.protocol.Client, "round0", wrong_type)
+        report = run_simulation(cfg(seed=2, inputs=[[u, 1, 2, 3] for u in range(1, 6)]))
+        why = "message does not decode: SumShares where ClientHello was expected"
+        assert report.excluded == {"u1": {2: why}, "u2": {}, "u3": {}}
+        assert report.aborted == {2: "client 2: own public key missing or mismatched in broadcast"}
+        assert report.status == "ok"
+        assert report.rosters["u1"] == report.rosters["u3"] == (1, 3, 4, 5)
+        assert report.aggregate == report.expected_sum_over_u2 == [13, 4, 8, 12]
 
     @pytest.mark.parametrize("fault, left_out, why", [
         ("copied", {1, 2}, "client {u} sent a key another hello also carries"),
@@ -640,10 +705,11 @@ class TestFailureReporting:
     @pytest.mark.parametrize("change, why", [
         (lambda w: w[:-1], "truncated message"),
         (lambda w: w + b"\0", "trailing bytes after message"),
-    ], ids=["truncated", "extended"])
+        (lambda w: _SUM_SHARES_WIRE, "SumShares where KeyBroadcast was expected"),
+    ], ids=["truncated", "extended", "wrong-type"])
     def test_undecodable_broadcast_aborts_its_recipients(self, monkeypatch, change, why):
-        # The one broadcast wire goes to every client; none can decode it,
-        # so each leaves the run and Round 1 collects no upload.
+        # The one broadcast wire goes to every client; none can decode it as
+        # a broadcast, so each leaves the run and Round 1 collects no upload.
         encode = fssa.messages.serialize
 
         def faulty(msg, params):
@@ -660,10 +726,11 @@ class TestFailureReporting:
     @pytest.mark.parametrize("change, why", [
         (lambda w: w[:-1], "truncated message"),
         (lambda w: w + b"\0", "trailing bytes after message"),
-    ], ids=["truncated", "extended"])
+        (lambda w: _SUM_SHARES_WIRE, "SumShares where ShareDelivery was expected"),
+    ], ids=["truncated", "extended", "wrong-type"])
     def test_undecodable_delivery_aborts_its_recipient(self, monkeypatch, change, why):
-        # Client 3's delivery does not decode: 3 leaves the run, and the
-        # other four still reconstruct the sum over U2.
+        # Client 3's delivery does not decode as one: 3 leaves the run, and
+        # the other four still reconstruct the sum over U2.
         encode = fssa.messages.serialize
         deliveries = iter(range(1, 6))
 
